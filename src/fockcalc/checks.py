@@ -374,6 +374,8 @@ def check_disk_criterion(
     Random (a0, a1) draws straddle the self-map boundary; the closed form
     and the 1000-point boundary maximum must agree on every draw.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
     disagreements = 0
     true_count = 0
@@ -795,6 +797,8 @@ def check_moebius_conjugation_battery(
     rectangle, rejecting draws with |b|^2 eta within 0.05 of 1 where the
     family degenerates.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     accepted = 0
@@ -824,6 +828,8 @@ def check_adjoint_factorization_battery(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Adjoint factorization over random strictly bounded affine maps."""
+    if map_draws < 1:
+        raise ValueError(f"draws must be at least 1, got {map_draws}")
     rng = np.random.default_rng(seed)
     worst_kernel = 0.0
     worst_matrix = 0.0

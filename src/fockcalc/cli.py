@@ -323,6 +323,8 @@ def _config_from_args(args) -> RunConfig:
         name, _, value = item.partition("=")
         if not value:
             raise argparse.ArgumentTypeError(f"--tolerance expects CHECK=VALUE, got {item!r}")
+        if name not in CHECKERS:
+            raise argparse.ArgumentTypeError(f"--tolerance names unknown check {name!r}")
         overrides[name] = float(value)
     seed = args.seed
     env_seed = os.environ.get("FOCKCALC_SEED")

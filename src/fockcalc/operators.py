@@ -26,6 +26,7 @@ from .series import (
     FockParams,
     ParamsMismatchError,
     TruncatedSeries,
+    affine_composition_matrix,
     compose_affine,
     exp_linear,
     kernel_series,
@@ -104,13 +105,6 @@ class AffineMap:
         """self o inner: slope product, offset chained through self."""
         return AffineMap(self.a * inner.a, self.a * inner.b + self.b)
 
-    def as_linear_fractional(self) -> "LinearFractionalMap":
-        return LinearFractionalMap(self.a, self.b, 0.0, 1.0)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.a == 1 and self.b == 0
-
 
 @dataclass(frozen=True)
 class LinearFractionalMap:
@@ -157,15 +151,6 @@ class LinearFractionalMap:
 
     def coefficients(self) -> np.ndarray:
         return np.array([self.p, self.q, self.r, self.s], dtype=np.complex128)
-
-    def is_affine(self, tol: float = 1e-14) -> bool:
-        scale = max(np.max(np.abs(self.coefficients())), 1.0)
-        return abs(self.r) <= tol * scale
-
-    def to_affine(self) -> AffineMap:
-        if not self.is_affine():
-            raise UnsupportedMapError("map has a genuine pole, cannot convert to affine")
-        return AffineMap(self.p / self.s, self.q / self.s)
 
     def projective_residual(self, coeffs) -> float:
         """Distance to another coefficient 4-tuple modulo overall scale.
@@ -387,23 +372,21 @@ class OperatorMatrix:
 def assemble_matrix(sym: WcoSymbol, params: FockParams) -> OperatorMatrix:
     """Finite section of the symbol in the normalized-monomial basis.
 
-    Column n holds the orthonormal coordinates of the image of e_n.  Entries
-    are exact for all row/column indices up to the order, because the
-    degree-<=N part of each image is computed without truncation loss.
+    Column n holds the orthonormal coordinates of the image of e_n.  In raw
+    coefficients the section is Toeplitz(weight) times the composition matrix
+    of the map; entry (m, n) only needs weight degrees <= m, so entries are
+    exact for all row/column indices up to the order.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix assembly requires an affine map")
-    dim = params.order + 1
-    weight = sym.weight.materialize(params)
-    k = np.arange(dim)
-    # entry (m, n) = raw coeff m of the z^n image, times s[m] / s[n]; the
-    # ratio form keeps diagonal scalings exactly 1
+    k = np.arange(params.order + 1)
+    weight = sym.weight.materialize(params).coeffs
+    toeplitz = np.tril(weight[k[:, None] - k[None, :]])
+    raw = toeplitz @ affine_composition_matrix(sym.map.a, sym.map.b, params.order)
+    # entry (m, n) = raw[m, n] * s[m] / s[n]; the ratio form keeps diagonal
+    # scalings exactly 1
     s = np.sqrt(params.factorials() / params.alpha**k)
-    entries = np.empty((dim, dim), dtype=np.complex128)
-    for n in range(dim):
-        image = weight * compose_affine(TruncatedSeries.monomial(n, params), sym.map.a, sym.map.b)
-        entries[:, n] = image.coeffs * (s / s[n])
-    return OperatorMatrix(entries, params)
+    return OperatorMatrix(raw * (s[:, None] / s[None, :]), params)
 
 
 def adjoint_matrix(mat: OperatorMatrix) -> OperatorMatrix:

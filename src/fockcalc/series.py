@@ -21,6 +21,7 @@ __all__ = [
     "FockParams",
     "ParamsMismatchError",
     "TruncatedSeries",
+    "affine_composition_matrix",
     "compose_affine",
     "exp_linear",
     "float_factorials",
@@ -177,6 +178,20 @@ def exp_linear(w: complex, scale: complex, params: FockParams) -> TruncatedSerie
     return TruncatedSeries(coeffs, params)
 
 
+def affine_composition_matrix(a: complex, b: complex, order: int) -> np.ndarray:
+    """Column n holds the coefficients of (a z + b)^n: entry (m, n) = binom(n, m) a^m b^(n-m).
+
+    Each power is the previous one times (a z + b), with no factorials; the
+    transpose is filled so that each power is a contiguous row.
+    """
+    powers = np.zeros((order + 1, order + 1), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    for n in range(1, order + 1):
+        powers[n] = b * powers[n - 1]
+        powers[n, 1:] += a * powers[n - 1, :-1]
+    return powers.T
+
+
 def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSeries:
     """Exact coefficients of p(a z + b) up to order N.
 
@@ -184,18 +199,7 @@ def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSerie
     coefficient of the truncated input is lost; the result is the true
     degree-<=N part of p(a z + b) for the stored p.
     """
-    n_max = p.params.order
-    out = np.zeros(n_max + 1, dtype=np.complex128)
-    # cur holds the coefficients of (a z + b)^n, built up multiplicatively
-    cur = np.zeros(n_max + 1, dtype=np.complex128)
-    cur[0] = 1.0
-    out += p.coeffs[0] * cur
-    for n in range(1, n_max + 1):
-        nxt = b * cur
-        nxt[1:] += a * cur[:-1]
-        cur = nxt
-        out += p.coeffs[n] * cur
-    return TruncatedSeries(out, p.params)
+    return TruncatedSeries(affine_composition_matrix(a, b, p.params.order) @ p.coeffs, p.params)
 
 
 def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:

@@ -129,6 +129,24 @@ def test_tolerance_override_can_force_failure(capsys):
     assert code == 1
 
 
+def test_tolerance_unknown_check_name_usage_error(capsys):
+    code, out, err = run_cli(["check", "fixed-point", "--tolerance", "nosuch=1e-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nosuch" in err
+
+
+@pytest.mark.parametrize(
+    "name,draws",
+    [("moebius-conjugation", "0"), ("disk-criterion", "0"), ("adjoint-factorization", "-3")],
+)
+def test_battery_without_draws_usage_error(capsys, name, draws):
+    code, out, err = run_cli(["check", name, "--draws", draws], capsys)
+    assert code == 2
+    assert out == ""
+    assert "draws must be at least 1" in err
+
+
 # ---------------------------------------------------------------------------
 # matrix subcommand
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from fockcalc import (
     hermitian_residual,
     kernel_series,
     monomial_to_orthonormal,
+    orthonormal_basis_element,
     orthonormal_to_monomial,
     product_symbol,
     selfadjoint_symbol,
@@ -182,6 +183,16 @@ def test_entry_exactness_against_binomial_sum(alpha):
         for m, n in ((0, 0), (1, 0), (0, 1), (5, 3), (12, 12), (20, 7), (4, 19)):
             ref = _entry_oracle(c, w, a, b, alpha, m, n)
             assert abs(mat.entries[m, n] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_columns_match_action_on_basis_elements():
+    # the one-product section agrees with applying the symbol to each e_n
+    params = FockParams(0.5, 64)
+    sym = WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.3 + 0.2j), AffineMap(0.5 - 0.6j, 0.3 + 0.25j))
+    mat = assemble_matrix(sym, params)
+    for n in range(params.order + 1):
+        col = monomial_to_orthonormal(apply_wco(sym, orthonormal_basis_element(n, params)))
+        assert np.max(np.abs(mat.entries[:, n] - col)) <= 1e-14
 
 
 def test_entries_stay_hermitian_at_generic_alpha():

@@ -18,7 +18,7 @@ from fockcalc import (
     orthonormal_basis_element,
     series_norm,
 )
-from fockcalc.series import float_factorials
+from fockcalc.series import affine_composition_matrix, float_factorials
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -146,6 +146,26 @@ def test_compose_is_multiplicative_on_low_degrees():
         lhs = compose_affine(p, a, b) * compose_affine(q, a, b)
         rhs = compose_affine(p * q, a, b)
         assert lhs.max_abs_diff(rhs) <= 1e-12 * max(1.0, float(np.max(np.abs(rhs.coeffs))))
+
+
+@pytest.mark.parametrize("a,b", [(0.3 - 0.8j, 0.6 + 0.25j), (1.5, -0.5), (0.0, 0.7 - 0.2j)])
+def test_compose_matrix_columns_are_binomial_expansions(a, b):
+    n_max = 32
+    expected = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            expected[m, n] = math.comb(n, m) * a**m * b ** (n - m)
+    np.testing.assert_allclose(affine_composition_matrix(a, b, n_max), expected, rtol=1e-13, atol=0)
+
+
+def test_compose_zero_offset_scales_coefficient_k_by_slope_power():
+    # the rotation K_beta(conj(a) z) used by the adjoint factorization
+    p = exp_linear(0.4 + 0.3j, 1.0 - 2.0j, P32)
+    k = np.arange(P32.order + 1)
+    # a power-of-two slope keeps every product exact
+    assert np.array_equal(compose_affine(p, 0.5j, 0.0).coeffs, p.coeffs * (0.5j) ** k)
+    a = 0.6 * np.exp(0.7j)
+    np.testing.assert_allclose(compose_affine(p, a, 0.0).coeffs, p.coeffs * a**k, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
