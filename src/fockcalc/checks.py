@@ -249,7 +249,7 @@ def check_selfadjoint_forward(
     params: SelfAdjointSymbolParams,
     orders: tuple[int, ...] = DEFAULT_ORDERS,
     *,
-    tol_matrix: float = IDENTITY_TOL,
+    tol: float = IDENTITY_TOL,
     tol_kernel: float = 1e-10,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
@@ -282,7 +282,7 @@ def check_selfadjoint_forward(
         kernel_res = max(kernel_res, abs(lhs - rhs))
     residuals.append((0, kernel_res))
 
-    ok = all(v <= tol_matrix for n, v in residuals if n > 0) and kernel_res <= tol_kernel
+    ok = all(v <= tol for n, v in residuals if n > 0) and kernel_res <= tol_kernel
     return CheckReport(
         check_name="selfadjoint-forward",
         params_echo=params.echo(),
@@ -492,9 +492,10 @@ def check_fixed_point_transfer(
     if pts.size == 0:
         raise ValueError("all sample points fell within the pole margin")
 
+    # only a zero breaks the hypothesis: exponential weights reach 1e-18 at alpha 8
     g_min = float(np.min(np.abs(g.value(pts))))
-    if g_min <= 1e-12:
-        raise ValueError("companion weight vanishes on the sample set")
+    if g_min == 0 or not math.isfinite(g_min):
+        raise ValueError("companion weight vanishes or is not finite on the sample set")
 
     transfer_res = abs(complex(psi(b)) - b)
     commute_res = float(np.max(np.abs(mp(psi(pts)) - psi(mp(pts)))))
@@ -857,7 +858,7 @@ def check_degenerate_commutant(
     *,
     order: int = 32,
     tol_scalar: float = 1e-14,
-    tol_comm: float = IDENTITY_TOL,
+    tol: float = IDENTITY_TOL,
     tol_normal: float = 1e-14,
 ) -> CheckReport:
     """The bounded degeneration of the commutant family: a scalar operator.
@@ -885,7 +886,7 @@ def check_degenerate_commutant(
 
     ok = (
         scalar_res <= tol_scalar
-        and comm_res <= tol_comm
+        and comm_res <= tol
         and normal_res <= tol_normal
         and bounded is Boundedness.BOUNDED_UNITARY
     )
@@ -977,7 +978,7 @@ def check_normality(
     orders: tuple[int, ...] = DEFAULT_ORDERS,
     *,
     alpha: float = 1.0,
-    tol_normal: float = 1e-9,
+    tol: float = 1e-9,
     nonnormal_factor: float = 10.0,
 ) -> CheckReport:
     """Slope/offset normality predicate against measured commutators.
@@ -1019,11 +1020,11 @@ def check_normality(
     values = [v for _, v in residuals]
 
     if criterion:
-        ok = all(v <= tol_normal for v in values)
+        ok = all(v <= tol for v in values)
         if not ok:
             notes.append("measured commutator contradicts the predicate (operator is not normal)")
     else:
-        floor = nonnormal_factor * tol_normal
+        floor = nonnormal_factor * tol
         big_enough = all(v >= floor for v in values)
         monotone = all(values[i + 1] >= values[i] for i in range(len(values) - 1))
         ok = big_enough and (monotone or len(values) < 2)

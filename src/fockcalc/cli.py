@@ -54,7 +54,7 @@ from .quadrature import check_oracle_agreement
 from .report import TOOL_VERSION, CheckReport, render_reports
 from .series import FockParams
 
-__all__ = ["RunConfig", "build_parser", "main", "parse_complex", "run_suite"]
+__all__ = ["RunConfig", "build_parser", "main", "parse_complex", "run_check", "run_suite", "suite_grid"]
 
 
 def parse_complex(text: str) -> complex:
@@ -110,106 +110,110 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # checker registry
 # ---------------------------------------------------------------------------
+#
+# One runner (args, cfg) -> CheckReport per check, shared by ``check`` and
+# ``suite``: it reads the ``check`` flags from args and passes the check's
+# tolerance override as ``tol``.
 
 
-def _run_selfadjoint_forward(args, cfg: RunConfig) -> CheckReport:
-    p = SelfAdjointSymbolParams(args.c, args.a0, args.a1, cfg.alpha)
-    kwargs = {}
-    if "selfadjoint-forward" in cfg.tolerance_overrides:
-        kwargs["tol_matrix"] = cfg.tolerance_overrides["selfadjoint-forward"]
-    return check_selfadjoint_forward(p, cfg.orders, seed=cfg.seed, **kwargs)
+def _family(args, cfg: RunConfig) -> SelfAdjointSymbolParams:
+    return SelfAdjointSymbolParams(args.c, args.a0, args.a1, cfg.alpha)
 
 
-def _run_selfadjoint_reverse(args, cfg: RunConfig) -> CheckReport:
-    weight = ExpLinearWeight(args.weight_c, args.weight_w)
-    return check_selfadjoint_reverse(
-        weight,
-        AffineMap(args.map_a, args.map_b),
-        FockParams(cfg.alpha, cfg.max_order()),
-        **cfg.tol("selfadjoint-reverse"),
-    )
+def _kernel_section(cfg: RunConfig) -> FockParams:
+    return FockParams(cfg.alpha, min(32, cfg.max_order()))
 
 
-def _run_fixed_point(args, cfg: RunConfig) -> CheckReport:
-    return check_h_conjugation(AffineMap(args.a1, args.a0), seed=cfg.seed, **cfg.tol("fixed-point"))
+def _required(args, name: str, *flags: str) -> tuple:
+    missing = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"check {name} requires {' and '.join(missing)}")
+    return tuple(getattr(args, flag) for flag in flags)
 
 
-def _run_disk_criterion(args, cfg: RunConfig) -> CheckReport:
-    return check_disk_criterion(args.draws, seed=cfg.seed)
+def _draws(args, key: str = "draws") -> dict[str, int]:
+    return {} if args.draws is None else {key: args.draws}
 
 
-def _run_eigen_identity(args, cfg: RunConfig) -> CheckReport:
-    p = SelfAdjointSymbolParams(args.c, args.a0, args.a1, cfg.alpha)
-    return check_eigen_identity(p, args.j_max, seed=cfg.seed, **cfg.tol("eigen-identity"))
+def _runs_battery(name: str, args) -> bool:
+    flags = BATTERIES.get(name)
+    return flags is not None and all(getattr(args, flag) is None for flag in flags)
 
 
-def _run_fixed_point_transfer(args, cfg: RunConfig) -> CheckReport:
-    p = SelfAdjointSymbolParams(args.c, args.a0, args.a1, cfg.alpha)
+def _companion(args, cfg: RunConfig) -> tuple:
+    """(psi, g) for fixed-point-transfer: the commutant pair at --eta, else the linear map --gamma."""
     if args.eta is not None:
-        b = fixed_point(p.map())
-        psi, g, _ = commutant_symbols(args.eta, b, alpha=cfg.alpha)
-    elif args.gamma is not None:
-        psi, g = AffineMap(args.gamma, 0.0), ExpLinearWeight(1.0, 0.0)
-    else:
-        psi, g = AffineMap(1.0, 0.0), ExpLinearWeight(1.0, 0.0)
-    return check_fixed_point_transfer(p, psi, g, seed=cfg.seed, **cfg.tol("fixed-point-transfer"))
-
-
-def _run_commutant_symbols(args, cfg: RunConfig) -> CheckReport:
-    return check_commutant_symbols(args.eta, args.b, alpha=cfg.alpha, seed=cfg.seed, **cfg.tol("commutant-symbols"))
-
-
-def _run_moebius_conjugation(args, cfg: RunConfig) -> CheckReport:
-    if args.eta is None:
-        return check_moebius_conjugation_battery(args.draws, seed=cfg.seed, **cfg.tol("moebius-conjugation"))
-    psi, _, _ = commutant_symbols(args.eta, args.b, alpha=cfg.alpha)
-    return check_moebius_conjugation(psi, args.b, args.eta, seed=cfg.seed, **cfg.tol("moebius-conjugation"))
-
-
-def _run_counterexample(args, cfg: RunConfig) -> CheckReport:
-    return reproduce_counterexample(args.eta, **cfg.tol("counterexample"))
-
-
-def _run_degenerate_commutant(args, cfg: RunConfig) -> CheckReport:
-    p = SelfAdjointSymbolParams(args.c, args.a0, args.a1, cfg.alpha)
-    b = fixed_point(p.map())
-    return check_degenerate_commutant(b, p, order=min(32, cfg.max_order()))
-
-
-def _run_adjoint_factorization(args, cfg: RunConfig) -> CheckReport:
-    params = FockParams(cfg.alpha, min(32, cfg.max_order()))
-    if args.map_a is None and args.map_b is None:
-        return check_adjoint_factorization_battery(args.draws, params, seed=cfg.seed, **cfg.tol("adjoint-factorization"))
-    return check_cphi_adjoint_factorization(
-        AffineMap(args.map_a if args.map_a is not None else 0.25, args.map_b if args.map_b is not None else 0.5),
-        params=params,
-        seed=cfg.seed,
-        **cfg.tol("adjoint-factorization"),
-    )
-
-
-def _run_normality(args, cfg: RunConfig) -> CheckReport:
-    weight = ExpLinearWeight(args.weight_c, args.weight_w)
-    kwargs = {}
-    if "normality" in cfg.tolerance_overrides:
-        kwargs["tol_normal"] = cfg.tolerance_overrides["normality"]
-    return check_normality(weight, AffineMap(args.a, args.b), cfg.orders, alpha=cfg.alpha, **kwargs)
+        return commutant_symbols(args.eta, fixed_point(_family(args, cfg).map()), alpha=cfg.alpha)[:2]
+    return AffineMap(1.0 if args.gamma is None else args.gamma, 0.0), ExpLinearWeight(1.0, 0.0)
 
 
 CHECKERS = {
-    "selfadjoint-forward": _run_selfadjoint_forward,
-    "selfadjoint-reverse": _run_selfadjoint_reverse,
-    "fixed-point": _run_fixed_point,
-    "disk-criterion": _run_disk_criterion,
-    "eigen-identity": _run_eigen_identity,
-    "fixed-point-transfer": _run_fixed_point_transfer,
-    "commutant-symbols": _run_commutant_symbols,
-    "moebius-conjugation": _run_moebius_conjugation,
-    "counterexample": _run_counterexample,
-    "degenerate-commutant": _run_degenerate_commutant,
-    "adjoint-factorization": _run_adjoint_factorization,
-    "normality": _run_normality,
+    "selfadjoint-forward": lambda args, cfg: check_selfadjoint_forward(
+        _family(args, cfg), cfg.orders, seed=cfg.seed, **cfg.tol("selfadjoint-forward")
+    ),
+    "selfadjoint-reverse": lambda args, cfg: check_selfadjoint_reverse(
+        ExpLinearWeight(args.weight_c, args.weight_w),
+        AffineMap(*_required(args, "selfadjoint-reverse", "map_a", "map_b")),
+        _kernel_section(cfg),
+        **cfg.tol("selfadjoint-reverse"),
+    ),
+    "fixed-point": lambda args, cfg: check_h_conjugation(
+        AffineMap(args.a1, args.a0), seed=cfg.seed, **cfg.tol("fixed-point")
+    ),
+    "disk-criterion": lambda args, cfg: check_disk_criterion(**_draws(args), seed=cfg.seed),
+    "eigen-identity": lambda args, cfg: check_eigen_identity(
+        _family(args, cfg), args.j_max, seed=cfg.seed, **cfg.tol("eigen-identity")
+    ),
+    "fixed-point-transfer": lambda args, cfg: check_fixed_point_transfer(
+        _family(args, cfg), *_companion(args, cfg), seed=cfg.seed, **cfg.tol("fixed-point-transfer")
+    ),
+    "commutant-symbols": lambda args, cfg: check_commutant_symbols(
+        *_required(args, "commutant-symbols", "eta"), args.b, alpha=cfg.alpha, seed=cfg.seed,
+        **cfg.tol("commutant-symbols"),
+    ),
+    "moebius-conjugation": lambda args, cfg: (
+        check_moebius_conjugation_battery(**_draws(args), seed=cfg.seed, **cfg.tol("moebius-conjugation"))
+        if _runs_battery("moebius-conjugation", args)
+        else check_moebius_conjugation(
+            commutant_symbols(args.eta, args.b, alpha=cfg.alpha)[0], args.b, args.eta, seed=cfg.seed,
+            **cfg.tol("moebius-conjugation"),
+        )
+    ),
+    "counterexample": lambda args, cfg: reproduce_counterexample(
+        *_required(args, "counterexample", "eta"), **cfg.tol("counterexample")
+    ),
+    "degenerate-commutant": lambda args, cfg: check_degenerate_commutant(
+        fixed_point(_family(args, cfg).map()), _family(args, cfg), order=min(32, cfg.max_order()),
+        **cfg.tol("degenerate-commutant"),
+    ),
+    "adjoint-factorization": lambda args, cfg: (
+        check_adjoint_factorization_battery(
+            **_draws(args, "map_draws"), params=_kernel_section(cfg), seed=cfg.seed, **cfg.tol("adjoint-factorization")
+        )
+        if _runs_battery("adjoint-factorization", args)
+        else check_cphi_adjoint_factorization(
+            AffineMap(0.25 if args.map_a is None else args.map_a, 0.5 if args.map_b is None else args.map_b),
+            params=_kernel_section(cfg), seed=cfg.seed, **cfg.tol("adjoint-factorization"),
+        )
+    ),
+    "normality": lambda args, cfg: check_normality(
+        ExpLinearWeight(args.weight_c, args.weight_w), AffineMap(args.a, args.b), cfg.orders, alpha=cfg.alpha,
+        **cfg.tol("normality"),
+    ),
 }
+
+# check -> the flags that select one case over its randomized battery, the
+# only runner --draws reaches; checks not listed have no battery
+BATTERIES = {"disk-criterion": (), "moebius-conjugation": ("eta",), "adjoint-factorization": ("map_a", "map_b")}
+# checks whose verdict rests on no tolerance, so --tolerance cannot reach them
+UNTOLERANCED = ("disk-criterion",)
+
+
+def run_check(name: str, args, cfg: RunConfig) -> CheckReport:
+    """Run check ``name`` on the ``check`` flags in ``args``; the one path of ``check`` and ``suite``."""
+    if args.draws is not None and not _runs_battery(name, args):
+        raise ValueError(f"--draws applies only to battery checks; check {name} runs a single case here")
+    return CHECKERS[name](args, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -217,43 +221,37 @@ CHECKERS = {
 # ---------------------------------------------------------------------------
 
 
+def suite_grid(alpha: float) -> list[tuple[str, dict]]:
+    """The default grid as (check name, check flags) rows; omitted flags keep their defaults."""
+    fixed_at_zero = {"c": 1.0, "a0": 0.0, "a1": 0.5}
+    return [
+        ("selfadjoint-forward", {}),
+        ("selfadjoint-forward", {"c": 0.8, "a0": 0.2 - 0.3j, "a1": -0.35}),
+        ("selfadjoint-reverse", {"weight_w": alpha * 0.5, "map_a": 0.25, "map_b": 0.5}),
+        ("fixed-point", {}),
+        ("fixed-point", {"a1": -0.2, "a0": 0.3j}),
+        ("disk-criterion", {}),
+        ("eigen-identity", {}),
+        ("fixed-point-transfer", {}),
+        ("fixed-point-transfer", {**fixed_at_zero, "gamma": 0.3 + 0.1j}),
+        ("fixed-point-transfer", {"eta": 2.0}),
+        *(("commutant-symbols", {"eta": eta, "b": b}) for eta, b in ((1.0, 2.0 / 3.0), (2.0, 2.0 / 3.0), (0.7, 0.5j))),
+        ("moebius-conjugation", {}),
+        *(("counterexample", {"eta": eta}) for eta in (2.0, 3.0, 0.5, 0.7 + 0.3j, -1.5)),
+        ("degenerate-commutant", {}),
+        ("degenerate-commutant", fixed_at_zero),
+        ("adjoint-factorization", {}),
+        *(("normality", {"a": a, "b": b}) for a, b in ((0.5, 0.0), (0.5, 0.3), (0.3 + 0.4j, 0.2j))),
+    ]
+
+
 def run_suite(cfg: RunConfig) -> list[CheckReport]:
-    """Every checker at its default parameter grid, deterministically."""
-    a = cfg.alpha
-    canonical = SelfAdjointSymbolParams(1.0, 0.5, 0.25, a)
-    reports: list[CheckReport] = []
-
-    reports.append(check_selfadjoint_forward(canonical, cfg.orders, seed=cfg.seed))
-    reports.append(check_selfadjoint_forward(SelfAdjointSymbolParams(0.8, 0.2 - 0.3j, -0.35, a), cfg.orders, seed=cfg.seed))
-    reports.append(
-        check_selfadjoint_reverse(
-            ExpLinearWeight(1.0, a * 0.5), AffineMap(0.25, 0.5), FockParams(a, min(32, cfg.max_order()))
-        )
-    )
-    reports.append(check_h_conjugation(AffineMap(0.25, 0.5), seed=cfg.seed))
-    reports.append(check_h_conjugation(AffineMap(-0.2, 0.3j), seed=cfg.seed))
-    reports.append(check_disk_criterion(seed=cfg.seed))
-    reports.append(check_eigen_identity(canonical, 5, seed=cfg.seed))
-    reports.append(check_fixed_point_transfer(canonical, AffineMap(1.0, 0.0), ExpLinearWeight(1.0, 0.0), seed=cfg.seed))
-    reports.append(
-        check_fixed_point_transfer(
-            SelfAdjointSymbolParams(1.0, 0.0, 0.5, a), AffineMap(0.3 + 0.1j, 0.0), ExpLinearWeight(1.0, 0.0), seed=cfg.seed
-        )
-    )
-    psi_eta2, g_eta2, _ = commutant_symbols(2.0, 2.0 / 3.0, alpha=a)
-    reports.append(check_fixed_point_transfer(canonical, psi_eta2, g_eta2, seed=cfg.seed))
-    for eta, b in ((1.0, 2.0 / 3.0), (2.0, 2.0 / 3.0), (0.7, 0.5j)):
-        reports.append(check_commutant_symbols(eta, b, alpha=a, seed=cfg.seed))
-    reports.append(check_moebius_conjugation_battery(50, seed=cfg.seed))
-    for eta in (2.0, 3.0, 0.5, 0.7 + 0.3j, -1.5):
-        reports.append(reproduce_counterexample(eta))
-    reports.append(check_degenerate_commutant(2.0 / 3.0, canonical, order=min(32, cfg.max_order())))
-    reports.append(check_degenerate_commutant(0.0, SelfAdjointSymbolParams(1.0, 0.0, 0.5, a), order=min(32, cfg.max_order())))
-    reports.append(check_adjoint_factorization_battery(20, FockParams(a, min(32, cfg.max_order())), seed=cfg.seed))
-    reports.append(check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(0.5, 0.0), cfg.orders, alpha=a))
-    reports.append(check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(0.5, 0.3), cfg.orders, alpha=a))
-    reports.append(check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(0.3 + 0.4j, 0.2j), cfg.orders, alpha=a))
-
+    """Every row of the default grid through ``run_check``, as ``check`` runs it."""
+    check_flags = argparse.ArgumentParser(add_help=False)
+    _add_check_flags(check_flags)
+    defaults = vars(check_flags.parse_args([]))
+    rows = suite_grid(cfg.alpha)
+    reports = [run_check(name, argparse.Namespace(**{**defaults, **flags}), cfg) for name, flags in rows]
     reports.sort(key=lambda r: (r.check_name, json.dumps(r.to_dict()["params"], sort_keys=True)))
     return reports
 
@@ -277,6 +275,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_check_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``check``; their defaults are the base of every suite row."""
+    parser.add_argument("--c", type=parse_complex, default=1.0, help="weight scale of the self-adjoint family")
+    parser.add_argument("--a0", type=parse_complex, default=0.5, help="map offset of the self-adjoint family")
+    parser.add_argument("--a1", type=parse_complex, default=0.25, help="map slope of the self-adjoint family")
+    parser.add_argument("--eta", type=parse_complex, default=None, help="conjugation multiplier of the commutant family")
+    parser.add_argument("--b", type=parse_complex, default=2.0 / 3.0, help="fixed point of the commutant family / map offset for normality")
+    parser.add_argument("--a", type=parse_complex, default=0.5, help="map slope for normality")
+    parser.add_argument("--weight-c", type=parse_complex, default=1.0, help="weight scale c of c*e^{wz}")
+    parser.add_argument("--weight-w", type=parse_complex, default=0.0, help="weight exponent w of c*e^{wz}")
+    parser.add_argument("--map-a", type=parse_complex, default=None, help="affine map slope")
+    parser.add_argument("--map-b", type=parse_complex, default=None, help="affine map offset")
+    parser.add_argument("--j-max", type=int, default=5, help="largest conjugated-family index checked")
+    parser.add_argument("--gamma", type=parse_complex, default=None, help="slope of a linear companion map for the transfer check")
+    parser.add_argument("--draws", type=int, default=None, help="number of randomized draws for battery checks")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fockcalc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,19 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one named checker")
     p_check.add_argument("name", choices=sorted(CHECKERS), help="checker name")
     _add_common(p_check)
-    p_check.add_argument("--c", type=parse_complex, default=1.0, help="weight scale of the self-adjoint family")
-    p_check.add_argument("--a0", type=parse_complex, default=0.5, help="map offset of the self-adjoint family")
-    p_check.add_argument("--a1", type=parse_complex, default=0.25, help="map slope of the self-adjoint family")
-    p_check.add_argument("--eta", type=parse_complex, default=None, help="conjugation multiplier of the commutant family")
-    p_check.add_argument("--b", type=parse_complex, default=2.0 / 3.0, help="fixed point of the commutant family / map offset for normality")
-    p_check.add_argument("--a", type=parse_complex, default=0.5, help="map slope for normality")
-    p_check.add_argument("--weight-c", type=parse_complex, default=1.0, help="weight scale c of c*e^{wz}")
-    p_check.add_argument("--weight-w", type=parse_complex, default=0.0, help="weight exponent w of c*e^{wz}")
-    p_check.add_argument("--map-a", type=parse_complex, default=None, help="affine map slope")
-    p_check.add_argument("--map-b", type=parse_complex, default=None, help="affine map offset")
-    p_check.add_argument("--j-max", type=int, default=5, help="largest conjugated-family index checked")
-    p_check.add_argument("--gamma", type=parse_complex, default=None, help="slope of a linear companion map for the transfer check")
-    p_check.add_argument("--draws", type=int, default=None, help="number of randomized draws for battery checks")
+    _add_check_flags(p_check)
 
     p_suite = sub.add_parser("suite", help="run the full default verification grid")
     _add_common(p_suite)
@@ -325,6 +328,8 @@ def _config_from_args(args) -> RunConfig:
             raise argparse.ArgumentTypeError(f"--tolerance expects CHECK=VALUE, got {item!r}")
         if name not in CHECKERS:
             raise argparse.ArgumentTypeError(f"--tolerance names unknown check {name!r}")
+        if name in UNTOLERANCED:
+            raise argparse.ArgumentTypeError(f"--tolerance: check {name} has no tolerance")
         overrides[name] = float(value)
     seed = args.seed
     env_seed = os.environ.get("FOCKCALC_SEED")
@@ -345,14 +350,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
-    runner = CHECKERS[args.name]
-    # a few checkers require flags that default to None
-    if args.name in ("commutant-symbols", "counterexample") and args.eta is None:
-        print(f"error: check {args.name} requires --eta", file=sys.stderr)
-        return 2
-    if args.draws is None:
-        args.draws = {"disk-criterion": 200, "moebius-conjugation": 50, "adjoint-factorization": 20}.get(args.name, 20)
-    report = runner(args, cfg)
+    report = run_check(args.name, args, cfg)
     sys.stdout.write(render_reports([report], cfg.output_format))
     return 0 if report.passed else 1
 

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from fockcalc.cli import main, parse_complex, parse_orders, RunConfig, run_suite
+import fockcalc.cli as cli
+from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_suite, suite_grid
+from fockcalc.report import format_complex
 
 
 def run_cli(args, capsys):
@@ -102,6 +104,22 @@ def test_check_missing_required_flag(capsys):
     assert "--eta" in err
 
 
+@pytest.mark.parametrize(
+    "argv,missing",
+    [
+        (["counterexample"], ["--eta"]),
+        (["selfadjoint-reverse"], ["--map-a", "--map-b"]),
+        (["selfadjoint-reverse", "--map-a", "0.25"], ["--map-b"]),
+    ],
+)
+def test_check_missing_required_flags_named(capsys, argv, missing):
+    code, out, err = run_cli(["check", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert all(flag in err for flag in missing)
+
+
 def test_check_degenerate_parameters_usage_error(capsys):
     code, _, err = run_cli(["check", "commutant-symbols", "--eta", "2.25", "--b", "0.666666666666666666"], capsys)
     # |b|^2 eta == 1 raises a parameter error, mapped to exit 2
@@ -136,6 +154,34 @@ def test_tolerance_unknown_check_name_usage_error(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("command", [["check", "disk-criterion"], ["suite", "--orders", "16"]])
+def test_tolerance_on_check_without_tolerance_usage_error(capsys, command):
+    # the disk-criterion verdict compares two predicates; no tolerance enters it
+    code, out, err = run_cli([*command, "--tolerance", "disk-criterion=1e-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "disk-criterion" in err
+
+
+def test_tolerance_override_reaches_every_tunable_runner(monkeypatch):
+    """Each suite row hands its check's override to the checker it calls, as ``tol``."""
+    seen = []
+
+    def recorder(fn):
+        def wrapped(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in dir(cli):
+        if name.startswith("check_") or name == "reproduce_counterexample":
+            monkeypatch.setattr(cli, name, recorder(getattr(cli, name)))
+    overrides = {name: 0.125 for name in CHECKERS if name not in UNTOLERANCED}
+    run_suite(RunConfig(orders=(16,), tolerance_overrides=overrides))
+    assert seen == [overrides.get(name) for name, _ in suite_grid(1.0)]
+
+
 @pytest.mark.parametrize(
     "name,draws",
     [("moebius-conjugation", "0"), ("disk-criterion", "0"), ("adjoint-factorization", "-3")],
@@ -145,6 +191,32 @@ def test_battery_without_draws_usage_error(capsys, name, draws):
     assert code == 2
     assert out == ""
     assert "draws must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixed-point", "--draws", "5"],
+        ["selfadjoint-forward", "--draws", "5"],
+        ["moebius-conjugation", "--eta", "2", "--draws", "5"],
+        ["adjoint-factorization", "--map-a", "0.5", "--draws", "5"],
+    ],
+)
+def test_draws_without_battery_usage_error(capsys, argv):
+    code, out, err = run_cli(["check", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--draws" in err
+
+
+@pytest.mark.parametrize(
+    "name,echo_key",
+    [("disk-criterion", "draws"), ("moebius-conjugation", "draws"), ("adjoint-factorization", "map_draws")],
+)
+def test_battery_draws_applied(capsys, name, echo_key):
+    code, out, _ = run_cli(["check", name, "--draws", "3", "--orders", "16"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"][echo_key] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +266,7 @@ def test_suite_all_pass_and_deterministic(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["all_passed"] is True
+    assert doc["config"]["tolerance_overrides"] == {}
     names = [c["check"] for c in doc["checks"]]
     assert names == sorted(names)
 
@@ -208,6 +281,47 @@ def test_suite_alpha_two(capsys):
     code, out, _ = run_cli(["suite", "--orders", "16,32", "--alpha", "2"], capsys)
     assert code == 0
     assert json.loads(out)["all_passed"] is True
+
+
+def test_suite_alpha_eight(capsys):
+    # the exponential companion weight of fixed-point-transfer falls to about
+    # 1e-18 on the samples here without vanishing
+    code, out, err = run_cli(["suite", "--orders", "16", "--alpha", "8", "--seed", "42"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["all_passed"] is True
+
+
+def test_suite_applies_tolerance_override(capsys):
+    code, out, _ = run_cli(["suite", "--orders", "16", "--tolerance", "selfadjoint-forward=1e-30"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["config"]["tolerance_overrides"] == {"selfadjoint-forward": 1e-30}
+    verdicts = {(c["check"], c["verdict"]) for c in doc["checks"]}
+    assert ("selfadjoint-forward", "Pass") not in verdicts
+    assert ("selfadjoint-forward", "Fail") in verdicts
+    assert all(v != "Fail" for name, v in verdicts if name != "selfadjoint-forward")
+
+
+def _flag_text(value):
+    return format_complex(value) if isinstance(value, complex) else repr(value)
+
+
+def test_check_and_suite_share_the_registry(capsys):
+    """Every registered check is on the grid, and each row run by ``check`` reports what ``suite`` does."""
+    alpha = 2.0
+    grid = suite_grid(alpha)
+    assert {name for name, _ in grid} == set(CHECKERS)
+    suite_docs = [r.to_dict() for r in run_suite(RunConfig(alpha=alpha, orders=(16,)))]
+    check_docs = []
+    for name, flags in grid:
+        argv = ["check", name, "--alpha", repr(alpha), "--orders", "16"]
+        for key, value in flags.items():
+            argv += [f"--{key.replace('_', '-')}", _flag_text(value)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        check_docs.append(json.loads(out))
+    check_docs.sort(key=lambda d: (d["check"], json.dumps(d["params"], sort_keys=True)))
+    assert check_docs == suite_docs
 
 
 def test_seed_changes_samples_but_not_verdicts(capsys):
