@@ -44,7 +44,14 @@ from .operators import (
     orthonormal_to_monomial,
     product_symbol,
 )
-from .quadrature import QuadratureGrid, check_oracle_agreement, default_grid, quad_inner_product, quad_matrix_entry
+from .quadrature import (
+    QuadratureGrid,
+    check_oracle_agreement,
+    default_grid,
+    quad_gram,
+    quad_inner_product,
+    quad_matrix_entry,
+)
 from .checks import (
     CommutantParams,
     SelfAdjointSymbolParams,

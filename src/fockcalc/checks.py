@@ -51,7 +51,7 @@ from .operators import (
 )
 from .report import CheckReport, Verdict, format_complex
 from .sampling import circle_points, disk_pairs, drop_near_poles
-from .series import FockParams, compose_affine, exp_linear, kernel_series
+from .series import FockParams, TruncatedSeries, affine_composition_matrix, exp_linear, kernel_series
 
 __all__ = [
     "CommutantParams",
@@ -930,6 +930,7 @@ def check_cphi_adjoint_factorization(
     pts = np.asarray(samples)
 
     multiplier = kernel_series(mp.b, params)
+    rotation = affine_composition_matrix(mp.a.conjugate(), 0.0, params.order)
     c_phi = WcoSymbol(ExpLinearWeight(1.0, 0.0), mp)
     bounded = boundedness_check(mp) is not Boundedness.UNBOUNDED
     mat_adj = adjoint_matrix(assemble_matrix(c_phi, params)) if bounded else None
@@ -939,7 +940,7 @@ def check_cphi_adjoint_factorization(
     matrix_res = 0.0
     for beta in pts:
         lhs = adjoint_on_kernel(c_phi, beta, params)
-        rotated = compose_affine(kernel_series(beta, params), mp.a.conjugate(), 0.0)
+        rotated = TruncatedSeries(rotation @ kernel_series(beta, params).coeffs, params)
         rhs = multiplier * rotated
         kernel_res = max(kernel_res, lhs.max_abs_diff(rhs))
         if mat_adj is not None:

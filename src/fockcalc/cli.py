@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -330,7 +331,11 @@ def _config_from_args(args) -> RunConfig:
             raise argparse.ArgumentTypeError(f"--tolerance names unknown check {name!r}")
         if name in UNTOLERANCED:
             raise argparse.ArgumentTypeError(f"--tolerance: check {name} has no tolerance")
-        overrides[name] = float(value)
+        tol = float(value)
+        # inf would pass every residual and nan would fail every comparison
+        if not (math.isfinite(tol) and tol >= 0):
+            raise argparse.ArgumentTypeError(f"--tolerance {name}: expected a finite value >= 0, got {value!r}")
+        overrides[name] = tol
     seed = args.seed
     env_seed = os.environ.get("FOCKCALC_SEED")
     if env_seed is not None:

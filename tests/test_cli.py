@@ -163,6 +163,33 @@ def test_tolerance_on_check_without_tolerance_usage_error(capsys, command):
     assert "disk-criterion" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "-inf"])
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (
+            ["check", "selfadjoint-reverse", "--map-a", "0.25+0.1i", "--map-b", "0.5", "--weight-w", "0.5"],
+            "selfadjoint-reverse",
+        ),
+        (["suite", "--orders", "16"], "selfadjoint-forward"),
+    ],
+)
+def test_tolerance_value_not_finite_or_negative_usage_error(capsys, command, name, value):
+    # inf would turn the Fail of this non-self-adjoint symbol into a Pass
+    code, out, err = run_cli([*command, "--tolerance", f"{name}={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
+def test_tolerance_zero_accepted(capsys):
+    # the scalar degeneration commutes exactly, so even a zero bound passes
+    code, out, err = run_cli(["check", "degenerate-commutant", "--tolerance", "degenerate-commutant=0"], capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["verdict"] == "Pass"
+
+
 def test_tolerance_override_reaches_every_tunable_runner(monkeypatch):
     """Each suite row hands its check's override to the checker it calls, as ``tol``."""
     seen = []

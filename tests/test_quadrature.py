@@ -17,10 +17,12 @@ from fockcalc import (
     default_grid,
     inner_product,
     orthonormal_basis_element,
+    quad_gram,
     quad_inner_product,
     quad_matrix_entry,
 )
-from fockcalc.quadrature import QuadratureGrid, _build_grid, cutoff_radius
+from fockcalc.quadrature import GRAM_BLOCK, QuadratureGrid, _build_grid, cutoff_radius
+from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
 
 P16 = FockParams(1.0, 16)
@@ -64,6 +66,58 @@ def test_grid_validation():
 
 def test_oracle_agreement_suite():
     report = check_oracle_agreement(16, (0.5, 1.0, 2.0))
+    assert report.verdict is Verdict.PASS
+    assert report.max_residual <= 1e-8
+
+
+def _mixed_series(params):
+    """Three basis elements and three random combinations of normalized monomials."""
+    rng = np.random.default_rng(3)
+    size = params.order + 1
+    norms = np.sqrt(params.alpha ** np.arange(size) / params.factorials())
+    out = [orthonormal_basis_element(n, params) for n in (0, 3, 7)]
+    for _ in range(3):
+        out.append(TruncatedSeries(norms * (rng.normal(size=size) + 1j * rng.normal(size=size)), params))
+    return out
+
+
+def test_gram_is_hermitian():
+    series = _mixed_series(P16)
+    gram = quad_gram(series, default_grid(P16))
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(gram - gram.conj().T)) <= 1e-14 * scale
+    assert np.all(np.diag(gram).real > 0)
+
+
+def test_gram_matches_pairwise_rule_on_partial_block():
+    # 3 panels of 11 nodes: 33 radial nodes, so the sweep ends on a partial
+    # block; a short radius keeps the outermost nodes' weight far from negligible
+    grid = _build_grid(1.0, 2.0, 3, 11, 64)
+    assert grid.radial_nodes.shape[0] > GRAM_BLOCK and grid.radial_nodes.shape[0] % GRAM_BLOCK != 0
+    series = _mixed_series(P16)
+    gram = quad_gram(series, grid)
+    pts = grid.points()
+    for i, f in enumerate(series):
+        for j, g in enumerate(series):
+            integrand = f(pts) * np.conj(g(pts))
+            pairwise = 2.0 * grid.alpha * np.sum(grid.radial_nodes[:, 1] * integrand.mean(axis=1))
+            scale = 2.0 * grid.alpha * np.sum(grid.radial_nodes[:, 1] * np.abs(integrand).mean(axis=1))
+            assert abs(gram[i, j] - pairwise) <= 1e-14 * scale
+    assert abs(quad_inner_product(series[1], series[4], grid) - gram[1, 4]) <= 1e-14 * abs(gram[4, 4])
+
+
+def test_gram_rejects_mixed_params_and_coarse_grid():
+    other = FockParams(2.0, 16)
+    with pytest.raises(ParamsMismatchError):
+        quad_gram([orthonormal_basis_element(1, P16), orthonormal_basis_element(1, other)], default_grid(P16))
+    params = FockParams(1.0, 40)
+    grid = _build_grid(1.0, cutoff_radius(params), 8, 8, 64)
+    with pytest.raises(ValueError, match="too coarse"):
+        quad_gram([TruncatedSeries.monomial(n, params) for n in range(3)], grid)
+
+
+def test_oracle_agreement_degree_forty():
+    report = check_oracle_agreement(40, (0.5, 1.0, 2.0))
     assert report.verdict is Verdict.PASS
     assert report.max_residual <= 1e-8
 
