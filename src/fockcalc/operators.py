@@ -26,7 +26,6 @@ from .series import (
     FockParams,
     ParamsMismatchError,
     TruncatedSeries,
-    affine_composition_matrix,
     compose_affine,
     exp_linear,
     kernel_series,
@@ -322,15 +321,11 @@ def adjoint_on_kernel(sym: WcoSymbol, z: complex, params: FockParams) -> Truncat
 
 def monomial_to_orthonormal(f: TruncatedSeries) -> np.ndarray:
     """Coordinates of f against the normalized monomials."""
-    params = f.params
-    k = np.arange(params.order + 1)
-    return f.coeffs * np.sqrt(params.factorials() / params.alpha**k)
+    return f.coeffs * f.params.monomial_norms()
 
 
 def orthonormal_to_monomial(vec, params: FockParams) -> TruncatedSeries:
-    k = np.arange(params.order + 1)
-    coeffs = np.asarray(vec, dtype=np.complex128) * np.sqrt(params.alpha**k / params.factorials())
-    return TruncatedSeries(coeffs, params)
+    return TruncatedSeries(np.asarray(vec, dtype=np.complex128) / params.monomial_norms(), params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,21 +367,31 @@ class OperatorMatrix:
 def assemble_matrix(sym: WcoSymbol, params: FockParams) -> OperatorMatrix:
     """Finite section of the symbol in the normalized-monomial basis.
 
-    Column n holds the orthonormal coordinates of the image of e_n.  In raw
-    coefficients the section is Toeplitz(weight) times the composition matrix
-    of the map; entry (m, n) only needs weight degrees <= m, so entries are
-    exact for all row/column indices up to the order.
+    Column n holds the orthonormal coordinates of the image of e_n; column 0
+    is the weight's.  As e_n o map = sqrt(alpha / n) (a z + b) (e_{n-1} o map)
+    and z e_{m-1} = sqrt(m / alpha) e_m, each column follows from the last:
+    E[m, n] = a sqrt(m / n) E[m-1, n-1] + b sqrt(alpha / n) E[m, n-1].
+    Multiplying by a z + b only raises degrees, so entries are exact up to
+    rounding; for an exponential weight no raw coefficient or norm enters.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix assembly requires an affine map")
-    k = np.arange(params.order + 1)
-    weight = sym.weight.materialize(params).coeffs
-    toeplitz = np.tril(weight[k[:, None] - k[None, :]])
-    raw = toeplitz @ affine_composition_matrix(sym.map.a, sym.map.b, params.order)
-    # entry (m, n) = raw[m, n] * s[m] / s[n]; the ratio form keeps diagonal
-    # scalings exactly 1
-    s = np.sqrt(params.factorials() / params.alpha**k)
-    return OperatorMatrix(raw * (s[:, None] / s[None, :]), params)
+    k = np.arange(1, params.order + 1)
+    # shift[n-1, m-1] = a sqrt(m / n): one square root, so exactly a on the diagonal
+    shift = sym.map.a * np.sqrt(k / k[:, None])
+    stay = sym.map.b * np.sqrt(params.alpha / k)
+    columns = np.zeros((params.order + 1, params.order + 1), dtype=np.complex128)
+    weight = sym.weight
+    if isinstance(weight, ExpLinearWeight):
+        # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k)
+        columns[0] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))
+    else:
+        columns[0] = monomial_to_orthonormal(weight.materialize(params))
+    for n in range(1, params.order + 1):
+        prev = columns[n - 1]
+        columns[n] = stay[n - 1] * prev
+        columns[n, 1:] += shift[n - 1] * prev[:-1]
+    return OperatorMatrix(columns.T, params)
 
 
 def adjoint_matrix(mat: OperatorMatrix) -> OperatorMatrix:

@@ -170,12 +170,10 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
     _check_resolution(grid, params)
-    facts = params.factorials()
-    scale_n = math.sqrt(params.alpha**n / facts[n])
-    scale_m = math.sqrt(params.alpha**m / facts[m])
+    norms = params.monomial_norms()
     pts = grid.points()
-    image = sym.weight.value(pts) * scale_n * sym.map(pts) ** n
-    vals = image * np.conj(scale_m * pts**m)
+    image = sym.weight.value(pts) * sym.map(pts) ** n / norms[n]
+    vals = image * np.conj(pts**m / norms[m])
     return complex(_point_weights(grid) @ vals.sum(axis=1))
 
 

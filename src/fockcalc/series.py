@@ -5,8 +5,8 @@ raw monomial basis.  Every operation in this module is exact at truncation:
 the computed coefficients are the true coefficients of the corresponding
 operation on entire functions, and the only error is ordinary floating-point
 rounding.  The weighted inner product uses the monomial orthogonality
-relation <z^n, z^m> = delta_nm * n! / alpha^n; quadrature never appears here
-(it lives in the independent oracle module).
+relation <z^n, z^m> = delta_nm * ||z^n||^2 with ||z^n||^2 = n! / alpha^n;
+quadrature never appears here (it lives in the independent oracle module).
 """
 
 from __future__ import annotations
@@ -17,40 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_FACTORIAL_ORDER",
     "FockParams",
     "ParamsMismatchError",
     "TruncatedSeries",
     "affine_composition_matrix",
     "compose_affine",
     "exp_linear",
-    "float_factorials",
     "inner_product",
     "kernel_series",
     "orthonormal_basis_element",
     "series_norm",
 ]
 
-# float64 factorials overflow at 171!
-MAX_FACTORIAL_ORDER = 170
-
 
 class ParamsMismatchError(ValueError):
     """Raised when series with different (alpha, order) are combined."""
-
-
-def float_factorials(n: int) -> np.ndarray:
-    """Factorials 0!..n! as float64, computed iteratively.
-
-    Guarded against overflow: n must stay at or below 170.
-    """
-    if n > MAX_FACTORIAL_ORDER:
-        raise OverflowError(f"factorials overflow float64 beyond {MAX_FACTORIAL_ORDER}!, got n={n}")
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    for k in range(1, n + 1):
-        out[k] = out[k - 1] * k
-    return out
 
 
 @dataclass(frozen=True)
@@ -69,12 +50,21 @@ class FockParams:
             raise ValueError(f"alpha must be a finite positive real, got {self.alpha!r}")
         if not (isinstance(self.order, int) and self.order >= 1):
             raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
-        if self.order > MAX_FACTORIAL_ORDER:
-            raise ValueError(f"order {self.order} exceeds the factorial overflow guard ({MAX_FACTORIAL_ORDER})")
         object.__setattr__(self, "alpha", float(self.alpha))
 
-    def factorials(self) -> np.ndarray:
-        return float_factorials(self.order)
+    def monomial_norms(self) -> np.ndarray:
+        """||z^k|| = sqrt(k! / alpha^k) for k = 0..N, as a running product of sqrt(k / alpha).
+
+        Raw-coefficient operations need these, and stop here with an
+        OverflowError where some ||z^k|| is not a positive finite double.  A
+        product that over- or underflows stays inf or 0, so the last one tells.
+        """
+        norms = np.ones(self.order + 1)
+        with np.errstate(over="ignore"):
+            norms[1:] = np.cumprod(np.sqrt(np.arange(1, self.order + 1) / self.alpha))
+        if not 0 < norms[-1] < math.inf:
+            raise OverflowError(f"monomial norms ||z^k|| overflow float64 at order {self.order}, alpha {self.alpha}")
+        return norms
 
 
 def _as_coeff_array(coeffs, order: int) -> np.ndarray:
@@ -203,15 +193,11 @@ def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSerie
 
 
 def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """Truncated weighted inner product <f, g> = sum f_k conj(g_k) k!/alpha^k."""
+    """Truncated weighted inner product <f, g> = sum (f_k ||z^k||) conj(g_k ||z^k||)."""
     if f.params != g.params:
         raise ParamsMismatchError(f"series params differ: {f.params} vs {g.params}")
-    alpha = f.params.alpha
-    k = np.arange(f.params.order + 1)
-    weights = f.params.factorials() / alpha**k
-    if not np.all(np.isfinite(weights)):
-        raise OverflowError("inner-product weights k!/alpha^k overflow at this order and alpha")
-    value = np.sum(f.coeffs * np.conj(g.coeffs) * weights)
+    norms = f.params.monomial_norms()
+    value = np.sum(f.coeffs * norms * np.conj(g.coeffs * norms))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError("inner product overflowed")
     return complex(value)
@@ -231,8 +217,7 @@ def kernel_series(w: complex, params: FockParams) -> TruncatedSeries:
 
 
 def orthonormal_basis_element(n: int, params: FockParams) -> TruncatedSeries:
-    """Normalized monomial e_n = sqrt(alpha^n / n!) z^n."""
+    """Normalized monomial e_n = z^n / ||z^n||."""
     if not 0 <= n <= params.order:
         raise ValueError(f"basis index {n} outside 0..{params.order}")
-    scale = math.sqrt(params.alpha**n / params.factorials()[n])
-    return TruncatedSeries.monomial(n, params, scale)
+    return TruncatedSeries.monomial(n, params, 1.0 / params.monomial_norms()[n])

@@ -437,3 +437,17 @@ class TestNormality:
     def test_alpha_generic(self):
         report = check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(0.5, 0.3), alpha=2.0)
         assert report.verdict is Verdict.PASS
+
+    def test_converged_residual_dip_at_rounding_level_passes(self):
+        # the residual has converged by these orders and dips by a few ulps:
+        # 0.2536002999818751, ...505, ...505, ...500
+        report = check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(0.5, 0.3), (90, 100, 110, 120))
+        values = [v for _, v in report.residuals]
+        assert max(values) - min(values) <= 1e-15
+        assert report.verdict is Verdict.PASS, report.notes
+
+    def test_genuine_decrease_still_fails(self):
+        # N=16 then N=8: the smaller leading block has a residual lower by 4e-3
+        report = check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(0.5, 0.3), (16, 8))
+        assert report.verdict is Verdict.FAIL
+        assert "non-decreasing" in report.notes

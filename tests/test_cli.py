@@ -1,10 +1,16 @@
 """CLI contract: flags, exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fockcalc.cli as cli
 from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_suite, suite_grid
@@ -318,6 +324,35 @@ def test_suite_alpha_eight(capsys):
     assert json.loads(out)["all_passed"] is True
 
 
+def test_suite_small_alpha_up_to_order_170(capsys):
+    code, out, err = run_cli(["suite", "--alpha", "0.1", "--orders", "16,64,128,170"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["all_passed"] is True
+
+
+def test_matrix_order_170_small_alpha_is_finite(capsys):
+    code, out, err = run_cli(["matrix", "--alpha", "0.5", "--order", "170"], capsys)
+    assert code == 0, err
+    values = [float(x) for line in out.strip().split("\n") for x in line.split(",")]
+    assert len(values) == 2 * 171 * 171
+    assert all(math.isfinite(v) for v in values)
+
+
+@settings(max_examples=8, deadline=None)
+@example(0.05, [512])
+@example(20.0, [1, 512])
+@given(
+    st.floats(0.05, 20.0),
+    st.lists(st.integers(1, 512), min_size=1, max_size=3, unique=True).map(sorted),
+)
+def test_suite_reaches_a_verdict_for_every_row(alpha, orders):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["suite", "--alpha", repr(alpha), "--orders", ",".join(map(str, orders))])
+    assert code in (0, 1)
+    assert len(json.loads(out.getvalue())["checks"]) == len(suite_grid(alpha)) == 25
+
+
 def test_suite_applies_tolerance_override(capsys):
     code, out, _ = run_cli(["suite", "--orders", "16", "--tolerance", "selfadjoint-forward=1e-30"], capsys)
     assert code == 1
@@ -376,8 +411,11 @@ def test_oracle_subcommand(capsys):
 
 def test_entry_point_subprocess_determinism():
     cmd = [sys.executable, "-m", "fockcalc.cli", "suite", "--orders", "16"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout
 

@@ -1,6 +1,8 @@
 """Symbols, finite sections, adjoints, products, boundedness."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +185,51 @@ def test_entry_exactness_against_binomial_sum(alpha):
         for m, n in ((0, 0), (1, 0), (0, 1), (5, 3), (12, 12), (20, 7), (4, 19)):
             ref = _entry_oracle(c, w, a, b, alpha, m, n)
             assert abs(mat.entries[m, n] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _exact_entry(c, w, a, b, alpha, m, n):
+    """<W e_n, e_m> for real c e^{wz}, az+b: the binomial sum in rationals, the norm ratio in 60 digits."""
+    c, w, a, b, alpha = (Fraction(x) for x in (c, w, a, b, alpha))
+    total = sum(
+        math.comb(n, j) * a**j * b ** (n - j) * w ** (m - j) / math.factorial(m - j) for j in range(min(n, m) + 1)
+    )
+    ratio = Fraction(math.factorial(m), math.factorial(n)) * alpha ** (n - m)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        norm_ratio = (Decimal(ratio.numerator) / Decimal(ratio.denominator)).sqrt()
+        return float(Decimal((c * total).numerator) / Decimal((c * total).denominator) * norm_ratio)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 20.0])
+def test_entries_exact_beyond_float_factorials(alpha):
+    # indices past 170, where m! and ||z^m|| overflow float64
+    params = FockParams(alpha, 512)
+    mat = assemble_matrix(WcoSymbol(ExpLinearWeight(0.75, 0.375), AffineMap(0.5, 0.25)), params)
+    for m, n in ((0, 0), (5, 60), (171, 172), (180, 170), (300, 200), (200, 300), (400, 400), (512, 500)):
+        ref = _exact_entry(0.75, 0.375, 0.5, 0.25, alpha, m, n)
+        assert abs(mat.entries[m, n] - ref) <= 1e-12 * abs(ref)
+
+
+def test_leading_block_does_not_depend_on_the_order():
+    # truncation exactness: no entry depends on degrees beyond its own
+    sym = WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.3 + 0.2j), AffineMap(0.5 - 0.6j, 0.3 + 0.25j))
+    small = assemble_matrix(sym, FockParams(0.5, 64))
+    large = assemble_matrix(sym, FockParams(0.5, 512))
+    assert np.array_equal(large.entries[:65, :65], small.entries)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0])
+def test_selfadjoint_section_hermitian_at_order_512(alpha):
+    mat = assemble_matrix(selfadjoint_symbol(1.0, 0.5, 0.25, alpha), FockParams(alpha, 512))
+    assert hermitian_residual(mat) <= 1e-12
+
+
+def test_series_weight_section_matches_exponential_weight():
+    params = FockParams(0.5, 64)
+    mp = AffineMap(0.5 - 0.6j, 0.3 + 0.25j)
+    closed = assemble_matrix(WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.3 + 0.2j), mp), params)
+    series = assemble_matrix(WcoSymbol(SeriesWeight(exp_linear(0.3 + 0.2j, 0.8 - 0.3j, params)), mp), params)
+    assert np.max(np.abs(closed.entries - series.entries)) <= 1e-14
 
 
 def test_columns_match_action_on_basis_elements():

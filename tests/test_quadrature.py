@@ -74,7 +74,7 @@ def _mixed_series(params):
     """Three basis elements and three random combinations of normalized monomials."""
     rng = np.random.default_rng(3)
     size = params.order + 1
-    norms = np.sqrt(params.alpha ** np.arange(size) / params.factorials())
+    norms = np.array([math.sqrt(params.alpha**k / math.factorial(k)) for k in range(size)])
     out = [orthonormal_basis_element(n, params) for n in (0, 3, 7)]
     for _ in range(3):
         out.append(TruncatedSeries(norms * (rng.normal(size=size) + 1j * rng.normal(size=size)), params))

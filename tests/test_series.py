@@ -18,7 +18,7 @@ from fockcalc import (
     orthonormal_basis_element,
     series_norm,
 )
-from fockcalc.series import affine_composition_matrix, float_factorials
+from fockcalc.series import affine_composition_matrix
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -107,12 +107,10 @@ def test_exp_linear_additivity():
         assert lhs.max_abs_diff(rhs) <= 1e-12
 
 
-def test_factorial_guard():
-    assert float_factorials(170)[-1] < math.inf
-    with pytest.raises(OverflowError):
-        float_factorials(171)
+def test_params_accept_large_orders_and_reject_zero():
+    assert FockParams(1.0, 512).order == 512
     with pytest.raises(ValueError):
-        FockParams(1.0, 171)
+        FockParams(1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +223,30 @@ def test_orthonormal_basis_elements():
     assert abs(inner_product(e4, e4) - 1.0) <= 1e-14
     with pytest.raises(ValueError):
         orthonormal_basis_element(9, P8)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0])
+def test_monomial_norms_against_lgamma(alpha):
+    # up to an order just inside the range where ||z^N|| = sqrt(N! / alpha^N) is a double
+    order = max(n for n in range(1, 600) if math.lgamma(n + 1) - n * math.log(alpha) < 2 * 709.0)
+    k = np.arange(order + 1)
+    expected = np.exp(0.5 * (np.array([math.lgamma(j + 1) for j in k]) - k * math.log(alpha)))
+    norms = FockParams(alpha, order).monomial_norms()
+    assert np.max(np.abs(norms / expected - 1.0)) <= 1e-12
+
+
+def test_orthonormal_basis_element_raises_past_representable_range():
+    # ||z^400|| = sqrt(400!) is about 8e434 at alpha 1
+    params = FockParams(1.0, 400)
+    for n in (0, 3, 400):
+        with pytest.raises(OverflowError):
+            orthonormal_basis_element(n, params)
+    with pytest.raises(OverflowError):
+        inner_product(TruncatedSeries.zero(params), TruncatedSeries.zero(params))
+    # 300 is the last order at alpha 1 where every norm is a double
+    e = orthonormal_basis_element(300, FockParams(1.0, 300))
+    assert abs(e.coeffs[300] * math.exp(0.5 * math.lgamma(301)) - 1.0) <= 1e-12
+    assert abs(inner_product(e, e) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
