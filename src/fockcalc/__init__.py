@@ -18,7 +18,6 @@ from .series import (
     inner_product,
     kernel_series,
     orthonormal_basis_element,
-    series_norm,
 )
 from .operators import (
     AffineMap,
@@ -41,8 +40,6 @@ from .operators import (
     eval_wco_at,
     hermitian_residual,
     monomial_to_orthonormal,
-    orthonormal_to_monomial,
-    product_symbol,
 )
 from .quadrature import (
     QuadratureGrid,

@@ -14,7 +14,6 @@ truncation error.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -53,8 +52,6 @@ __all__ = [
     "eval_wco_at",
     "hermitian_residual",
     "monomial_to_orthonormal",
-    "orthonormal_to_monomial",
-    "product_symbol",
 ]
 
 POLE_MARGIN = 1e-6
@@ -286,29 +283,6 @@ def eval_wco_at(sym: WcoSymbol, f: TruncatedSeries, z: complex) -> complex:
     return complex(sym.weight.value(z)) * f(sym.map(z))
 
 
-def product_symbol(s1: WcoSymbol, s2: WcoSymbol) -> WcoSymbol:
-    """Symbol of the operator product (s1 applied after s2).
-
-    Weight is weight1 * (weight2 o map1), map is map2 o map1.  When both
-    weights are exponential-linear the product weight is again
-    exponential-linear and is returned in that exact closed form;
-    otherwise both weights are materialized and multiplied as series.
-    """
-    if not isinstance(s1.map, AffineMap) or not isinstance(s2.map, AffineMap):
-        raise UnsupportedMapError("symbol products are only defined for affine maps")
-    composed = s2.map.compose(s1.map)
-    w1, w2 = s1.weight, s2.weight
-    if isinstance(w1, ExpLinearWeight) and isinstance(w2, ExpLinearWeight):
-        # c1 e^{w1 z} * c2 e^{w2 (a1 z + b1)} = (c1 c2 e^{w2 b1}) e^{(w1 + w2 a1) z}
-        scale = w1.c * w2.c * cmath.exp(w2.w * s1.map.b)
-        return WcoSymbol(ExpLinearWeight(scale, w1.w + w2.w * s1.map.a), composed)
-    if isinstance(w1, ExpDisplacementWeight) or isinstance(w2, ExpDisplacementWeight):
-        raise UnsupportedMapError("displacement weights do not support symbol products")
-    params = w1.series.params if isinstance(w1, SeriesWeight) else w2.series.params
-    product = w1.materialize(params) * compose_affine(w2.materialize(params), s1.map.a, s1.map.b)
-    return WcoSymbol(SeriesWeight(product), composed)
-
-
 def adjoint_on_kernel(sym: WcoSymbol, z: complex, params: FockParams) -> TruncatedSeries:
     """Closed-form adjoint action on a kernel: conj(weight(z)) * K_{map(z)}."""
     return complex(sym.weight.value(z)).conjugate() * kernel_series(sym.map(z), params)
@@ -322,10 +296,6 @@ def adjoint_on_kernel(sym: WcoSymbol, z: complex, params: FockParams) -> Truncat
 def monomial_to_orthonormal(f: TruncatedSeries) -> np.ndarray:
     """Coordinates of f against the normalized monomials."""
     return f.coeffs * f.params.monomial_norms()
-
-
-def orthonormal_to_monomial(vec, params: FockParams) -> TruncatedSeries:
-    return TruncatedSeries(np.asarray(vec, dtype=np.complex128) / params.monomial_norms(), params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,14 +379,15 @@ def commutator_residual(m1: OperatorMatrix, m2: OperatorMatrix, block: int) -> f
 
     The leading-block restriction keeps truncation contamination near the
     section edge out of the measurement; block may not exceed half the order.
+    Only that block of each product is formed.
     """
     if m1.params != m2.params:
         raise ParamsMismatchError(f"matrix params differ: {m1.params} vs {m2.params}")
     block_max = max(1, m1.params.order // 2)
     if not 1 <= block <= block_max:
         raise ValueError(f"block {block} outside 1..{block_max}")
-    comm = m1.entries @ m2.entries - m2.entries @ m1.entries
-    return float(np.linalg.norm(comm[:block, :block]))
+    a, b = m1.entries, m2.entries
+    return float(np.linalg.norm(a[:block] @ b[:, :block] - b[:block] @ a[:, :block]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ __all__ = [
     "affine_composition_matrix",
     "compose_affine",
     "exp_linear",
+    "exp_linear_coeffs",
     "inner_product",
+    "kernel_coeffs",
     "kernel_series",
     "orthonormal_basis_element",
-    "series_norm",
 ]
 
 
@@ -156,16 +157,20 @@ class TruncatedSeries:
         return float(np.max(np.abs(self.coeffs - other.coeffs)))
 
 
+def exp_linear_coeffs(w, scale: complex, order: int) -> np.ndarray:
+    """Coefficients scale * w^k / k! for k = 0..order, as one running product.
+
+    w may be an array: row k then holds degree k for every entry of w, so the
+    series of S exponents form one (order + 1) x S block.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    steps = w / np.arange(1, order + 1).reshape((order,) + (1,) * w.ndim)
+    return np.cumprod(np.concatenate((np.full((1,) + w.shape, scale, dtype=np.complex128), steps)), axis=0)
+
+
 def exp_linear(w: complex, scale: complex, params: FockParams) -> TruncatedSeries:
     """Series of scale * e^{w z}: coefficient k is scale * w^k / k!."""
-    n = params.order
-    coeffs = np.empty(n + 1, dtype=np.complex128)
-    term = complex(scale)
-    coeffs[0] = term
-    for k in range(1, n + 1):
-        term = term * w / k
-        coeffs[k] = term
-    return TruncatedSeries(coeffs, params)
+    return TruncatedSeries(exp_linear_coeffs(w, scale, params.order), params)
 
 
 def affine_composition_matrix(a: complex, b: complex, order: int) -> np.ndarray:
@@ -203,17 +208,21 @@ def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
     return complex(value)
 
 
-def series_norm(f: TruncatedSeries) -> float:
-    return math.sqrt(max(inner_product(f, f).real, 0.0))
+def kernel_coeffs(points, params: FockParams) -> np.ndarray:
+    """Raw coefficients of the kernels K_w(z) = e^{alpha * conj(w) * z}, truncated.
+
+    Column j is the kernel at points[j]: an (N+1) x S block for S points.
+    """
+    return exp_linear_coeffs(params.alpha * np.conj(points), 1.0, params.order)
 
 
 def kernel_series(w: complex, params: FockParams) -> TruncatedSeries:
-    """Reproducing kernel K_w(z) = e^{alpha * conj(w) * z}, truncated.
+    """Reproducing kernel K_w, truncated.
 
     For any polynomial p of degree <= N, <p, K_w truncated> equals p(w)
     exactly (up to rounding).
     """
-    return exp_linear(params.alpha * complex(w).conjugate(), 1.0, params)
+    return TruncatedSeries(kernel_coeffs(complex(w), params), params)
 
 
 def orthonormal_basis_element(n: int, params: FockParams) -> TruncatedSeries:

@@ -7,12 +7,18 @@ import pytest
 
 from fockcalc import (
     AffineMap,
+    Boundedness,
     DegenerateMapError,
     ExpLinearWeight,
     FockParams,
     LinearFractionalMap,
     SelfAdjointSymbolParams,
     Verdict,
+    WcoSymbol,
+    adjoint_matrix,
+    adjoint_on_kernel,
+    assemble_matrix,
+    boundedness_check,
     check_adjoint_factorization_battery,
     check_commutant_symbols,
     check_cphi_adjoint_factorization,
@@ -27,9 +33,11 @@ from fockcalc import (
     check_selfadjoint_forward,
     check_selfadjoint_reverse,
     commutant_symbols,
+    compose_affine,
     disk_selfmap_criterion,
     exp_linear,
     fixed_point,
+    kernel_series,
     reproduce_counterexample,
 )
 from fockcalc.checks import disk_boundary_oracle
@@ -396,6 +404,36 @@ class TestAdjointFactorization:
         report = check_cphi_adjoint_factorization(AffineMap(1.0, 0.3))
         assert report.verdict is Verdict.PASS
         assert "matrix cross-check skipped" in report.notes
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="no sample points"):
+            check_cphi_adjoint_factorization(AffineMap(0.25, 0.5), samples=[])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("mp", [AffineMap(0.6 - 0.3j, 0.4 + 0.2j), AffineMap(1.0, 0.3)], ids=["bounded", "unbounded"])
+    def test_kernel_block_matches_per_sample_reference(self, alpha, mp):
+        params = FockParams(alpha, 32)
+        samples = [0.3, -0.5 + 0.7j, 0.9j, -0.8 - 0.1j, 0.0]
+        report = check_cphi_adjoint_factorization(mp, samples=samples, params=params)
+        # one sample at a time through the series algebra
+        c_phi = WcoSymbol(ExpLinearWeight(1.0, 0.0), mp)
+        adjoint = adjoint_matrix(assemble_matrix(c_phi, params))
+        norms = params.monomial_norms()
+        half = (params.order + 1) // 2
+        kernel_ref = matrix_ref = scale = 0.0
+        for beta in samples:
+            lhs = adjoint_on_kernel(c_phi, beta, params)
+            rhs = kernel_series(mp.b, params) * compose_affine(kernel_series(beta, params), mp.a.conjugate(), 0.0)
+            kernel_ref = max(kernel_ref, lhs.max_abs_diff(rhs))
+            applied = adjoint.apply(kernel_series(beta, params).coeffs * norms) / norms
+            matrix_ref = max(matrix_ref, float(np.max(np.abs(applied[:half] - lhs.coeffs[:half]))))
+            scale = max(scale, float(np.max(np.abs(lhs.coeffs))))
+        assert report.params_echo["samples"] == len(samples)
+        assert abs(report.residuals[0][1] - kernel_ref) <= 1e-13 * scale
+        if boundedness_check(mp) is Boundedness.UNBOUNDED:
+            assert len(report.residuals) == 1
+        else:
+            assert abs(report.residuals[1][1] - matrix_ref) <= 1e-13 * scale
 
     def test_battery(self):
         report = check_adjoint_factorization_battery(20, seed=42)

@@ -1,5 +1,6 @@
 """Symbols, finite sections, adjoints, products, boundedness."""
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -34,8 +35,6 @@ from fockcalc import (
     kernel_series,
     monomial_to_orthonormal,
     orthonormal_basis_element,
-    orthonormal_to_monomial,
-    product_symbol,
     selfadjoint_symbol,
 )
 
@@ -268,26 +267,12 @@ def test_adjoint_of_real_diagonal():
 # ---------------------------------------------------------------------------
 
 
-def test_product_with_identity():
-    prod = product_symbol(CANONICAL, WcoSymbol.identity())
-    assert prod.map == CANONICAL.map
-    assert prod.weight == CANONICAL.weight
-
-
-def test_product_linear_maps_commute():
-    s1 = WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(0.25, 0.0))
-    s2 = WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(0.5j, 0.0))
-    p12 = product_symbol(s1, s2)
-    p21 = product_symbol(s2, s1)
-    assert p12.map == p21.map == AffineMap(0.25 * 0.5j, 0.0)
-
-
-def test_product_squared_closed_form():
-    sq = product_symbol(CANONICAL, CANONICAL)
-    assert abs(sq.map.a - 1.0 / 16.0) <= 1e-16
-    assert abs(sq.map.b - 5.0 / 8.0) <= 1e-16
-    assert abs(sq.weight.c - math.exp(0.25)) <= 1e-15
-    assert abs(sq.weight.w - 5.0 / 8.0) <= 1e-16
+def _exp_linear_product(s1: WcoSymbol, s2: WcoSymbol) -> WcoSymbol:
+    """Symbol of s1 applied after s2, both with exponential weights, in closed form."""
+    # c1 e^{w1 z} * c2 e^{w2 (a1 z + b1)} = (c1 c2 e^{w2 b1}) e^{(w1 + w2 a1) z}
+    w1, w2, m1 = s1.weight, s2.weight, s1.map
+    weight = ExpLinearWeight(w1.c * w2.c * cmath.exp(w2.w * m1.b), w1.w + w2.w * m1.a)
+    return WcoSymbol(weight, s2.map.compose(m1))
 
 
 def test_product_matrix_consistency():
@@ -295,32 +280,13 @@ def test_product_matrix_consistency():
     params = FockParams(1.0, 64)
     s1 = CANONICAL
     s2 = WcoSymbol(ExpLinearWeight(0.7, -0.3 + 0.1j), AffineMap(0.4j, -0.2))
-    lhs = assemble_matrix(product_symbol(s1, s2), params).entries
+    lhs = assemble_matrix(_exp_linear_product(s1, s2), params).entries
     rhs = assemble_matrix(s1, params).entries @ assemble_matrix(s2, params).entries
     assert np.max(np.abs((lhs - rhs)[:32, :32])) <= 1e-9
 
 
-def test_product_series_weight_path():
-    w = SeriesWeight(exp_linear(0.5, 1.0, P32))
-    s1 = WcoSymbol(w, AffineMap(0.25, 0.5))
-    prod = product_symbol(s1, s1)
-    assert isinstance(prod.weight, SeriesWeight)
-    expected = exp_linear(5.0 / 8.0, math.exp(0.25), P32)
-    assert prod.weight.series.max_abs_diff(expected) <= 1e-13
-
-
-def test_product_rejects_mobius():
-    mobius = LinearFractionalMap(1.0, 0.0, 1.0, 1.0)
-    sym = WcoSymbol(ExpLinearWeight(1.0, 0.0), mobius)
-    with pytest.raises(UnsupportedMapError):
-        product_symbol(sym, WcoSymbol.identity())
-
-
-def test_product_rejects_displacement_weight():
-    psi, g, _ = commutant_symbols(2.0, 2.0 / 3.0)
-    sym = WcoSymbol(g, AffineMap(0.5, 0.0))
-    with pytest.raises(UnsupportedMapError):
-        product_symbol(sym, WcoSymbol.identity())
+def test_displacement_weight_has_no_series_form():
+    _, g, _ = commutant_symbols(2.0, 2.0 / 3.0)
     with pytest.raises(UnsupportedMapError):
         g.materialize(P32)
 
@@ -360,14 +326,10 @@ def test_adjoint_matrix_path_converges_to_closed_form():
             for order in (16, 32, 64):
                 params = FockParams(1.0, order)
                 closed = adjoint_on_kernel(sym, z, params)
-                applied = orthonormal_to_monomial(
-                    adjoint_matrix(assemble_matrix(sym, params)).apply(
-                        monomial_to_orthonormal(kernel_series(z, params))
-                    ),
-                    params,
-                )
+                adjoint = adjoint_matrix(assemble_matrix(sym, params))
+                applied = adjoint.apply(monomial_to_orthonormal(kernel_series(z, params))) / params.monomial_norms()
                 half = (order + 1) // 2
-                errs.append(float(np.max(np.abs(applied.coeffs[:half] - closed.coeffs[:half]))))
+                errs.append(float(np.max(np.abs(applied[:half] - closed.coeffs[:half]))))
             assert errs[-1] <= 1e-8
             # monotone decrease up to the floating-point noise floor
             for previous, current in zip(errs, errs[1:]):
@@ -418,6 +380,24 @@ def test_commutator_residual_cases():
         commutator_residual(d1, d2, 5)  # block beyond half the order
     with pytest.raises(ParamsMismatchError):
         commutator_residual(d1, assemble_matrix(WcoSymbol.identity(), P32), 4)
+
+
+def test_commutator_residual_is_the_leading_block_of_the_full_commutator():
+    rng = np.random.default_rng(11)
+
+    def disk(r):
+        return complex(r * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+
+    for order, alpha in ((16, 0.5), (64, 1.0), (128, 2.0)):
+        params = FockParams(alpha, order)
+        m1, m2 = (
+            assemble_matrix(WcoSymbol(ExpLinearWeight(1.0 + disk(0.5), disk(0.5)), AffineMap(disk(0.9), disk(0.5))), params)
+            for _ in range(2)
+        )
+        full = m1.entries @ m2.entries - m2.entries @ m1.entries
+        for block in (1, order // 4, order // 2):
+            expected = float(np.linalg.norm(full[:block, :block]))
+            assert abs(commutator_residual(m1, m2, block) - expected) <= 1e-14 * max(expected, 1.0)
 
 
 def test_matrix_csv_shape_and_roundtrip():

@@ -16,9 +16,8 @@ from fockcalc import (
     inner_product,
     kernel_series,
     orthonormal_basis_element,
-    series_norm,
 )
-from fockcalc.series import affine_composition_matrix
+from fockcalc.series import affine_composition_matrix, exp_linear_coeffs
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -105,6 +104,16 @@ def test_exp_linear_additivity():
         lhs = exp_linear(w, 1.0, P16) * exp_linear(v, 1.0, P16)
         rhs = exp_linear(w + v, 1.0, P16)
         assert lhs.max_abs_diff(rhs) <= 1e-12
+
+
+def test_exp_linear_block_columns_are_the_single_series():
+    ws = np.array([0.0, 0.5, -0.7j, 1.3 - 0.4j, 6.0])
+    block = exp_linear_coeffs(ws, 0.8 - 0.3j, 32)
+    assert block.shape == (33, 5)
+    for j, w in enumerate(ws):
+        assert np.array_equal(block[:, j], exp_linear(w, 0.8 - 0.3j, P32).coeffs)
+        closed = [(0.8 - 0.3j) * complex(w) ** k / math.factorial(k) for k in range(33)]
+        assert np.allclose(block[:, j], closed, rtol=1e-14, atol=0)
 
 
 def test_params_accept_large_orders_and_reject_zero():
@@ -208,7 +217,7 @@ def test_reproducing_property_random_polynomials():
         coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         p = TruncatedSeries.from_coeffs(coeffs, P16)
         w = complex(*rng.uniform(-0.7, 0.7, 2))
-        bound = 1e-11 * (1.0 + series_norm(p))
+        bound = 1e-11 * (1.0 + math.sqrt(np.sum(np.abs(p.coeffs * P16.monomial_norms()) ** 2)))
         assert abs(inner_product(p, kernel_series(w, P16)) - p(w)) <= bound
 
 
