@@ -35,6 +35,7 @@ from .operators import (
     adjoint_on_kernel,
     apply_wco,
     assemble_matrix,
+    assemble_sections,
     boundedness_check,
     commutator_residual,
     eval_wco_at,

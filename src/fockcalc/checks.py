@@ -41,13 +41,14 @@ from .operators import (
     adjoint_matrix,
     apply_wco,
     assemble_matrix,
+    assemble_sections,
     boundedness_check,
     commutator_residual,
     hermitian_residual,
     map_pole,
 )
 from .report import CheckReport, Verdict, format_complex
-from .sampling import circle_points, disk_pairs, drop_near_poles
+from .sampling import circle_points, disk_pairs, drop_near_poles, pole_mask
 from .series import FockParams, exp_linear, kernel_coeffs, kernel_series
 
 __all__ = [
@@ -80,6 +81,8 @@ DEFAULT_SEED = 42
 IDENTITY_TOL = 1e-12
 FIXED_POINT_TOL = 1e-13
 DEFAULT_ORDERS = (16, 32, 64)
+# finite-section cross-check of the adjoint factorization
+ADJOINT_MATRIX_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +218,46 @@ def conjugation_factor(mp: AffineMap, z):
     return mp.a * (bc * np.asarray(z) - 1.0) / (bc * mp.a * np.asarray(z) + bc * mp.b - 1.0)
 
 
-def disk_selfmap_criterion(a0: complex, a1: float, tol: float = IDENTITY_TOL) -> bool:
+def disk_selfmap_criterion(a0, a1, tol: float = IDENTITY_TOL):
     """Whether a0 + a1 z (a1 real) maps the open unit disk into itself.
 
     Closed form: |a0| < 1 and -1 + |a0| <= a1 <= 1 - |a0|, with the a1
-    endpoints tolerated to within tol.
+    endpoints tolerated to within tol.  a0 and a1 may be arrays of draws;
+    scalar inputs give a bool.
     """
-    mag = abs(complex(a0))
-    return mag < 1.0 and (-1.0 + mag - tol) <= float(a1) <= (1.0 - mag + tol)
+    a0 = np.asarray(a0, dtype=np.complex128)
+    # hypot rounds as Python's abs(complex) does; numpy's complex abs may differ in the last bit
+    mag = np.hypot(a0.real, a0.imag)
+    a1 = np.asarray(a1, dtype=np.float64)
+    inside = (mag < 1.0) & (-1.0 + mag - tol <= a1) & (a1 <= 1.0 - mag + tol)
+    return bool(inside) if inside.ndim == 0 else inside
 
 
-def disk_boundary_oracle(a0: complex, a1: float, points: int = 1000, tol: float = IDENTITY_TOL) -> bool:
+# boundary points per block of the oracle, so that each complex temporary of
+# a block (128 kB; 8 draws of 1000 points) stays in cache
+ORACLE_BLOCK_POINTS = 8192
+
+
+def disk_boundary_oracle(a0, a1, points: int = 1000, tol: float = IDENTITY_TOL):
     """Sampling cross-check: max |a0 + a1 z| over unit-circle points vs 1.
 
     Boundary-touching maps (max exactly 1) count as self-maps, matching the
     closed inequalities of the criterion; the comparison carries the same
-    tolerance.
+    tolerance.  a0 and a1 may be arrays of draws, evaluated against the
+    circle in blocks of about ORACLE_BLOCK_POINTS values; scalar inputs give
+    a bool.
     """
-    theta = 2.0 * np.pi * np.arange(points) / points
-    vals = np.abs(complex(a0) + float(a1) * np.exp(1j * theta))
-    return float(np.max(vals)) <= 1.0 + tol
+    if points < 1:
+        raise ValueError(f"boundary_points must be at least 1, got {points}")
+    a0, a1 = np.broadcast_arrays(np.asarray(a0, dtype=np.complex128), np.asarray(a1, dtype=np.float64))
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
+    flat0, flat1 = a0.ravel(), a1.ravel()
+    inside = np.empty(flat0.shape, dtype=bool)
+    block = max(1, ORACLE_BLOCK_POINTS // points)
+    for start in range(0, flat0.size, block):
+        rows = slice(start, start + block)
+        inside[rows] = np.max(np.abs(flat0[rows, None] + flat1[rows, None] * circle), axis=1) <= 1.0 + tol
+    return bool(inside[0]) if a0.ndim == 0 else inside.reshape(a0.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +392,18 @@ def check_disk_criterion(
     """Closed-form disk criterion against the circle-sampling oracle.
 
     Random (a0, a1) draws straddle the self-map boundary; the closed form
-    and the 1000-point boundary maximum must agree on every draw.
+    and the 1000-point boundary maximum must agree on every draw.  All
+    draws are evaluated as one array.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
-    disagreements = 0
-    true_count = 0
-    for _ in range(draws):
-        a0 = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-        a1 = float(rng.uniform(-1.2, 1.2))
-        pred = disk_selfmap_criterion(a0, a1)
-        orac = disk_boundary_oracle(a0, a1, boundary_points)
-        true_count += pred
-        disagreements += pred != orac
+    # one row per draw, in the order Re a0, Im a0, a1
+    u = rng.uniform((-0.9, -0.9, -1.2), (0.9, 0.9, 1.2), size=(draws, 3))
+    a0, a1 = u[:, 0] + 1j * u[:, 1], u[:, 2]
+    pred = disk_selfmap_criterion(a0, a1)
+    disagreements = int(np.count_nonzero(pred != disk_boundary_oracle(a0, a1, boundary_points)))
+    true_count = int(np.count_nonzero(pred))
     return CheckReport(
         check_name="disk-criterion",
         params_echo={"draws": draws, "boundary_points": boundary_points, "seed": seed},
@@ -672,27 +693,43 @@ def check_moebius_conjugation(
     """Displayed conjugation identity for a given psi.
 
     Residual of (psi(z) - b) / (conj(b) psi(z) - 1) = eta (z - b) / (conj(b) z - 1)
-    over pole-filtered samples.
+    over pole-filtered samples: the one-row case of the battery's block.
     """
     b = complex(b)
     if samples is None:
         samples = circle_points(seed)
-    poles = [map_pole(psi)]
-    if b != 0:
-        poles.append(1.0 / b.conjugate())
-    pts = drop_near_poles(np.asarray(samples), poles)
-    if pts.size == 0:
-        raise ValueError("all sample points fell within the pole margin")
-    vals = psi(pts)
-    lhs = (vals - b) / (b.conjugate() * vals - 1.0)
-    rhs = complex(eta) * mobius_h(b)(pts)
-    res = float(np.max(np.abs(lhs - rhs)))
+    res, kept = _moebius_residuals([psi], np.array([b]), np.array([complex(eta)]), np.reshape(samples, (1, -1)))
     return CheckReport(
         check_name="moebius-conjugation",
-        params_echo={"eta": complex(eta), "b": b, "samples": int(pts.size)},
-        residuals=((0, res),),
-        verdict=Verdict.PASS if res <= tol else Verdict.FAIL,
+        params_echo={"eta": complex(eta), "b": b, "samples": int(kept[0])},
+        residuals=((0, float(res[0])),),
+        verdict=Verdict.PASS if res[0] <= tol else Verdict.FAIL,
     )
+
+
+def _moebius_residuals(psis, b: np.ndarray, eta: np.ndarray, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst conjugation residual and number of points kept, per row of an (M, S) sample block.
+
+    Row i holds the samples of (psis[i], b[i], eta[i]).  Points within the
+    pole margin of psi or of h are masked out; a row left with none raises.
+    """
+    no_pole = complex(math.inf)
+    psi_pole = np.array([no_pole if psi.pole is None else psi.pole for psi in psis])
+    h_pole = np.array([no_pole if bi == 0 else 1.0 / complex(bi).conjugate() for bi in b])
+    pts = np.asarray(samples, dtype=np.complex128)
+    keep = pole_mask(pts, [psi_pole[:, None], h_pole[:, None]])
+    kept = np.count_nonzero(keep, axis=1)
+    if not np.all(kept):
+        raise ValueError("all sample points fell within the pole margin")
+    p, q, r, s = (np.array([getattr(psi, name) for psi in psis])[:, None] for name in "pqrs")
+    b, eta = b[:, None], eta[:, None]
+    # masked points may sit on a pole; their values are discarded
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = (p * pts + q) / (r * pts + s)
+        lhs = (vals - b) / (b.conj() * vals - 1.0)
+        rhs = eta * ((pts - b) / (b.conj() * pts - 1.0))
+        res = np.max(np.where(keep, np.abs(lhs - rhs), 0.0), axis=1)
+    return res, kept
 
 
 # expected composed-map coefficient tuples for the worked family at b = 2/3,
@@ -793,22 +830,26 @@ def check_moebius_conjugation_battery(
 
     Fixed points are drawn with 0.1 <= |b| <= 0.9 and eta from a complex
     rectangle, rejecting draws with |b|^2 eta within 0.05 of 1 where the
-    family degenerates.
+    family degenerates.  Draw i is checked on circle_points(seed + i), and
+    all draws are evaluated as one masked block.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    accepted = 0
-    while accepted < draws:
-        b = complex(rng.uniform(0.1, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        eta = complex(rng.uniform(-2.0, 2.5), rng.uniform(-1.0, 1.0))
-        if abs(abs(b) ** 2 * eta - 1.0) < 0.05 or abs(eta) < 0.05:
-            continue
-        psi, _, _ = commutant_symbols(eta, b)
-        sub = check_moebius_conjugation(psi, b, eta, seed=seed + accepted)
-        worst = max(worst, sub.max_residual)
-        accepted += 1
+    b = eta = np.empty(0, dtype=np.complex128)
+    while b.size < draws:
+        # one attempt per row, in the order |b|, arg b, Re eta, Im eta; rejected attempts use up their row
+        u = rng.uniform((0.1, 0.0, -2.0, -1.0), (0.9, 2.0 * np.pi, 2.5, 1.0), size=(draws, 4))
+        b_try, eta_try = u[:, 0] * np.exp(1j * u[:, 1]), u[:, 2] + 1j * u[:, 3]
+        # the rejection rule in Python scalars, so that it rounds exactly as it always has
+        accept = [
+            abs(abs(bi) ** 2 * ei - 1.0) >= 0.05 and abs(ei) >= 0.05 for bi, ei in zip(b_try.tolist(), eta_try.tolist())
+        ]
+        b, eta = np.append(b, b_try[accept]), np.append(eta, eta_try[accept])
+    b, eta = b[:draws], eta[:draws]
+    psis = [commutant_symbols(eta_i, b_i)[0] for eta_i, b_i in zip(eta, b)]
+    samples = np.stack([circle_points(seed + i) for i in range(draws)])
+    worst = float(np.max(_moebius_residuals(psis, b, eta, samples)[0]))
     return CheckReport(
         check_name="moebius-conjugation",
         params_echo={"draws": draws, "seed": seed},
@@ -825,26 +866,28 @@ def check_adjoint_factorization_battery(
     tol: float = 1e-11,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
-    """Adjoint factorization over random strictly bounded affine maps."""
+    """Adjoint factorization over random strictly bounded affine maps.
+
+    Map i is checked on circle_points(seed + i), and all maps are evaluated
+    as one kernel block with one batch of finite sections.
+    """
     if map_draws < 1:
         raise ValueError(f"draws must be at least 1, got {map_draws}")
+    if params is None:
+        params = FockParams(1.0, 32)
     rng = np.random.default_rng(seed)
-    worst_kernel = 0.0
-    worst_matrix = 0.0
-    all_ok = True
-    for i in range(map_draws):
-        a = complex(rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        b = complex(rng.uniform(0.0, 0.8) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        sub = check_cphi_adjoint_factorization(AffineMap(a, b), params=params, tol=tol, seed=seed + i)
-        worst_kernel = max(worst_kernel, sub.residuals[0][1])
-        worst_matrix = max(worst_matrix, sub.residuals[1][1])
-        all_ok = all_ok and sub.passed
-    order = params.order if params is not None else 32
+    # one row per map, in the order |a|, arg a, |b|, arg b
+    u = rng.uniform(0.0, (0.9, 2.0 * np.pi, 0.8, 2.0 * np.pi), size=(map_draws, 4))
+    maps = [AffineMap(a, b) for a, b in u[:, 0::2] * np.exp(1j * u[:, 1::2])]
+    samples = np.stack([circle_points(seed + i) for i in range(map_draws)])
+    kernel_res, matrix_res = _adjoint_factorization_residuals(maps, samples, params)
+    worst_kernel, worst_matrix = float(np.max(kernel_res)), float(np.max(matrix_res))
+    ok = worst_kernel <= tol and worst_matrix <= ADJOINT_MATRIX_TOL
     return CheckReport(
         check_name="adjoint-factorization",
-        params_echo={"map_draws": map_draws, "seed": seed, "order": order},
-        residuals=((order, worst_kernel), (order, worst_matrix)),
-        verdict=Verdict.PASS if all_ok else Verdict.FAIL,
+        params_echo={"map_draws": map_draws, "seed": seed, "order": params.order},
+        residuals=((params.order, worst_kernel), (params.order, worst_matrix)),
+        verdict=Verdict.PASS if ok else Verdict.FAIL,
         notes=f"worst kernel-level and finite-section residuals over {map_draws} random bounded maps",
     )
 
@@ -907,7 +950,7 @@ def check_cphi_adjoint_factorization(
     params: FockParams | None = None,
     *,
     tol: float = 1e-11,
-    tol_matrix: float = 1e-8,
+    tol_matrix: float = ADJOINT_MATRIX_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Adjoint of a composition operator as multiplier times rotation.
@@ -916,8 +959,8 @@ def check_cphi_adjoint_factorization(
     multiplier at the offset applied to the conj(slope)-rotated kernel at
     beta, coefficientwise.  The finite-section adjoint applied to the
     truncated kernel cross-checks the leading half of the coefficients
-    whenever the composition operator is bounded.  The kernels of all
-    samples are the columns of one (N+1) x S block.
+    whenever the composition operator is bounded.  This is the one-map case
+    of the battery's block.
     """
     if abs(mp.a) > 1.0 + IDENTITY_TOL:
         raise ValueError(f"slope magnitude {abs(mp.a)} exceeds 1; adjoint factorization needs |a| <= 1")
@@ -925,33 +968,19 @@ def check_cphi_adjoint_factorization(
         params = FockParams(1.0, 32)
     if samples is None:
         samples = circle_points(seed)
-    pts = np.asarray(samples)
+    pts = np.reshape(np.asarray(samples), (1, -1))
     if pts.size == 0:
         raise ValueError("no sample points")
 
-    # C_phi* K_beta = K_{map(beta)} = K_b * K_beta(conj(a) z), and the rotation
-    # K_beta(conj(a) z) scales degree k by conj(a)^k
-    kernels = kernel_coeffs(pts, params)
-    lhs = kernel_coeffs(mp(pts), params)
-    rotation = np.cumprod(np.concatenate(([1.0], np.full(params.order, mp.a.conjugate()))))
-    rotated = rotation[:, None] * kernels
-    multiplier = kernel_coeffs(mp.b, params)
-    rhs = np.stack([np.convolve(multiplier, col)[: params.order + 1] for col in rotated.T], axis=1)
-    kernel_res = float(np.max(np.abs(lhs - rhs)))
-
-    residuals = [(params.order, kernel_res)]
-    ok = kernel_res <= tol
+    kernel_res, matrix_res = _adjoint_factorization_residuals([mp], pts, params)
+    residuals = [(params.order, float(kernel_res[0]))]
+    ok = kernel_res[0] <= tol
     notes = ""
     if boundedness_check(mp) is Boundedness.UNBOUNDED:
         notes = "composition operator unbounded; matrix cross-check skipped"
     else:
-        half = (params.order + 1) // 2
-        norms = params.monomial_norms()[:, None]
-        adj = adjoint_matrix(assemble_matrix(WcoSymbol(ExpLinearWeight(1.0, 0.0), mp), params)).entries
-        applied = (adj[:half] @ (kernels * norms)) / norms[:half]
-        matrix_res = float(np.max(np.abs(applied - lhs[:half])))
-        residuals.append((params.order, matrix_res))
-        ok = ok and matrix_res <= tol_matrix
+        residuals.append((params.order, float(matrix_res[0])))
+        ok = ok and matrix_res[0] <= tol_matrix
     return CheckReport(
         check_name="adjoint-factorization",
         params_echo={"a": mp.a, "b": mp.b, "alpha": params.alpha, "order": params.order, "samples": int(pts.size)},
@@ -959,6 +988,54 @@ def check_cphi_adjoint_factorization(
         verdict=Verdict.PASS if ok else Verdict.FAIL,
         notes=notes,
     )
+
+
+def _adjoint_factorization_residuals(
+    maps: list[AffineMap], samples: np.ndarray, params: FockParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Worst kernel-level and finite-section residual of each map over its row of an (M, S) sample block.
+
+    C_phi* K_beta = K_{map(beta)} = K_b * K_beta(conj(a) z), and the rotation
+    K_beta(conj(a) z) scales degree k by conj(a)^k.  The kernels of all maps
+    and samples form one M x (N+1) x S block; multiplication by K_b is the
+    lower-triangular Toeplitz matrix of its coefficients, applied to the
+    whole block in one batched product.  The finite-section residual is nan
+    for a map whose composition operator is unbounded.
+    """
+    n = params.order
+    a = np.array([mp.a for mp in maps])
+    b = np.array([mp.b for mp in maps])
+    # (N+1) x M x S as computed; kernels[i, :, j] is then the kernel at samples[i, j]
+    kernels = np.moveaxis(kernel_coeffs(samples, params), 0, 1)
+    lhs = np.moveaxis(kernel_coeffs(a[:, None] * samples + b[:, None], params), 0, 1)
+    # running powers conj(a)^k, one row per map
+    rotation = np.ones((len(maps), n + 1), dtype=np.complex128)
+    rotation[:, 1:] = a.conj()[:, None]
+    rotation = np.cumprod(rotation, axis=1)
+    # multiplier and product are temporaries: the section cross-check below needs the memory
+    kernel_res = np.max(np.abs(lhs - _kernel_multipliers(b, params) @ (rotation[:, :, None] * kernels)), axis=(1, 2))
+
+    matrix_res = np.full(len(maps), math.nan)
+    bounded = [i for i, mp in enumerate(maps) if boundedness_check(mp) is not Boundedness.UNBOUNDED]
+    if bounded:
+        half = (n + 1) // 2
+        norms = params.monomial_norms()[:, None]
+        sections = assemble_sections([WcoSymbol(ExpLinearWeight(1.0, 0.0), maps[i]) for i in bounded], params)
+        # the leading rows of each adjoint: conjugated leading columns of the section
+        adjoint_rows = sections[:, :, :half].conj().transpose(0, 2, 1)
+        orthonormal = kernels[bounded]
+        orthonormal *= norms
+        applied = (adjoint_rows @ orthonormal) / norms[:half]
+        matrix_res[bounded] = np.max(np.abs(applied - lhs[bounded, :half]), axis=(1, 2))
+    return kernel_res, matrix_res
+
+
+def _kernel_multipliers(offsets: np.ndarray, params: FockParams) -> np.ndarray:
+    """Multiplication by K_b on coefficients of degree <= N: one lower-triangular Toeplitz matrix per offset b."""
+    lag = np.subtract.outer(np.arange(params.order + 1), np.arange(params.order + 1))
+    toeplitz = kernel_coeffs(offsets, params).T[:, np.maximum(lag, 0)]
+    toeplitz[:, lag < 0] = 0.0
+    return toeplitz
 
 
 def _is_constant_weight(weight: WcoWeight) -> bool:

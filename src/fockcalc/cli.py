@@ -94,8 +94,9 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        # nan fails every comparison, so test for what alpha must be
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite positive real, got {self.alpha!r}")
         if any(b <= a for a, b in zip(self.orders, self.orders[1:])) or not self.orders:
             raise ValueError("orders must be non-empty and strictly increasing")
 

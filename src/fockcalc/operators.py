@@ -15,6 +15,7 @@ truncation error.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -47,6 +48,7 @@ __all__ = [
     "adjoint_on_kernel",
     "apply_wco",
     "assemble_matrix",
+    "assemble_sections",
     "boundedness_check",
     "commutator_residual",
     "eval_wco_at",
@@ -325,17 +327,13 @@ class OperatorMatrix:
 
     def to_csv(self) -> str:
         """Row-major CSV with each entry as a "re,im" pair, 17 significant digits."""
-        lines = []
-        for row in self.entries:
-            cells = []
-            for v in row:
-                cells.append(f"{v.real:.17g},{v.imag:.17g}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        # a complex128 row viewed as float64 is its re, im, re, im, ... sequence
+        row_format = ",".join(["%.17g"] * (2 * self.dim))
+        return "".join(row_format % tuple(row) + "\n" for row in self.entries.view(np.float64).tolist())
 
 
-def assemble_matrix(sym: WcoSymbol, params: FockParams) -> OperatorMatrix:
-    """Finite section of the symbol in the normalized-monomial basis.
+def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams) -> np.ndarray:
+    """Finite sections of M symbols in the normalized-monomial basis, as one (M, N+1, N+1) block.
 
     Column n holds the orthonormal coordinates of the image of e_n; column 0
     is the weight's.  As e_n o map = sqrt(alpha / n) (a z + b) (e_{n-1} o map)
@@ -343,25 +341,36 @@ def assemble_matrix(sym: WcoSymbol, params: FockParams) -> OperatorMatrix:
     E[m, n] = a sqrt(m / n) E[m-1, n-1] + b sqrt(alpha / n) E[m, n-1].
     Multiplying by a z + b only raises degrees, so entries are exact up to
     rounding; for an exponential weight no raw coefficient or norm enters.
+    The recurrence runs once for all symbols, each entry by the same
+    operations as for that symbol alone.
     """
-    if not isinstance(sym.map, AffineMap):
+    maps = [sym.map for sym in symbols]
+    if not all(isinstance(mp, AffineMap) for mp in maps):
         raise UnsupportedMapError("matrix assembly requires an affine map")
     k = np.arange(1, params.order + 1)
-    # shift[n-1, m-1] = a sqrt(m / n): one square root, so exactly a on the diagonal
-    shift = sym.map.a * np.sqrt(k / k[:, None])
-    stay = sym.map.b * np.sqrt(params.alpha / k)
-    columns = np.zeros((params.order + 1, params.order + 1), dtype=np.complex128)
-    weight = sym.weight
-    if isinstance(weight, ExpLinearWeight):
-        # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k)
-        columns[0] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))
-    else:
-        columns[0] = monomial_to_orthonormal(weight.materialize(params))
-    for n in range(1, params.order + 1):
-        prev = columns[n - 1]
-        columns[n] = stay[n - 1] * prev
-        columns[n, 1:] += shift[n - 1] * prev[:-1]
-    return OperatorMatrix(columns.T, params)
+    # shift[n-1, s, m-1] = a_s sqrt(m / n): one square root, so exactly a_s on the diagonal
+    shift = np.array([mp.a for mp in maps])[:, None] * np.sqrt(k / k[:, None])[:, None, :]
+    stay = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / k)[:, None])[:, :, None]
+    # columns[n, s] is column n of symbol s, so each step is one contiguous block
+    columns = np.zeros((params.order + 1, len(maps), params.order + 1), dtype=np.complex128)
+    for s, sym in enumerate(symbols):
+        weight = sym.weight
+        if isinstance(weight, ExpLinearWeight):
+            # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k)
+            columns[0, s] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))
+        else:
+            columns[0, s] = monomial_to_orthonormal(weight.materialize(params))
+    # lists of views: indexing them is cheaper than indexing the array, once per column
+    cols, raised, lowered = list(columns), list(columns[:, :, 1:]), list(columns[:, :, :-1])
+    for n, (stay_n, shift_n) in enumerate(zip(stay, shift), start=1):
+        np.multiply(stay_n, cols[n - 1], out=cols[n])
+        raised[n] += shift_n * lowered[n - 1]
+    return columns.transpose(1, 2, 0)
+
+
+def assemble_matrix(sym: WcoSymbol, params: FockParams) -> OperatorMatrix:
+    """Finite section of one symbol: the one-symbol case of ``assemble_sections``."""
+    return OperatorMatrix(assemble_sections([sym], params)[0], params)
 
 
 def adjoint_matrix(mat: OperatorMatrix) -> OperatorMatrix:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["circle_points", "disk_pairs", "drop_near_poles"]
+__all__ = ["circle_points", "disk_pairs", "drop_near_poles", "pole_mask"]
 
 DEFAULT_RADII = (0.4, 0.8)
 DEFAULT_POLE_MARGIN = 1e-3
@@ -31,12 +31,22 @@ def disk_pairs(seed: int, count: int = 20, max_radius: float = 0.9) -> list[tupl
     return pts
 
 
-def drop_near_poles(points: np.ndarray, poles, margin: float = DEFAULT_POLE_MARGIN) -> np.ndarray:
-    """Filter out sample points within the margin of any listed pole."""
+def pole_mask(points: np.ndarray, poles, margin: float = DEFAULT_POLE_MARGIN) -> np.ndarray:
+    """True where a point is at least the margin away from every listed pole.
+
+    A pole may be None (no pole) or an array broadcast against the points,
+    such as one pole per row of a block of sample rows.
+    """
     pts = np.asarray(points, dtype=np.complex128)
     keep = np.ones(pts.shape, dtype=bool)
     for pole in poles:
         if pole is None:
             continue
         keep &= np.abs(pts - pole) >= margin
-    return pts[keep]
+    return keep
+
+
+def drop_near_poles(points: np.ndarray, poles, margin: float = DEFAULT_POLE_MARGIN) -> np.ndarray:
+    """Filter out sample points within the margin of any listed pole."""
+    pts = np.asarray(points, dtype=np.complex128)
+    return pts[pole_mask(pts, poles, margin)]

@@ -40,7 +40,8 @@ from fockcalc import (
     kernel_series,
     reproduce_counterexample,
 )
-from fockcalc.checks import disk_boundary_oracle
+from fockcalc.checks import _moebius_residuals, disk_boundary_oracle
+from fockcalc.sampling import circle_points
 
 CANONICAL = SelfAdjointSymbolParams(1.0, 0.5, 0.25)
 
@@ -197,6 +198,40 @@ class TestDiskCriterion:
         assert report.verdict is Verdict.PASS
         assert report.residuals[0][1] == 0.0
 
+    @pytest.mark.parametrize("seed", [42, 7, 3])
+    def test_battery_counts_match_scalar_loop(self, seed):
+        # one draw at a time, as three scalar draws each, against the whole-array battery
+        rng = np.random.default_rng(seed)
+        circle = np.exp(1j * (2.0 * np.pi * np.arange(1000) / 1000))
+        disagreements = self_maps = 0
+        for _ in range(200):
+            a0 = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+            a1 = float(rng.uniform(-1.2, 1.2))
+            mag = abs(a0)
+            pred = mag < 1.0 and -1.0 + mag - 1e-12 <= a1 <= 1.0 - mag + 1e-12
+            orac = float(np.max(np.abs(a0 + a1 * circle))) <= 1.0 + 1e-12
+            self_maps += pred
+            disagreements += pred != orac
+        report = check_disk_criterion(200, seed=seed)
+        assert report.residuals[0][1] == disagreements
+        assert report.notes == f"{self_maps} of 200 draws were self-maps"
+
+    def test_array_inputs_give_arrays(self):
+        a0 = np.array([0.0, 0.5, 0.9, 0.3j])
+        a1 = np.array([1.0, 0.25, 0.5, -0.8])
+        expected = [disk_selfmap_criterion(x, y) for x, y in zip(a0, a1)]
+        assert disk_selfmap_criterion(a0, a1).tolist() == expected
+        # more draws than one oracle block
+        many0, many1 = np.tile(a0, 20), np.tile(a1, 20)
+        assert disk_boundary_oracle(many0, many1).tolist() == [disk_boundary_oracle(x, y) for x, y in zip(many0, many1)]
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_boundary_points_below_one_rejected(self, points):
+        with pytest.raises(ValueError, match="boundary_points must be at least 1"):
+            disk_boundary_oracle(0.5, 0.25, points)
+        with pytest.raises(ValueError, match="boundary_points must be at least 1"):
+            check_disk_criterion(10, points)
+
 
 class TestEigenIdentity:
     def test_canonical(self):
@@ -320,6 +355,39 @@ class TestMoebiusConjugation:
         assert report.verdict is Verdict.PASS
         assert report.max_residual <= 1e-12
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_battery_equals_per_draw_checks(self, seed):
+        # the rejection sampling one attempt at a time, each accepted draw through the single check
+        rng = np.random.default_rng(seed)
+        worst, accepted = 0.0, 0
+        while accepted < 50:
+            b = complex(rng.uniform(0.1, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            eta = complex(rng.uniform(-2.0, 2.5), rng.uniform(-1.0, 1.0))
+            if abs(abs(b) ** 2 * eta - 1.0) < 0.05 or abs(eta) < 0.05:
+                continue
+            psi, _, _ = commutant_symbols(eta, b)
+            worst = max(worst, check_moebius_conjugation(psi, b, eta, seed=seed + accepted).max_residual)
+            accepted += 1
+        report = check_moebius_conjugation_battery(50, seed=seed)
+        assert repr(report.max_residual) == repr(worst)
+
+    def test_block_filters_each_row_by_its_own_poles(self):
+        # each row holds the other row's poles as well as its own; only its own are dropped
+        draws = [(2.0, 2.0 / 3.0), (0.7 + 0.2j, 0.5j)]
+        psis = [commutant_symbols(eta, b)[0] for eta, b in draws]
+        poles = [p for psi, (_, b) in zip(psis, draws) for p in (psi.pole, 1.0 / b.conjugate())]
+        samples = np.array([[0.1, -0.2j, *poles], [0.3, 0.25 + 0.1j, *poles]])
+        res, kept = _moebius_residuals(psis, np.array([b for _, b in draws]), np.array([eta for eta, _ in draws]), samples)
+        for i, (eta, b) in enumerate(draws):
+            single = check_moebius_conjugation(psis[i], b, eta, samples=samples[i])
+            assert kept[i] == single.params_echo["samples"] == 4
+            assert res[i] == single.max_residual
+
+    def test_no_sample_left_after_pole_filtering_rejected(self):
+        psi, _, _ = commutant_symbols(2.0, 2.0 / 3.0)
+        with pytest.raises(ValueError, match="pole margin"):
+            check_moebius_conjugation(psi, 2.0 / 3.0, 2.0, samples=[psi.pole, 1.5])
+
 
 class TestCounterexample:
     def test_composition_tuples(self):
@@ -439,6 +507,28 @@ class TestAdjointFactorization:
         report = check_adjoint_factorization_battery(20, seed=42)
         assert report.verdict is Verdict.PASS
         assert report.residuals[0][1] <= 1e-11
+
+    @pytest.mark.parametrize("alpha", [1.0, 4.0])
+    def test_battery_matches_per_map_path(self, alpha):
+        params = FockParams(alpha, 32)
+        rng = np.random.default_rng(42)
+        kernel_ref = matrix_worst = scale = 0.0
+        for i in range(20):
+            a = complex(rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            b = complex(rng.uniform(0.0, 0.8) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            mp = AffineMap(a, b)
+            matrix_worst = max(matrix_worst, check_cphi_adjoint_factorization(mp, params=params, seed=42 + i).residuals[1][1])
+            # K_{map(beta)} against K_b times the kernel composed with conj(a) z, one sample at a time
+            c_phi = WcoSymbol(ExpLinearWeight(1.0, 0.0), mp)
+            for beta in circle_points(42 + i):
+                lhs = adjoint_on_kernel(c_phi, beta, params)
+                rhs = kernel_series(b, params) * compose_affine(kernel_series(beta, params), a.conjugate(), 0.0)
+                kernel_ref = max(kernel_ref, lhs.max_abs_diff(rhs))
+                scale = max(scale, float(np.max(np.abs(lhs.coeffs))))
+        report = check_adjoint_factorization_battery(20, params, seed=42)
+        assert report.residuals[1][1] == matrix_worst
+        assert abs(report.residuals[0][1] - kernel_ref) <= 1e-13 * scale
+        assert report.residuals[0][1] <= 1e-13 * scale
 
 
 class TestNormality:

@@ -66,6 +66,24 @@ def test_runconfig_validation():
         RunConfig(orders=(32, 16))
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_runconfig_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be a finite positive real"):
+        RunConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command", [["check", "disk-criterion"], ["check", "counterexample", "--eta", "2"], ["suite", "--orders", "16"]]
+)
+def test_non_finite_alpha_usage_error(capsys, command, value):
+    # disk-criterion and counterexample never read alpha, so a nan or inf used to go unnoticed
+    code, out, err = run_cli([*command, "--alpha", value], capsys)
+    assert code == 2
+    assert out == ""
+    assert "alpha must be a finite positive real" in err
+
+
 # ---------------------------------------------------------------------------
 # check subcommand
 # ---------------------------------------------------------------------------

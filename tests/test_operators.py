@@ -26,6 +26,7 @@ from fockcalc import (
     adjoint_on_kernel,
     apply_wco,
     assemble_matrix,
+    assemble_sections,
     boundedness_check,
     commutator_residual,
     commutant_symbols,
@@ -250,6 +251,56 @@ def test_entries_stay_hermitian_at_generic_alpha():
     assert hermitian_residual(mat) <= 1e-13
 
 
+def _section_by_columns(sym, params):
+    """One symbol's section by the column recurrence, one column at a time: the batch's reference."""
+    k = np.arange(1, params.order + 1)
+    shift = sym.map.a * np.sqrt(k / k[:, None])
+    stay = sym.map.b * np.sqrt(params.alpha / k)
+    columns = np.zeros((params.order + 1, params.order + 1), dtype=np.complex128)
+    weight = sym.weight
+    if isinstance(weight, ExpLinearWeight):
+        columns[0] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))
+    else:
+        columns[0] = monomial_to_orthonormal(weight.materialize(params))
+    for n in range(1, params.order + 1):
+        prev = columns[n - 1]
+        columns[n] = stay[n - 1] * prev
+        columns[n, 1:] += shift[n - 1] * prev[:-1]
+    return columns.T
+
+
+def _bits(entries):
+    return np.ascontiguousarray(entries).view(np.uint64)
+
+
+@pytest.mark.parametrize("order", [1, 16, 64])
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 8.0])
+def test_batched_sections_bit_equal_per_symbol(alpha, order):
+    rng = np.random.default_rng(11)
+    params = FockParams(alpha, order)
+
+    def disk(radius):
+        return complex(radius * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+
+    symbols = [WcoSymbol(ExpLinearWeight(disk(1.5) + 0.1, disk(0.8)), AffineMap(disk(1.2), disk(1.0))) for _ in range(6)]
+    symbols += [
+        WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(-0.3j, 0.0)),
+        WcoSymbol(SeriesWeight(exp_linear(0.3 + 0.2j, 0.8 - 0.3j, params)), AffineMap(0.5 - 0.6j, 0.3 + 0.25j)),
+    ]
+    block = assemble_sections(symbols, params)
+    assert block.shape == (len(symbols), order + 1, order + 1)
+    for sym, section in zip(symbols, block):
+        # bit patterns, so a sign of zero that moved would show too
+        assert np.array_equal(_bits(section), _bits(_section_by_columns(sym, params)))
+        assert np.array_equal(_bits(section), _bits(assemble_matrix(sym, params).entries))
+
+
+def test_sections_require_affine_maps():
+    psi, _, _ = commutant_symbols(2.0, 2.0 / 3.0)
+    with pytest.raises(UnsupportedMapError):
+        assemble_sections([CANONICAL, WcoSymbol(ExpLinearWeight(1.0, 0.0), psi)], P8)
+
+
 def test_adjoint_involution_and_hermitian_fixed_point():
     mat = assemble_matrix(CANONICAL, P8)
     adj = adjoint_matrix(mat)
@@ -409,6 +460,23 @@ def test_matrix_csv_shape_and_roundtrip():
     assert parsed.shape == (4, 8)  # re,im pairs
     assert np.allclose(parsed[:, 0::2], np.eye(4))
     assert np.allclose(parsed[:, 1::2], 0.0)
+
+
+@pytest.mark.parametrize("order", [1, 64, 170])
+def test_matrix_csv_matches_per_cell_rendering(order):
+    # random bit patterns cover every exponent; subnormals, -0.0 and +0.0 are planted
+    dim = order + 1
+    rng = np.random.default_rng(order)
+    bits = rng.integers(0, 2**64, size=(dim, 2 * dim), dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64).copy()
+    values[~np.isfinite(values)] = 1.0
+    tiny = np.finfo(np.float64).tiny
+    planted = [-0.0, 0.0, tiny * 0.5, -tiny * 2.0**-30, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0)]
+    values.flat[: len(planted)] = planted
+    values.flat[-len(planted) :] = planted[::-1]
+    mat = OperatorMatrix(values.view(np.complex128), FockParams(1.0, order))
+    reference = "\n".join(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) for row in mat.entries) + "\n"
+    assert mat.to_csv() == reference
 
 
 def test_operator_matrix_validates_shape():
