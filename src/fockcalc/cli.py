@@ -263,11 +263,20 @@ def run_suite(cfg: RunConfig) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=1.0, help="Gaussian weight parameter (default 1)")
-    parser.add_argument("--orders", type=parse_orders, default=DEFAULT_ORDERS, help="comma-separated truncation orders")
-    parser.add_argument("--seed", type=int, default=42, help="seed for deterministic sample sets")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json", help="report format")
+def _add_alpha(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, default=RunConfig.alpha, help="Gaussian weight parameter (default 1)")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv", "text"), default=RunConfig.output_format, help="report format")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``check`` and ``suite``; ``matrix`` and ``oracle`` take only those they read."""
+    _add_alpha(parser)
+    parser.add_argument("--orders", type=parse_orders, default=RunConfig.orders, help="comma-separated truncation orders")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for deterministic sample sets")
+    _add_format(parser)
     parser.add_argument(
         "--tolerance",
         action="append",
@@ -300,22 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run one named checker")
     p_check.add_argument("name", choices=sorted(CHECKERS), help="checker name")
-    _add_common(p_check)
+    _add_run_flags(p_check)
     _add_check_flags(p_check)
 
     p_suite = sub.add_parser("suite", help="run the full default verification grid")
-    _add_common(p_suite)
+    _add_run_flags(p_suite)
 
     p_matrix = sub.add_parser("matrix", help="dump a finite section as CSV")
-    _add_common(p_matrix)
+    _add_alpha(p_matrix)
     p_matrix.add_argument("--weight-c", type=parse_complex, default=1.0)
     p_matrix.add_argument("--weight-w", type=parse_complex, default=0.0)
     p_matrix.add_argument("--map-a", type=parse_complex, default=1.0)
     p_matrix.add_argument("--map-b", type=parse_complex, default=0.0)
     p_matrix.add_argument("--order", type=int, default=8, help="truncation order N; the section is (N+1) x (N+1)")
 
-    p_oracle = sub.add_parser("oracle", help="compare exact and quadrature inner products")
-    _add_common(p_oracle)
+    # no abbreviations: --alpha, a flag oracle does not take, would silently read as --alphas
+    p_oracle = sub.add_parser("oracle", help="compare exact and quadrature inner products", allow_abbrev=False)
+    _add_format(p_oracle)
     p_oracle.add_argument("--max-degree", type=int, default=12, help="largest monomial degree in the comparison")
     p_oracle.add_argument("--alphas", type=str, default="0.5,1,2", help="comma-separated Gaussian parameters")
 
@@ -323,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    """RunConfig from the flags the subcommand declares; the others keep their defaults."""
     overrides = {}
-    for item in args.tolerance:
+    for item in getattr(args, "tolerance", ()):
         name, _, value = item.partition("=")
         if not value:
             raise argparse.ArgumentTypeError(f"--tolerance expects CHECK=VALUE, got {item!r}")
@@ -337,17 +348,14 @@ def _config_from_args(args) -> RunConfig:
         if not (math.isfinite(tol) and tol >= 0):
             raise argparse.ArgumentTypeError(f"--tolerance {name}: expected a finite value >= 0, got {value!r}")
         overrides[name] = tol
-    seed = args.seed
+    config = {"tolerance_overrides": overrides}
+    for flag, key in (("alpha", "alpha"), ("orders", "orders"), ("seed", "seed"), ("format", "output_format")):
+        if hasattr(args, flag):
+            config[key] = getattr(args, flag)
     env_seed = os.environ.get("FOCKCALC_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    return RunConfig(
-        alpha=args.alpha,
-        orders=tuple(args.orders),
-        tolerance_overrides=overrides,
-        seed=seed,
-        output_format=args.format,
-    )
+    if env_seed is not None and "seed" in config:
+        config["seed"] = int(env_seed)
+    return RunConfig(**config)
 
 
 # ---------------------------------------------------------------------------

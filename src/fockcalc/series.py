@@ -21,9 +21,11 @@ __all__ = [
     "ParamsMismatchError",
     "TruncatedSeries",
     "affine_composition_matrix",
+    "common_params",
     "compose_affine",
     "exp_linear",
     "exp_linear_coeffs",
+    "gram",
     "inner_product",
     "kernel_coeffs",
     "kernel_series",
@@ -197,15 +199,32 @@ def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSerie
     return TruncatedSeries(affine_composition_matrix(a, b, p.params.order) @ p.coeffs, p.params)
 
 
-def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """Truncated weighted inner product <f, g> = sum (f_k ||z^k||) conj(g_k ||z^k||)."""
-    if f.params != g.params:
-        raise ParamsMismatchError(f"series params differ: {f.params} vs {g.params}")
-    norms = f.params.monomial_norms()
-    value = np.sum(f.coeffs * norms * np.conj(g.coeffs * norms))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+def common_params(series: list[TruncatedSeries]) -> FockParams:
+    """The (alpha, order) that every series in the list shares."""
+    params = series[0].params
+    for s in series[1:]:
+        if s.params != params:
+            raise ParamsMismatchError(f"series params differ: {params} vs {s.params}")
+    return params
+
+
+def gram(series: list[TruncatedSeries]) -> np.ndarray:
+    """Truncated Gram matrix G[i, j] = <s_i, s_j> = sum_k (c_ik ||z^k||) conj(c_jk ||z^k||).
+
+    One matrix product of the norm-scaled coefficient rows with their conjugates.
+    """
+    norms = common_params(series).monomial_norms()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.stack([s.coeffs for s in series]) * norms
+        value = scaled @ scaled.conj().T
+    if not np.all(np.isfinite(value)):
         raise OverflowError("inner product overflowed")
-    return complex(value)
+    return value
+
+
+def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
+    """Truncated weighted inner product <f, g>: the off-diagonal entry of the Gram matrix of f and g."""
+    return complex(gram([f, g])[0, 1])
 
 
 def kernel_coeffs(points, params: FockParams) -> np.ndarray:

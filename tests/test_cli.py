@@ -298,6 +298,36 @@ def test_matrix_hermitian_dump(capsys):
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--alpha", "3"],
+        ["oracle", "--orders", "8"],
+        ["oracle", "--seed", "9"],
+        ["oracle", "--tolerance", "selfadjoint-forward=1e-30"],
+        ["matrix", "--format", "json"],
+        ["matrix", "--orders", "4"],
+        ["matrix", "--seed", "3"],
+        ["matrix", "--tolerance", "selfadjoint-forward=1e-3"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_matrix_and_oracle_take_their_own_flags(capsys):
+    code, out, _ = run_cli(
+        ["matrix", "--alpha=1", "--order=4", "--weight-c=0.9", "--weight-w=0.1+0.2i", "--map-a=0.3", "--map-b=0.1i"],
+        capsys,
+    )
+    assert code == 0 and len(out.strip().split("\n")) == 5
+    code, out, _ = run_cli(["oracle", "--max-degree", "4", "--alphas", "1,2", "--format", "text"], capsys)
+    assert code == 0 and out.startswith("[Pass] oracle-agreement")
+
+
 def test_matrix_unbounded_warns_but_emits(capsys):
     code, out, err = run_cli(["matrix", "--order", "2", "--map-a", "1", "--map-b", "0.1"], capsys)
     assert code == 0

@@ -24,6 +24,9 @@ from fockcalc import (
 from fockcalc.quadrature import GRAM_BLOCK, QuadratureGrid, _build_grid, cutoff_radius
 from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
+import fockcalc.operators
+import fockcalc.quadrature
+import fockcalc.series
 
 P16 = FockParams(1.0, 16)
 
@@ -55,6 +58,28 @@ def test_grid_too_coarse_rejected():
     z = TruncatedSeries.monomial(1, params)
     with pytest.raises(ValueError, match="too coarse"):
         quad_inner_product(z, z, grid)
+
+
+def _panel_loop_nodes(alpha, radius, panels, per_panel):
+    """Radial (node, weight) pairs built one panel at a time."""
+    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
+    edges = np.linspace(0.0, radius, panels + 1)
+    rows = []
+    for left, right in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (right - left)
+        mid = 0.5 * (right + left)
+        r = mid + half * base_x
+        rows.append(np.column_stack([r, half * base_w * np.exp(-alpha * r**2) * r]))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("alpha,order", [(1.0, 16), (0.5, 200)])
+def test_grid_equals_panel_loop(alpha, order):
+    grid = default_grid(FockParams(alpha, order))
+    reference = _panel_loop_nodes(alpha, grid.cutoff, grid.panels, grid.nodes_per_panel)
+    assert np.array_equal(grid.radial_nodes, reference)
+    refined = grid.refined()
+    assert np.array_equal(refined.radial_nodes, _panel_loop_nodes(alpha, grid.cutoff, 2 * grid.panels, grid.nodes_per_panel))
 
 
 def test_grid_validation():
@@ -114,6 +139,47 @@ def test_gram_rejects_mixed_params_and_coarse_grid():
     grid = _build_grid(1.0, cutoff_radius(params), 8, 8, 64)
     with pytest.raises(ValueError, match="too coarse"):
         quad_gram([TruncatedSeries.monomial(n, params) for n in range(3)], grid)
+
+
+def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
+    # the exact side (basis coefficients and Gram) sees ||z^5|| off by 1e-6;
+    # an oracle with its own scale must see the basis drift off unit norm
+    honest = FockParams.monomial_norms
+
+    def perturbed(self):
+        norms = honest(self).copy()
+        norms[5] *= 1.0 + 1e-6
+        return norms
+
+    monkeypatch.setattr(FockParams, "monomial_norms", perturbed)
+    report = check_oracle_agreement(12, (1.0,))
+    assert report.verdict is Verdict.FAIL
+    assert report.max_residual > 1e-6
+
+
+def test_quad_gram_uses_no_exact_path(monkeypatch):
+    params = FockParams(1.0, 16)
+    basis = [orthonormal_basis_element(n, params) for n in range(17)]
+    expected = quad_gram(basis, default_grid(params))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quad_gram reached the exact path it validates")
+
+    monkeypatch.setattr(FockParams, "monomial_norms", forbidden)
+    for module in (fockcalc.series, fockcalc.quadrature, fockcalc.operators):
+        for name in ("inner_product", "gram", "compose_affine", "assemble_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert np.array_equal(quad_gram(basis, default_grid(params)), expected)
+
+
+def test_quad_gram_range_at_degree_200():
+    # raw powers overflow here: the cutoff radius is about 37 and 37^200 > 1e308
+    params = FockParams(0.5, 200)
+    basis = [orthonormal_basis_element(n, params) for n in (0, 100, 200)]
+    gram = quad_gram(basis, default_grid(params))
+    assert np.all(np.isfinite(gram))
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-8
 
 
 def test_oracle_agreement_degree_forty():

@@ -17,7 +17,7 @@ from fockcalc import (
     kernel_series,
     orthonormal_basis_element,
 )
-from fockcalc.series import affine_composition_matrix, exp_linear_coeffs
+from fockcalc.series import affine_composition_matrix, exp_linear_coeffs, gram
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -192,6 +192,27 @@ def test_inner_product_exponentials():
     f = exp_linear(0.5, 1.0, P32)
     g = exp_linear(1.0 / 3.0, 1.0, P32)
     assert abs(inner_product(f, g) - math.exp(1.0 / 6.0)) <= 1e-12
+
+
+def test_gram_holds_every_pairwise_inner_product():
+    rng = np.random.default_rng(11)
+    series = [poly(rng.normal(size=9) + 1j * rng.normal(size=9)) for _ in range(4)] + [exp_linear(0.5, 1.0, P8)]
+    g = gram(series)
+    assert np.array_equal(g, g.conj().T)
+    for i, f in enumerate(series):
+        for j, h in enumerate(series):
+            expected = np.sum(f.coeffs * P8.monomial_norms() ** 2 * np.conj(h.coeffs))
+            assert abs(g[i, j] - expected) <= 1e-14 * math.sqrt(abs(g[i, i] * g[j, j]))
+            assert inner_product(f, h) == complex(gram([f, h])[0, 1])
+
+
+def test_gram_rejects_mixed_params_and_overflow():
+    with pytest.raises(ParamsMismatchError):
+        gram([poly([1.0], P8), poly([1.0], P8), poly([1.0], P16)])
+    with pytest.raises(OverflowError):
+        gram([poly([1e200]), poly([1.0])])
+    with pytest.raises(OverflowError):
+        inner_product(poly([1e200]), poly([1.0]))
 
 
 def test_kernel_at_origin_is_one():
