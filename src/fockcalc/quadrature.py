@@ -9,10 +9,10 @@ evaluated in polar coordinates: equally spaced trapezoid in the angle
 composite Gauss-Legendre panels in the radius, with the radial weights
 carrying the e^{-alpha r^2} r measure factor.
 
-Series are evaluated on the grid from a table of scaled powers z^k / s_k,
-one block of radial nodes at a time, so that every series in a block is one
-row of a single matrix product.  The oracle computes its scale s_k itself
-and never borrows the exact norms it is meant to validate.
+The rule's sum over grid points is reassociated exactly: scaled powers
+z^k / s_k split into radial and phase tables, and the angular sums of all
+degree pairs form one phase Gram, so no series is evaluated point by point.
+The oracle computes its scale s_k itself and never borrows the exact norms.
 """
 
 from __future__ import annotations
@@ -118,16 +118,8 @@ def default_grid(
     return _build_grid(params.alpha, cutoff_radius(params), panels, nodes_per_panel, angular_count)
 
 
-def _check_resolution(grid: QuadratureGrid, params: FockParams) -> None:
-    if grid.angular_count <= 2 * params.order:
-        raise ValueError(
-            f"grid too coarse: angular_count {grid.angular_count} must exceed 2*order = {2 * params.order}"
-        )
-
-
-# Radial nodes evaluated together by quad_gram: one default panel.  Stacking
-# the whole grid at once is barely faster, but holds every series' values on
-# every point and raises the oracle benchmark's peak memory by about a quarter.
+# Radial nodes summed together by quad_gram: one default panel.  At degree
+# 250, the radial terms U of all 256 default nodes would take about 260 MB.
 GRAM_BLOCK = 16
 
 
@@ -136,35 +128,43 @@ def _point_weights(grid: QuadratureGrid) -> np.ndarray:
     return 2.0 * grid.alpha * grid.radial_nodes[:, 1] / grid.angular_count
 
 
-def quad_gram(series: list[TruncatedSeries], grid: QuadratureGrid) -> np.ndarray:
-    """Quadrature Gram matrix: G[i, j] is the polar quadrature of <s_i, s_j>.
+def _power_tables(params: FockParams, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale steps s_k / s_{k-1}, radial table r^k / s_k and phase table P[k, a] = e^{2 pi i k a / A}.
 
-    Series are evaluated from a table of scaled powers z^k / s_k, with the
-    oracle's own scale s_k = sqrt(k! / alpha^k) (raw powers such as 37^200
-    overflow).  Its radial part r^k / s_k is one running product over the
-    degree axis; its angular part is e^{2 pi i k a / A} with k a reduced mod A,
-    so no rounded angle grows with the degree.  The grid is swept GRAM_BLOCK
-    radial nodes at a time: each block's table is one broadcast product, all
-    series on it are one matrix product of the coefficients c_k s_k with the
-    table, and the weighted products of all pairs are one more.
+    s_k = sqrt(k! / alpha^k) is the oracle's own scale (raw powers such as 37^200
+    overflow); P indexes the A-th roots of unity by k a mod A, so no angle grows with k.
     """
-    params = common_params(series)
-    _check_resolution(grid, params)
-    steps = np.sqrt(np.arange(1, params.order + 1) / params.alpha)  # s_k / s_{k-1}
-    scaled = np.stack([s.coeffs for s in series])
-    scaled[:, 1:] *= np.cumprod(steps)
+    count = grid.angular_count
+    if count <= 2 * params.order:
+        raise ValueError(f"grid too coarse: angular_count {count} must exceed 2*order = {2 * params.order}")
+    steps = np.sqrt(np.arange(1, params.order + 1) / params.alpha)
     radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
     radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
     np.cumprod(radial, axis=0, out=radial)
-    turns = np.outer(np.arange(params.order + 1), np.arange(grid.angular_count)) % grid.angular_count
-    phases = np.exp(2j * np.pi * turns / grid.angular_count)
+    roots = np.exp(2j * np.pi * np.arange(count) / count)
+    return steps, radial, roots[np.outer(np.arange(params.order + 1), np.arange(count)) % count]
+
+
+def quad_gram(series: list[TruncatedSeries], grid: QuadratureGrid) -> np.ndarray:
+    """Quadrature Gram matrix: G[i, j] is the polar quadrature of <s_i, s_j>.
+
+    Series i at point (r, a) is sum_k U[i, r, k] P[k, a], U[i, r, k] = c_ik s_k r^k / s_k,
+    so the rule's sum_{r,a} w_r v_i conj(v_j) is sum_r w_r U_r Q U_r^H with the
+    phase Gram Q = P P^H: the same finite sum, reassociated exactly.  The
+    radial nodes are swept GRAM_BLOCK at a time; no exact norm is borrowed.
+    """
+    params = common_params(series)
+    steps, radial, phases = _power_tables(params, grid)
+    scaled = np.stack([s.coeffs for s in series])
+    scaled[:, 1:] *= np.cumprod(steps)
+    phase_gram = phases @ phases.conj().T
     weights = _point_weights(grid)
     result = np.zeros((len(series), len(series)), dtype=np.complex128)
     for start in range(0, radial.shape[1], GRAM_BLOCK):
-        # the table is dropped once the series are evaluated on it
-        vals = scaled @ (radial[:, start : start + GRAM_BLOCK, None] * phases[:, None, :]).reshape(params.order + 1, -1)
-        w = np.repeat(weights[start : start + GRAM_BLOCK], grid.angular_count)
-        result += (vals * w) @ vals.conj().T
+        nodes = slice(start, start + GRAM_BLOCK)
+        terms = scaled[:, None, :] * radial[:, nodes].T  # U: (series, nodes, order+1)
+        mixed = (terms.reshape(-1, params.order + 1) @ phase_gram).reshape(terms.shape) * weights[nodes, None]
+        result += mixed.reshape(len(series), -1) @ terms.reshape(len(series), -1).conj().T
     return result
 
 
@@ -176,21 +176,21 @@ def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureG
 def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, params: FockParams) -> complex:
     """Quadrature evaluation of the finite-section entry <W e_n, e_m>.
 
-    The operator image is evaluated pointwise in closed form on the grid
-    (weight value times the mapped normalized monomial), independently of
-    the series-composition machinery it validates.
+    The image weight(z) map(z)^n / s_n is evaluated pointwise in closed form,
+    as (map(z) s_n^{-1/n})^n with log s_n from the oracle's own scale steps, and
+    paired with conj(e_m) = r^m / s_m conj(P[m, a]), row m of the oracle's
+    tables.  No series composition and no exact norm is used.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix entries require an affine map")
     for idx in (n, m):
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
-    _check_resolution(grid, params)
-    norms = params.monomial_norms()
+    steps, radial, phases = _power_tables(params, grid)
     pts = grid.points()
-    image = sym.weight.value(pts) * sym.map(pts) ** n / norms[n]
-    vals = image * np.conj(pts**m / norms[m])
-    return complex(_point_weights(grid) @ vals.sum(axis=1))
+    root = math.exp(-np.sum(np.log(steps[:n])) / max(n, 1))  # s_n^{-1/n}
+    image = sym.weight.value(pts) * (sym.map(pts) * root) ** n
+    return complex((_point_weights(grid) * radial[m]) @ (image @ phases[m].conj()))
 
 
 def check_oracle_agreement(

@@ -114,12 +114,8 @@ def test_gram_is_hermitian():
     assert np.all(np.diag(gram).real > 0)
 
 
-def test_gram_matches_pairwise_rule_on_partial_block():
-    # 3 panels of 11 nodes: 33 radial nodes, so the sweep ends on a partial
-    # block; a short radius keeps the outermost nodes' weight far from negligible
-    grid = _build_grid(1.0, 2.0, 3, 11, 64)
-    assert grid.radial_nodes.shape[0] > GRAM_BLOCK and grid.radial_nodes.shape[0] % GRAM_BLOCK != 0
-    series = _mixed_series(P16)
+def _assert_matches_pairwise_rule(series, grid):
+    """quad_gram against each pair's integrand, with every series evaluated by Horner on every point."""
     gram = quad_gram(series, grid)
     pts = grid.points()
     for i, f in enumerate(series):
@@ -128,7 +124,25 @@ def test_gram_matches_pairwise_rule_on_partial_block():
             pairwise = 2.0 * grid.alpha * np.sum(grid.radial_nodes[:, 1] * integrand.mean(axis=1))
             scale = 2.0 * grid.alpha * np.sum(grid.radial_nodes[:, 1] * np.abs(integrand).mean(axis=1))
             assert abs(gram[i, j] - pairwise) <= 1e-14 * scale
+    return gram
+
+
+def test_gram_matches_pairwise_rule_on_partial_block():
+    # 3 panels of 11 nodes: 33 radial nodes, so the sweep ends on a partial
+    # block; a short radius keeps the outermost nodes' weight far from negligible
+    grid = _build_grid(1.0, 2.0, 3, 11, 64)
+    assert grid.radial_nodes.shape[0] > GRAM_BLOCK and grid.radial_nodes.shape[0] % GRAM_BLOCK != 0
+    series = _mixed_series(P16)
+    gram = _assert_matches_pairwise_rule(series, grid)
     assert abs(quad_inner_product(series[1], series[4], grid) - gram[1, 4]) <= 1e-14 * abs(gram[4, 4])
+
+
+@pytest.mark.parametrize("alpha,order", [(1.0, 40), (0.5, 60)])
+def test_gram_matches_pairwise_rule_at_smallest_angular_count(alpha, order):
+    # 2N+1 angles, the fewest the oracle accepts: each off-diagonal sum of
+    # the phase Gram cancels over the fewest roots of unity
+    params = FockParams(alpha, order)
+    _assert_matches_pairwise_rule(_mixed_series(params), default_grid(params, angular_count=2 * order + 1))
 
 
 def test_gram_rejects_mixed_params_and_coarse_grid():
@@ -157,20 +171,35 @@ def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
     assert report.max_residual > 1e-6
 
 
+def _forbid_exact_path(monkeypatch):
+    """Make every exact norm, inner-product, composition and assembly entry point raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the exact path it validates")
+
+    monkeypatch.setattr(FockParams, "monomial_norms", forbidden)
+    for module in (fockcalc.series, fockcalc.quadrature, fockcalc.operators):
+        for name in ("inner_product", "gram", "compose_affine", "assemble_matrix", "assemble_sections"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
 def test_quad_gram_uses_no_exact_path(monkeypatch):
     params = FockParams(1.0, 16)
     basis = [orthonormal_basis_element(n, params) for n in range(17)]
     expected = quad_gram(basis, default_grid(params))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("quad_gram reached the exact path it validates")
-
-    monkeypatch.setattr(FockParams, "monomial_norms", forbidden)
-    for module in (fockcalc.series, fockcalc.quadrature, fockcalc.operators):
-        for name in ("inner_product", "gram", "compose_affine", "assemble_matrix"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    _forbid_exact_path(monkeypatch)
     assert np.array_equal(quad_gram(basis, default_grid(params)), expected)
+
+
+def test_quad_matrix_entry_uses_no_exact_path(monkeypatch):
+    sym = WcoSymbol(ExpLinearWeight(0.8, -0.3 + 0.2j), AffineMap(0.4j, 0.3))
+    params = FockParams(1.0, 12)
+    grid = default_grid(params)
+    indices = ((0, 0), (3, 1), (12, 7))
+    expected = [quad_matrix_entry(sym, n, m, grid, params) for n, m in indices]
+    _forbid_exact_path(monkeypatch)
+    assert [quad_matrix_entry(sym, n, m, grid, params) for n, m in indices] == expected
 
 
 def test_quad_gram_range_at_degree_200():
@@ -234,6 +263,20 @@ def test_matrix_entries_cross_validate_assembly():
     mat = assemble_matrix(sym, params)
     for m, n in ((0, 0), (1, 0), (2, 3), (7, 7), (12, 4)):
         quad = quad_matrix_entry(sym, n, m, grid, params)
+        assert abs(quad - mat.entries[m, n]) <= 1e-8 * max(1.0, abs(mat.entries[m, n]))
+
+
+@pytest.mark.parametrize("alpha,order", [(0.5, 200), (1.0, 320)])
+def test_matrix_entries_at_high_order(alpha, order):
+    # raw powers overflow at (0.5, 200): the cutoff radius is about 37 and
+    # 37^200 > 1e308; at (1, 320) the exact norms ||z^k|| do from k = 301
+    sym = WcoSymbol(ExpLinearWeight(0.8, -0.3 + 0.2j), AffineMap(0.4j, 0.3))
+    params = FockParams(alpha, order)
+    grid = default_grid(params)
+    mat = assemble_matrix(sym, params)
+    for m, n in ((order, order), (order, 0), (0, order), (order // 3, order // 2), (7, 5)):
+        quad = quad_matrix_entry(sym, n, m, grid, params)
+        assert np.isfinite(quad)
         assert abs(quad - mat.entries[m, n]) <= 1e-8 * max(1.0, abs(mat.entries[m, n]))
 
 
