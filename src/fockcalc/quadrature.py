@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FockParams, TruncatedSeries, common_params, gram, orthonormal_basis_element
+from .series import FockParams, TruncatedSeries, common_params, gram
 from .operators import AffineMap, UnsupportedMapError, WcoSymbol
 from .report import CheckReport, Verdict
 
@@ -118,54 +118,44 @@ def default_grid(
     return _build_grid(params.alpha, cutoff_radius(params), panels, nodes_per_panel, angular_count)
 
 
-# Radial nodes summed together by quad_gram: one default panel.  At degree
-# 250, the radial terms U of all 256 default nodes would take about 260 MB.
-GRAM_BLOCK = 16
-
-
 def _point_weights(grid: QuadratureGrid) -> np.ndarray:
     """Weight of each grid point on radial node r: 2*alpha * w_r / angular_count."""
     return 2.0 * grid.alpha * grid.radial_nodes[:, 1] / grid.angular_count
 
 
-def _power_tables(params: FockParams, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale steps s_k / s_{k-1}, radial table r^k / s_k and phase table P[k, a] = e^{2 pi i k a / A}.
+def _scale_and_phases(params: FockParams, grid: QuadratureGrid, degrees) -> tuple[np.ndarray, np.ndarray]:
+    """Scale steps s_k / s_{k-1} and phase rows P[k, a] = e^{2 pi i k a / A} for k in degrees.
 
     s_k = sqrt(k! / alpha^k) is the oracle's own scale (raw powers such as 37^200
-    overflow); P indexes the A-th roots of unity by k a mod A, so no angle grows with k.
+    overflow); P indexes the roots by k a mod A, so no angle grows with k.
     """
     count = grid.angular_count
     if count <= 2 * params.order:
         raise ValueError(f"grid too coarse: angular_count {count} must exceed 2*order = {2 * params.order}")
     steps = np.sqrt(np.arange(1, params.order + 1) / params.alpha)
-    radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
-    radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
-    np.cumprod(radial, axis=0, out=radial)
     roots = np.exp(2j * np.pi * np.arange(count) / count)
-    return steps, radial, roots[np.outer(np.arange(params.order + 1), np.arange(count)) % count]
+    return steps, roots[np.multiply.outer(degrees, np.arange(count)) % count]
 
 
 def quad_gram(series: list[TruncatedSeries], grid: QuadratureGrid) -> np.ndarray:
     """Quadrature Gram matrix: G[i, j] is the polar quadrature of <s_i, s_j>.
 
-    Series i at point (r, a) is sum_k U[i, r, k] P[k, a], U[i, r, k] = c_ik s_k r^k / s_k,
-    so the rule's sum_{r,a} w_r v_i conj(v_j) is sum_r w_r U_r Q U_r^H with the
-    phase Gram Q = P P^H: the same finite sum, reassociated exactly.  The
-    radial nodes are swept GRAM_BLOCK at a time; no exact norm is borrowed.
+    Series i at point (r, a) is sum_k C[i, k] R[k, r] P[k, a] with scaled coefficients
+    C[i, k] = c_ik s_k and radial table R[k, r] = r^k / s_k, so the rule's
+    sum_{r,a} w_r v_i conj(v_j) is C (Q o R W R^T) C^H, with o the entrywise product,
+    W the point weights and Q = P P^H the phase Gram: the same finite sum, reassociated
+    exactly.  Q is A I up to rounding, since the trapezoid rule is exact for
+    trigonometric polynomials of degree below A and degrees differ by at most N < A;
+    it is still computed from the roots, never assumed.  No exact norm is borrowed.
     """
     params = common_params(series)
-    steps, radial, phases = _power_tables(params, grid)
+    steps, phases = _scale_and_phases(params, grid, np.arange(params.order + 1))
+    radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
+    radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
+    np.cumprod(radial, axis=0, out=radial)
     scaled = np.stack([s.coeffs for s in series])
     scaled[:, 1:] *= np.cumprod(steps)
-    phase_gram = phases @ phases.conj().T
-    weights = _point_weights(grid)
-    result = np.zeros((len(series), len(series)), dtype=np.complex128)
-    for start in range(0, radial.shape[1], GRAM_BLOCK):
-        nodes = slice(start, start + GRAM_BLOCK)
-        terms = scaled[:, None, :] * radial[:, nodes].T  # U: (series, nodes, order+1)
-        mixed = (terms.reshape(-1, params.order + 1) @ phase_gram).reshape(terms.shape) * weights[nodes, None]
-        result += mixed.reshape(len(series), -1) @ terms.reshape(len(series), -1).conj().T
-    return result
+    return scaled @ ((phases @ phases.conj().T) * ((radial * _point_weights(grid)) @ radial.T)) @ scaled.conj().T
 
 
 def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureGrid) -> complex:
@@ -178,19 +168,22 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
 
     The image weight(z) map(z)^n / s_n is evaluated pointwise in closed form,
     as (map(z) s_n^{-1/n})^n with log s_n from the oracle's own scale steps, and
-    paired with conj(e_m) = r^m / s_m conj(P[m, a]), row m of the oracle's
-    tables.  No series composition and no exact norm is used.
+    paired with conj(e_m) = r^m / s_m conj(P[m, a]): only row m of the radial
+    and phase tables is built, the radial one as quad_gram's running product of
+    the quotients r / (s_k / s_{k-1}), k = 1..m.  No series composition and no
+    exact norm is used.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix entries require an affine map")
     for idx in (n, m):
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
-    steps, radial, phases = _power_tables(params, grid)
+    steps, phase = _scale_and_phases(params, grid, m)
     pts = grid.points()
     root = math.exp(-np.sum(np.log(steps[:n])) / max(n, 1))  # s_n^{-1/n}
     image = sym.weight.value(pts) * (sym.map(pts) * root) ** n
-    return complex((_point_weights(grid) * radial[m]) @ (image @ phases[m].conj()))
+    radial = np.prod(grid.radial_nodes[:, 0] / steps[:m, None], axis=0)  # r^m / s_m
+    return complex((_point_weights(grid) * radial) @ (image @ phase.conj()))
 
 
 def check_oracle_agreement(
@@ -212,7 +205,8 @@ def check_oracle_agreement(
     residuals = []
     for alpha in alphas:
         params = FockParams(alpha, max_degree)
-        basis = [orthonormal_basis_element(n, params) for n in range(max_degree + 1)]
+        inv = 1.0 / params.monomial_norms()
+        basis = [TruncatedSeries.monomial(n, params, inv[n]) for n in range(max_degree + 1)]
         dev = float(np.max(np.abs(np.triu(quad_gram(basis, default_grid(params)) - gram(basis)))))
         residuals.append((max_degree, dev))
         worst = max(worst, dev)

@@ -457,6 +457,14 @@ def test_oracle_subcommand(capsys):
     assert doc["verdict"] == "Pass"
 
 
+def test_oracle_at_degree_250(capsys):
+    code, out, _ = run_cli(["oracle", "--max-degree", "250", "--format", "csv"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[0], row[1], row[3]) for row in rows] == [("oracle-agreement", "250", "Pass")] * 3
+    assert all(float(row[2]) <= 1e-13 for row in rows)
+
+
 def test_entry_point_subprocess_determinism():
     cmd = [sys.executable, "-m", "fockcalc.cli", "suite", "--orders", "16"]
     # the child imports the same package as this process, installed or not

@@ -21,7 +21,7 @@ from fockcalc import (
     quad_inner_product,
     quad_matrix_entry,
 )
-from fockcalc.quadrature import GRAM_BLOCK, QuadratureGrid, _build_grid, cutoff_radius
+from fockcalc.quadrature import QuadratureGrid, _build_grid, _scale_and_phases, cutoff_radius
 from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
 import fockcalc.operators
@@ -127,14 +127,40 @@ def _assert_matches_pairwise_rule(series, grid):
     return gram
 
 
-def test_gram_matches_pairwise_rule_on_partial_block():
-    # 3 panels of 11 nodes: 33 radial nodes, so the sweep ends on a partial
-    # block; a short radius keeps the outermost nodes' weight far from negligible
+def test_gram_matches_pairwise_rule_on_short_grid():
+    # 3 panels of 11 nodes: 33 radial nodes; a short radius keeps the
+    # outermost nodes' weight far from negligible
     grid = _build_grid(1.0, 2.0, 3, 11, 64)
-    assert grid.radial_nodes.shape[0] > GRAM_BLOCK and grid.radial_nodes.shape[0] % GRAM_BLOCK != 0
     series = _mixed_series(P16)
     gram = _assert_matches_pairwise_rule(series, grid)
     assert abs(quad_inner_product(series[1], series[4], grid) - gram[1, 4]) <= 1e-14 * abs(gram[4, 4])
+
+
+def test_gram_matches_pairwise_rule_at_large_order():
+    # 101 degrees on 33 x 201 points: the radial Gram R W R^T is 101 x 101
+    params = FockParams(2.0, 100)
+    _assert_matches_pairwise_rule(_mixed_series(params), _build_grid(2.0, 2.0, 3, 11, 201))
+
+
+@pytest.mark.parametrize("order", [16, 40, 200])
+def test_phase_gram_is_scaled_identity(order):
+    # Q = P P^H is the A-point trapezoid rule for e^{i (k - l) theta}, exact
+    # (A delta_kl) since |k - l| <= N < A.  Diagonal: each |P[k, a]|^2 is 1
+    # within 2 eps (cos and sin within an ulp), so the A terms sum to within
+    # 2 A eps <= 4 ulp(A) of A.  Off the diagonal the exact sum is 0, and each
+    # term is off by at most 2.5 eps (two roots within eps / sqrt(2) each, plus
+    # sqrt(5) eps / 2 for the complex product): at most 2.5 A eps if every error
+    # pointed the same way.  The additions round against partial sums that
+    # rotate with the roots; c = 4 leaves 1.5 A eps for them, and the largest
+    # ratio on these grids reads 1.93 (A = 401).  A root table on the wrong
+    # circle (A + 1 in the angle) misses by O(1), far outside.
+    eps = np.finfo(float).eps
+    params = FockParams(1.0, order)
+    for count in (max(64, 2 * order + 1), 4 * (order + 1)):
+        _, phases = _scale_and_phases(params, default_grid(params, angular_count=count), np.arange(order + 1))
+        q = phases @ phases.conj().T
+        assert np.max(np.abs(np.diag(q) - count)) <= 4 * np.spacing(float(count))
+        assert np.max(np.abs(q - np.diag(np.diag(q)))) <= 4 * count * eps
 
 
 @pytest.mark.parametrize("alpha,order", [(1.0, 40), (0.5, 60)])
