@@ -38,7 +38,6 @@ from .operators import (
     assemble_sections,
     boundedness_check,
     commutator_residual,
-    eval_wco_at,
     hermitian_residual,
     monomial_to_orthonormal,
 )
@@ -71,7 +70,6 @@ from .checks import (
     disk_selfmap_criterion,
     fixed_point,
     reproduce_counterexample,
-    selfadjoint_symbol,
 )
 
 __version__ = TOOL_VERSION

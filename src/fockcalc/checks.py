@@ -48,7 +48,7 @@ from .operators import (
     map_pole,
 )
 from .report import CheckReport, Verdict, format_complex
-from .sampling import circle_points, disk_pairs, drop_near_poles, pole_mask
+from .sampling import DEFAULT_POLE_MARGIN, circle_points, disk_pairs, drop_near_poles, pole_mask
 from .series import FockParams, exp_linear, kernel_coeffs, kernel_series
 
 __all__ = [
@@ -74,15 +74,29 @@ __all__ = [
     "fixed_point",
     "mobius_h",
     "reproduce_counterexample",
-    "selfadjoint_symbol",
 ]
 
 DEFAULT_SEED = 42
 IDENTITY_TOL = 1e-12
-FIXED_POINT_TOL = 1e-13
 DEFAULT_ORDERS = (16, 32, 64)
-# finite-section cross-check of the adjoint factorization
+
+# fixed bounds, which --tolerance does not reach
+# fixed-point: |map(b) - b|
+FIXED_POINT_TOL = 1e-13
+# adjoint-factorization: the finite-section cross-check
 ADJOINT_MATRIX_TOL = 1e-8
+# selfadjoint-forward: the pointwise kernel-level symmetry
+SELFADJOINT_KERNEL_TOL = 1e-10
+# eigen-identity: the kernel eigenvector relation, coefficientwise at EIGEN_KERNEL_ORDER
+EIGEN_KERNEL_TOL = 1e-11
+EIGEN_KERNEL_ORDER = 32
+# degenerate-commutant: the section against the scalar, and its commutator with its adjoint
+DEGENERATE_SCALAR_TOL = 1e-14
+DEGENERATE_NORMAL_TOL = 1e-14
+# normality: a non-normal residual must reach this multiple of tol
+NONNORMAL_FACTOR = 10.0
+# disk-criterion: equally spaced unit-circle points of the boundary oracle
+BOUNDARY_POINTS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +141,6 @@ class SelfAdjointSymbolParams:
 
     def echo(self) -> dict:
         return {"c": self.c, "a0": self.a0, "a1": self.a1, "alpha": self.alpha}
-
-
-def selfadjoint_symbol(c: complex, a0: complex, a1: complex, alpha: float = 1.0) -> WcoSymbol:
-    return SelfAdjointSymbolParams(c, a0, a1, alpha).symbol()
 
 
 @dataclass(frozen=True)
@@ -218,18 +228,18 @@ def conjugation_factor(mp: AffineMap, z):
     return mp.a * (bc * np.asarray(z) - 1.0) / (bc * mp.a * np.asarray(z) + bc * mp.b - 1.0)
 
 
-def disk_selfmap_criterion(a0, a1, tol: float = IDENTITY_TOL):
+def disk_selfmap_criterion(a0, a1):
     """Whether a0 + a1 z (a1 real) maps the open unit disk into itself.
 
     Closed form: |a0| < 1 and -1 + |a0| <= a1 <= 1 - |a0|, with the a1
-    endpoints tolerated to within tol.  a0 and a1 may be arrays of draws;
+    endpoints tolerated to within IDENTITY_TOL.  a0 and a1 may be arrays of draws;
     scalar inputs give a bool.
     """
     a0 = np.asarray(a0, dtype=np.complex128)
     # hypot rounds as Python's abs(complex) does; numpy's complex abs may differ in the last bit
     mag = np.hypot(a0.real, a0.imag)
     a1 = np.asarray(a1, dtype=np.float64)
-    inside = (mag < 1.0) & (-1.0 + mag - tol <= a1) & (a1 <= 1.0 - mag + tol)
+    inside = (mag < 1.0) & (-1.0 + mag - IDENTITY_TOL <= a1) & (a1 <= 1.0 - mag + IDENTITY_TOL)
     return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -238,8 +248,8 @@ def disk_selfmap_criterion(a0, a1, tol: float = IDENTITY_TOL):
 ORACLE_BLOCK_POINTS = 8192
 
 
-def disk_boundary_oracle(a0, a1, points: int = 1000, tol: float = IDENTITY_TOL):
-    """Sampling cross-check: max |a0 + a1 z| over unit-circle points vs 1.
+def disk_boundary_oracle(a0, a1):
+    """Sampling cross-check: max |a0 + a1 z| over BOUNDARY_POINTS unit-circle points vs 1.
 
     Boundary-touching maps (max exactly 1) count as self-maps, matching the
     closed inequalities of the criterion; the comparison carries the same
@@ -247,17 +257,29 @@ def disk_boundary_oracle(a0, a1, points: int = 1000, tol: float = IDENTITY_TOL):
     circle in blocks of about ORACLE_BLOCK_POINTS values; scalar inputs give
     a bool.
     """
-    if points < 1:
-        raise ValueError(f"boundary_points must be at least 1, got {points}")
     a0, a1 = np.broadcast_arrays(np.asarray(a0, dtype=np.complex128), np.asarray(a1, dtype=np.float64))
-    circle = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(BOUNDARY_POINTS) / BOUNDARY_POINTS))
     flat0, flat1 = a0.ravel(), a1.ravel()
     inside = np.empty(flat0.shape, dtype=bool)
-    block = max(1, ORACLE_BLOCK_POINTS // points)
+    block = ORACLE_BLOCK_POINTS // BOUNDARY_POINTS
     for start in range(0, flat0.size, block):
         rows = slice(start, start + block)
-        inside[rows] = np.max(np.abs(flat0[rows, None] + flat1[rows, None] * circle), axis=1) <= 1.0 + tol
+        inside[rows] = np.max(np.abs(flat0[rows, None] + flat1[rows, None] * circle), axis=1) <= 1.0 + IDENTITY_TOL
     return bool(inside[0]) if a0.ndim == 0 else inside.reshape(a0.shape)
+
+
+def _sample_points(samples, seed: int, poles, margin: float = DEFAULT_POLE_MARGIN, mapped_by=None) -> np.ndarray:
+    """The samples (circle_points(seed) if none are given) that keep the margin from every pole.
+
+    With mapped_by, a point's image under that map must keep the margin too.
+    Raises when no point is left.
+    """
+    pts = drop_near_poles(circle_points(seed) if samples is None else np.asarray(samples), poles, margin)
+    if mapped_by is not None:
+        pts = pts[pole_mask(mapped_by(pts), poles, margin)]
+    if pts.size == 0:
+        raise ValueError("all sample points fell within the pole margin")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +292,6 @@ def check_selfadjoint_forward(
     orders: tuple[int, ...] = DEFAULT_ORDERS,
     *,
     tol: float = IDENTITY_TOL,
-    tol_kernel: float = 1e-10,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Hermitian finite sections plus the kernel-level symmetry identity.
@@ -296,13 +317,13 @@ def check_selfadjoint_forward(
     weight = sym.weight
     mp = sym.map
     kernel_res = 0.0
-    for z, beta in disk_pairs(seed, 20, 0.9):
+    for z, beta in disk_pairs(seed):
         lhs = weight.value(z) * cmath.exp(params.alpha * mp(z) * beta.conjugate())
         rhs = weight.value(beta).conjugate() * cmath.exp(params.alpha * complex(mp(beta)).conjugate() * z)
         kernel_res = max(kernel_res, abs(lhs - rhs))
     residuals.append((0, kernel_res))
 
-    ok = all(v <= tol for n, v in residuals if n > 0) and kernel_res <= tol_kernel
+    ok = all(v <= tol for n, v in residuals if n > 0) and kernel_res <= SELFADJOINT_KERNEL_TOL
     return CheckReport(
         check_name="selfadjoint-forward",
         params_echo=params.echo(),
@@ -359,17 +380,13 @@ def check_h_conjugation(
 ) -> CheckReport:
     """Fixed-point residual and the identity h(map(z)) = factor(z) h(z)."""
     b = fixed_point(mp)
-    if samples is None:
-        samples = circle_points(seed)
     poles = []
     if b != 0:
         poles.append(1.0 / b.conjugate())
         if mp.a != 0:
             # pole of h(map(z)): where conj(b) * map(z) = 1
             poles.append((1.0 - b.conjugate() * mp.b) / (b.conjugate() * mp.a))
-    pts = drop_near_poles(np.asarray(samples), poles)
-    if pts.size == 0:
-        raise ValueError("all sample points fell within the pole margin")
+    pts = _sample_points(samples, seed, poles)
     h = mobius_h(b)
     res = float(np.max(np.abs(h(mp(pts)) - conjugation_factor(mp, pts) * h(pts))))
     fixed_res = abs(mp(b) - b)
@@ -383,16 +400,11 @@ def check_h_conjugation(
     )
 
 
-def check_disk_criterion(
-    draws: int = 200,
-    boundary_points: int = 1000,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> CheckReport:
+def check_disk_criterion(draws: int = 200, *, seed: int = DEFAULT_SEED) -> CheckReport:
     """Closed-form disk criterion against the circle-sampling oracle.
 
     Random (a0, a1) draws straddle the self-map boundary; the closed form
-    and the 1000-point boundary maximum must agree on every draw.  All
+    and the BOUNDARY_POINTS boundary maximum must agree on every draw.  All
     draws are evaluated as one array.
     """
     if draws < 1:
@@ -402,11 +414,11 @@ def check_disk_criterion(
     u = rng.uniform((-0.9, -0.9, -1.2), (0.9, 0.9, 1.2), size=(draws, 3))
     a0, a1 = u[:, 0] + 1j * u[:, 1], u[:, 2]
     pred = disk_selfmap_criterion(a0, a1)
-    disagreements = int(np.count_nonzero(pred != disk_boundary_oracle(a0, a1, boundary_points)))
+    disagreements = int(np.count_nonzero(pred != disk_boundary_oracle(a0, a1)))
     true_count = int(np.count_nonzero(pred))
     return CheckReport(
         check_name="disk-criterion",
-        params_echo={"draws": draws, "boundary_points": boundary_points, "seed": seed},
+        params_echo={"draws": draws, "boundary_points": BOUNDARY_POINTS, "seed": seed},
         residuals=((0, float(disagreements)),),
         verdict=Verdict.PASS if disagreements == 0 else Verdict.FAIL,
         notes=f"{true_count} of {draws} draws were self-maps",
@@ -419,8 +431,6 @@ def check_eigen_identity(
     samples=None,
     *,
     tol: float = 1e-10,
-    tol_kernel_coeffs: float = 1e-11,
-    kernel_order: int = 32,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Pointwise eigen-identities for the conjugated family e_j.
@@ -441,10 +451,7 @@ def check_eigen_identity(
     mp = params.map()
     weight = params.weight()
     b = fixed_point(mp)
-    if samples is None:
-        samples = circle_points(seed)
-    poles = [1.0 / b.conjugate()] if b != 0 else []
-    pts = drop_near_poles(np.asarray(samples), poles)
+    pts = _sample_points(samples, seed, [1.0 / b.conjugate()] if b != 0 else [])
 
     h = mobius_h(b)
     alpha = params.alpha
@@ -466,13 +473,11 @@ def check_eigen_identity(
         worst = max(worst, rj)
     residuals.append((0, worst))
 
-    kparams = FockParams(alpha, kernel_order)
-    k_b = kernel_series(b, kparams)
-    image = apply_wco(params.symbol(), k_b)
-    coeff_res = image.max_abs_diff(eig * k_b)
-    residuals.append((kernel_order, coeff_res))
+    k_b = kernel_series(b, FockParams(alpha, EIGEN_KERNEL_ORDER))
+    coeff_res = apply_wco(params.symbol(), k_b).max_abs_diff(eig * k_b)
+    residuals.append((EIGEN_KERNEL_ORDER, coeff_res))
 
-    ok = worst <= tol and coeff_res <= tol_kernel_coeffs
+    ok = worst <= tol and coeff_res <= EIGEN_KERNEL_TOL
     return CheckReport(
         check_name="eigen-identity",
         params_echo={**params.echo(), "j_max": j_max, "b": b, "samples": int(pts.size)},
@@ -499,16 +504,8 @@ def check_fixed_point_transfer(
     """
     mp = f_params.map()
     b = fixed_point(mp)
-    if samples is None:
-        samples = circle_points(seed)
-    poles = [map_pole(psi)]
-    pts = drop_near_poles(np.asarray(samples), poles)
     # psi(map(z)) also needs map(z) away from the psi pole
-    pole = map_pole(psi)
-    if pole is not None:
-        pts = pts[np.abs(mp(pts) - pole) >= 1e-3]
-    if pts.size == 0:
-        raise ValueError("all sample points fell within the pole margin")
+    pts = _sample_points(samples, seed, [map_pole(psi)], mapped_by=mp)
 
     # only a zero breaks the hypothesis: exponential weights reach 1e-18 at alpha 8
     g_min = float(np.min(np.abs(g.value(pts))))
@@ -544,7 +541,6 @@ def commutant_symbols(
     b: complex,
     *,
     alpha: float = 1.0,
-    g_scale: complex = 1.0,
 ) -> tuple[LinearFractionalMap, WcoWeight, CommutantParams]:
     """Construct the commutant candidate (psi, g) attached to (eta, b).
 
@@ -565,9 +561,9 @@ def commutant_symbols(
         abs(b) ** 2 * eta - 1.0,
     )
     if eta == 1.0:
-        weight: WcoWeight = ExpLinearWeight(g_scale, 0.0)
+        weight: WcoWeight = ExpLinearWeight(1.0, 0.0)
     else:
-        weight = ExpDisplacementWeight(g_scale, alpha * b.conjugate(), psi)
+        weight = ExpDisplacementWeight(1.0, alpha * b.conjugate(), psi)
     return psi, weight, cp
 
 
@@ -591,12 +587,8 @@ def check_commutant_symbols(
     family's two composition orders genuinely differ for eta != 1.
     """
     psi, weight, cp = commutant_symbols(eta, b, alpha=alpha)
-    if samples is None:
-        samples = circle_points(seed)
     # rational evaluations stay well conditioned a bit away from the pole
-    pts = drop_near_poles(np.asarray(samples), [map_pole(psi), cp.offset_form_pole()], margin=1e-2)
-    if pts.size == 0:
-        raise ValueError("all sample points fell within the pole margin")
+    pts = _sample_points(samples, seed, [map_pole(psi), cp.offset_form_pole()], margin=1e-2)
 
     mobius_vals = psi(pts)
     offset_vals = cp.offset_form(pts)
@@ -897,9 +889,7 @@ def check_degenerate_commutant(
     f_params: SelfAdjointSymbolParams,
     *,
     order: int = 32,
-    tol_scalar: float = 1e-14,
     tol: float = IDENTITY_TOL,
-    tol_normal: float = 1e-14,
 ) -> CheckReport:
     """The bounded degeneration of the commutant family: a scalar operator.
 
@@ -925,9 +915,9 @@ def check_degenerate_commutant(
     bounded = boundedness_check(identity_map)
 
     ok = (
-        scalar_res <= tol_scalar
+        scalar_res <= DEGENERATE_SCALAR_TOL
         and comm_res <= tol
-        and normal_res <= tol_normal
+        and normal_res <= DEGENERATE_NORMAL_TOL
         and bounded is Boundedness.BOUNDED_UNITARY
     )
     return CheckReport(
@@ -950,7 +940,6 @@ def check_cphi_adjoint_factorization(
     params: FockParams | None = None,
     *,
     tol: float = 1e-11,
-    tol_matrix: float = ADJOINT_MATRIX_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Adjoint of a composition operator as multiplier times rotation.
@@ -980,7 +969,7 @@ def check_cphi_adjoint_factorization(
         notes = "composition operator unbounded; matrix cross-check skipped"
     else:
         residuals.append((params.order, float(matrix_res[0])))
-        ok = ok and matrix_res[0] <= tol_matrix
+        ok = ok and matrix_res[0] <= ADJOINT_MATRIX_TOL
     return CheckReport(
         check_name="adjoint-factorization",
         params_echo={"a": mp.a, "b": mp.b, "alpha": params.alpha, "order": params.order, "samples": int(pts.size)},
@@ -1053,7 +1042,6 @@ def check_normality(
     *,
     alpha: float = 1.0,
     tol: float = 1e-9,
-    nonnormal_factor: float = 10.0,
 ) -> CheckReport:
     """Slope/offset normality predicate against measured commutators.
 
@@ -1099,7 +1087,7 @@ def check_normality(
         if not ok:
             notes.append("measured commutator contradicts the predicate (operator is not normal)")
     else:
-        floor = nonnormal_factor * tol
+        floor = NONNORMAL_FACTOR * tol
         big_enough = all(v >= floor for v in values)
         # np.linalg.norm of a K = block^2 complex block is sqrt(re.re + im.im).
         # Each dot product of K non-negative terms is within gamma_K = K u / (1 - K u)

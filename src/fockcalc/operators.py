@@ -51,13 +51,14 @@ __all__ = [
     "assemble_sections",
     "boundedness_check",
     "commutator_residual",
-    "eval_wco_at",
     "hermitian_residual",
     "monomial_to_orthonormal",
 ]
 
 POLE_MARGIN = 1e-6
 DEGENERACY_TOL = 1e-14
+# slope magnitude and offset within this of 1 and 0 count as exactly 1 and 0
+BOUNDEDNESS_TOL = 1e-12
 
 
 class PoleProximityError(ValueError):
@@ -128,11 +129,11 @@ class LinearFractionalMap:
             return None
         return -self.s / self.r
 
-    def __call__(self, z, margin: float = POLE_MARGIN):
+    def __call__(self, z):
         z_arr = np.asarray(z, dtype=np.complex128)
         pole = self.pole
-        if pole is not None and np.any(np.abs(z_arr - pole) < margin):
-            raise PoleProximityError(f"point within {margin} of pole {pole}")
+        if pole is not None and np.any(np.abs(z_arr - pole) < POLE_MARGIN):
+            raise PoleProximityError(f"point within {POLE_MARGIN} of pole {pole}")
         value = (self.p * z_arr + self.q) / (self.r * z_arr + self.s)
         if np.ndim(z) == 0:
             return complex(value)
@@ -275,14 +276,9 @@ class WcoSymbol:
 def apply_wco(sym: WcoSymbol, f: TruncatedSeries) -> TruncatedSeries:
     """weight * f(map(z)) as a truncated series; affine maps only."""
     if not isinstance(sym.map, AffineMap):
-        raise UnsupportedMapError("series path requires an affine map; use eval_wco_at for pointwise values")
+        raise UnsupportedMapError("series path requires an affine map; evaluate the weight and map pointwise instead")
     weight = sym.weight.materialize(f.params)
     return weight * compose_affine(f, sym.map.a, sym.map.b)
-
-
-def eval_wco_at(sym: WcoSymbol, f: TruncatedSeries, z: complex) -> complex:
-    """Pointwise weight(z) * f(map(z)); works for any map away from poles."""
-    return complex(sym.weight.value(z)) * f(sym.map(z))
 
 
 def adjoint_on_kernel(sym: WcoSymbol, z: complex, params: FockParams) -> TruncatedSeries:
@@ -321,9 +317,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.params.order + 1
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(vec, dtype=np.complex128)
 
     def to_csv(self) -> str:
         """Row-major CSV with each entry as a "re,im" pair, 17 significant digits."""
@@ -410,7 +403,7 @@ class Boundedness(Enum):
     UNBOUNDED = "Unbounded"
 
 
-def boundedness_check(mp: AffineMap, tol: float = 1e-12) -> Boundedness:
+def boundedness_check(mp: AffineMap) -> Boundedness:
     """Classify the composition operator of an affine map.
 
     Slope magnitude below one is bounded; magnitude one is bounded only for
@@ -418,10 +411,10 @@ def boundedness_check(mp: AffineMap, tol: float = 1e-12) -> Boundedness:
     else blows up the Gaussian weight along a ray.
     """
     mag = abs(mp.a)
-    if mag < 1.0 - tol:
+    if mag < 1.0 - BOUNDEDNESS_TOL:
         return Boundedness.BOUNDED_STRICT
-    if mag <= 1.0 + tol:
-        if abs(mp.b) <= tol:
+    if mag <= 1.0 + BOUNDEDNESS_TOL:
+        if abs(mp.b) <= BOUNDEDNESS_TOL:
             return Boundedness.BOUNDED_UNITARY
         return Boundedness.UNBOUNDED
     return Boundedness.UNBOUNDED

@@ -6,26 +6,21 @@ import numpy as np
 
 __all__ = ["circle_points", "disk_pairs", "drop_near_poles", "pole_mask"]
 
-DEFAULT_RADII = (0.4, 0.8)
 DEFAULT_POLE_MARGIN = 1e-3
 
 
-def circle_points(seed: int, radii: tuple[float, ...] = DEFAULT_RADII, per_circle: int = 10) -> np.ndarray:
-    """Seeded points on a few circles; the default set is 20 points on |z| in {0.4, 0.8}."""
+def circle_points(seed: int) -> np.ndarray:
+    """Seeded points on two circles: 10 points each on |z| = 0.4 and |z| = 0.8, in that order."""
     rng = np.random.default_rng(seed)
-    out = []
-    for radius in radii:
-        angles = rng.uniform(0.0, 2.0 * np.pi, per_circle)
-        out.append(radius * np.exp(1j * angles))
-    return np.concatenate(out)
+    return np.concatenate([radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 10)) for radius in (0.4, 0.8)])
 
 
-def disk_pairs(seed: int, count: int = 20, max_radius: float = 0.9) -> list[tuple[complex, complex]]:
-    """Seeded (z, beta) pairs drawn uniformly from the disk of the given radius."""
+def disk_pairs(seed: int) -> list[tuple[complex, complex]]:
+    """20 seeded (z, beta) pairs drawn uniformly from the disk |z| < 0.9."""
     rng = np.random.default_rng(seed)
     pts = []
-    for _ in range(count):
-        r = max_radius * np.sqrt(rng.uniform(0.0, 1.0, 2))
+    for _ in range(20):
+        r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 2))
         phi = rng.uniform(0.0, 2.0 * np.pi, 2)
         pts.append((complex(r[0] * np.exp(1j * phi[0])), complex(r[1] * np.exp(1j * phi[1]))))
     return pts

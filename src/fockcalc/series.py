@@ -107,10 +107,6 @@ class TruncatedSeries:
         return cls(arr, params)
 
     @classmethod
-    def zero(cls, params: FockParams) -> "TruncatedSeries":
-        return cls(np.zeros(params.order + 1, dtype=np.complex128), params)
-
-    @classmethod
     def monomial(cls, n: int, params: FockParams, scale: complex = 1.0) -> "TruncatedSeries":
         if not 0 <= n <= params.order:
             raise ValueError(f"monomial degree {n} outside 0..{params.order}")
@@ -124,14 +120,6 @@ class TruncatedSeries:
         if self.params != other.params:
             raise ParamsMismatchError(f"series params differ: {self.params} vs {other.params}")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_same_params(other)
-        return TruncatedSeries(self.coeffs + other.coeffs, self.params)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_same_params(other)
-        return TruncatedSeries(self.coeffs - other.coeffs, self.params)
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_same_params(other)
@@ -141,9 +129,6 @@ class TruncatedSeries:
 
     def __rmul__(self, scalar) -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs * scalar, self.params)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.coeffs, self.params)
 
     def __call__(self, z):
         """Evaluate by Horner's rule; accepts scalars or numpy arrays."""

@@ -95,13 +95,13 @@ def test_criterion_03_fixed_point():
 
 
 def test_criterion_04_disk_criterion():
-    report = check_disk_criterion(200, 1000, seed=42)
+    report = check_disk_criterion(200, seed=42)
     disagreements = int(report.residuals[0][1])
     record(4, f"disk criterion vs sampling oracle, {disagreements} disagreements in 200 draws", disagreements == 0)
 
 
 def test_criterion_05_eigen_identity():
-    report = check_eigen_identity(CANONICAL, j_max=5, kernel_order=32)
+    report = check_eigen_identity(CANONICAL, j_max=5)
     pointwise = report.residuals[0][1]
     kernel = report.residuals[1][1]
     ok = pointwise <= 1e-10 and kernel <= 1e-11

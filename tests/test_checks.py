@@ -225,13 +225,6 @@ class TestDiskCriterion:
         many0, many1 = np.tile(a0, 20), np.tile(a1, 20)
         assert disk_boundary_oracle(many0, many1).tolist() == [disk_boundary_oracle(x, y) for x, y in zip(many0, many1)]
 
-    @pytest.mark.parametrize("points", [0, -3])
-    def test_boundary_points_below_one_rejected(self, points):
-        with pytest.raises(ValueError, match="boundary_points must be at least 1"):
-            disk_boundary_oracle(0.5, 0.25, points)
-        with pytest.raises(ValueError, match="boundary_points must be at least 1"):
-            check_disk_criterion(10, points)
-
 
 class TestEigenIdentity:
     def test_canonical(self):
@@ -245,7 +238,7 @@ class TestEigenIdentity:
         assert report.residuals[0][1] == 0.0
 
     def test_kernel_eigenrelation_coefficientwise(self):
-        report = check_eigen_identity(CANONICAL, j_max=0, kernel_order=32)
+        report = check_eigen_identity(CANONICAL, j_max=0)
         kernel_res = report.residuals[-1][1]
         assert kernel_res <= 1e-11
 
@@ -389,6 +382,30 @@ class TestMoebiusConjugation:
             check_moebius_conjugation(psi, 2.0 / 3.0, 2.0, samples=[psi.pole, 1.5])
 
 
+# the canonical map 0.5 + 0.25 z fixes b = 2/3, so h has its pole at 1 / conj(b) = 1.5 and
+# h(map(z)) at 4; the commutant map at (eta, b) = (2, 2/3) has its pole at -1/6
+PSI_2, G_2, _ = commutant_symbols(2.0, 2.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: check_h_conjugation(CANONICAL.map(), samples=[1.5, 4.0]), id="fixed-point"),
+        pytest.param(lambda: check_eigen_identity(CANONICAL, samples=[1.5, 1.5]), id="eigen-identity"),
+        pytest.param(
+            lambda: check_fixed_point_transfer(CANONICAL, PSI_2, G_2, samples=[PSI_2.pole] * 2), id="fixed-point-transfer"
+        ),
+        pytest.param(lambda: check_commutant_symbols(2.0, 2.0 / 3.0, samples=[PSI_2.pole]), id="commutant-symbols"),
+        pytest.param(
+            lambda: check_moebius_conjugation(PSI_2, 2.0 / 3.0, 2.0, samples=[PSI_2.pole, 1.5]), id="moebius-conjugation"
+        ),
+    ],
+)
+def test_every_sample_on_a_pole_rejected(run):
+    with pytest.raises(ValueError, match="all sample points fell within the pole margin"):
+        run()
+
+
 class TestCounterexample:
     def test_composition_tuples(self):
         report = reproduce_counterexample(2.0)
@@ -493,7 +510,7 @@ class TestAdjointFactorization:
             lhs = adjoint_on_kernel(c_phi, beta, params)
             rhs = kernel_series(mp.b, params) * compose_affine(kernel_series(beta, params), mp.a.conjugate(), 0.0)
             kernel_ref = max(kernel_ref, lhs.max_abs_diff(rhs))
-            applied = adjoint.apply(kernel_series(beta, params).coeffs * norms) / norms
+            applied = (adjoint.entries @ (kernel_series(beta, params).coeffs * norms)) / norms
             matrix_ref = max(matrix_ref, float(np.max(np.abs(applied[:half] - lhs.coeffs[:half]))))
             scale = max(scale, float(np.max(np.abs(lhs.coeffs))))
         assert report.params_echo["samples"] == len(samples)

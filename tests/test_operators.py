@@ -18,6 +18,7 @@ from fockcalc import (
     OperatorMatrix,
     ParamsMismatchError,
     PoleProximityError,
+    SelfAdjointSymbolParams,
     SeriesWeight,
     TruncatedSeries,
     UnsupportedMapError,
@@ -30,19 +31,17 @@ from fockcalc import (
     boundedness_check,
     commutator_residual,
     commutant_symbols,
-    eval_wco_at,
     exp_linear,
     hermitian_residual,
     kernel_series,
     monomial_to_orthonormal,
     orthonormal_basis_element,
-    selfadjoint_symbol,
 )
 
 P8 = FockParams(1.0, 8)
 P32 = FockParams(1.0, 32)
 
-CANONICAL = selfadjoint_symbol(1.0, 0.5, 0.25)
+CANONICAL = SelfAdjointSymbolParams(1.0, 0.5, 0.25).symbol()
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,8 @@ def test_apply_requires_affine():
 def test_eval_identity_symbol():
     f = TruncatedSeries.from_coeffs([1, 2, 3], P8)
     for z in (0.2, -0.5j):
-        assert abs(eval_wco_at(WcoSymbol.identity(), f, z) - f(z)) <= 1e-15
+        sym = WcoSymbol.identity()
+        assert abs(sym.weight.value(z) * f(sym.map(z)) - f(z)) <= 1e-15
 
 
 def test_eval_commutant_symbol_at_origin():
@@ -129,7 +129,7 @@ def test_eval_commutant_symbol_at_origin():
     psi, g, _ = commutant_symbols(2.0, 2.0 / 3.0)
     assert abs(complex(psi(0.0)) - (-6.0)) <= 1e-12
     f = exp_linear(0.5, 1.0, FockParams(1.0, 60))
-    val = eval_wco_at(WcoSymbol(g, psi), f, 0.0)
+    val = g.value(0.0) * f(psi(0.0))
     assert abs(val - math.e) <= 1e-9
 
 
@@ -137,7 +137,7 @@ def test_eval_degenerate_multiplier_keeps_identity_map():
     psi, g, _ = commutant_symbols(1.0, 2.0 / 3.0)
     f = TruncatedSeries.from_coeffs([1, 1], P8)
     z = 0.3
-    assert abs(eval_wco_at(WcoSymbol(g, psi), f, z) - f(z)) <= 1e-15
+    assert abs(g.value(z) * f(psi(z)) - f(z)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_leading_block_does_not_depend_on_the_order():
 
 @pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0])
 def test_selfadjoint_section_hermitian_at_order_512(alpha):
-    mat = assemble_matrix(selfadjoint_symbol(1.0, 0.5, 0.25, alpha), FockParams(alpha, 512))
+    mat = assemble_matrix(SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha).symbol(), FockParams(alpha, 512))
     assert hermitian_residual(mat) <= 1e-12
 
 
@@ -246,7 +246,7 @@ def test_entries_stay_hermitian_at_generic_alpha():
     # the weight exponent scales with alpha, so e.g. entry (0,1) is
     # sqrt(alpha) * a0 * c and matches its conjugate partner
     params = FockParams(2.0, 8)
-    mat = assemble_matrix(selfadjoint_symbol(1.0, 0.5, 0.25, 2.0), params)
+    mat = assemble_matrix(SelfAdjointSymbolParams(1.0, 0.5, 0.25, 2.0).symbol(), params)
     assert abs(mat.entries[0, 1] - math.sqrt(2.0) * 0.5) <= 1e-14
     assert hermitian_residual(mat) <= 1e-13
 
@@ -378,7 +378,7 @@ def test_adjoint_matrix_path_converges_to_closed_form():
                 params = FockParams(1.0, order)
                 closed = adjoint_on_kernel(sym, z, params)
                 adjoint = adjoint_matrix(assemble_matrix(sym, params))
-                applied = adjoint.apply(monomial_to_orthonormal(kernel_series(z, params))) / params.monomial_norms()
+                applied = (adjoint.entries @ monomial_to_orthonormal(kernel_series(z, params))) / params.monomial_norms()
                 half = (order + 1) // 2
                 errs.append(float(np.max(np.abs(applied[:half] - closed.coeffs[:half]))))
             assert errs[-1] <= 1e-8
@@ -415,7 +415,7 @@ def test_hermitian_residual_cases():
     for order in (16, 32):
         mat = assemble_matrix(CANONICAL, FockParams(1.0, order))
         assert hermitian_residual(mat) <= 1e-12
-    skew = assemble_matrix(selfadjoint_symbol(1j, 0.5, 0.25), P32)
+    skew = assemble_matrix(SelfAdjointSymbolParams(1j, 0.5, 0.25).symbol(), P32)
     assert hermitian_residual(skew) >= 0.1
 
 

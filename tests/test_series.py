@@ -29,22 +29,8 @@ def poly(coeffs, params=P8):
 
 
 # ---------------------------------------------------------------------------
-# addition and multiplication
+# multiplication
 # ---------------------------------------------------------------------------
-
-
-def test_add_linearity():
-    assert np.allclose((poly([1, 1]) + poly([0, 2])).coeffs[:2], [1, 3])
-
-
-def test_add_identity():
-    p = poly([0.3, -1j, 2])
-    assert np.array_equal((p + TruncatedSeries.zero(P8)).coeffs, p.coeffs)
-
-
-def test_add_inverse_cancels():
-    e = exp_linear(0.5, 1.0, P16)
-    assert np.max(np.abs((e + (-e)).coeffs)) == 0.0
 
 
 def test_mul_binomial():
@@ -68,7 +54,7 @@ def test_mul_exponentials_against_factorials():
 
 def test_params_mismatch_rejected():
     with pytest.raises(ParamsMismatchError):
-        poly([1], P8) + poly([1], P16)
+        poly([1], P8) * poly([1], P16)
     with pytest.raises(ParamsMismatchError):
         poly([1], P8) * poly([1], FockParams(2.0, 8))
     with pytest.raises(ParamsMismatchError):
@@ -272,7 +258,7 @@ def test_orthonormal_basis_element_raises_past_representable_range():
         with pytest.raises(OverflowError):
             orthonormal_basis_element(n, params)
     with pytest.raises(OverflowError):
-        inner_product(TruncatedSeries.zero(params), TruncatedSeries.zero(params))
+        inner_product(TruncatedSeries.from_coeffs([0], params), TruncatedSeries.from_coeffs([0], params))
     # 300 is the last order at alpha 1 where every norm is a double
     e = orthonormal_basis_element(300, FockParams(1.0, 300))
     assert abs(e.coeffs[300] * math.exp(0.5 * math.lgamma(301)) - 1.0) <= 1e-12
@@ -308,7 +294,7 @@ def test_conjugate_symmetry(fc, gc):
 @given(coeff_lists, coeff_lists, coeff_lists, finite_complex)
 def test_sesquilinearity(fc, gc, hc, lam):
     f, g, h = poly(fc), poly(gc), poly(hc)
-    left = inner_product(lam * f + g, h)
+    left = inner_product(poly(lam * f.coeffs + g.coeffs), h)
     right = lam * inner_product(f, h) + inner_product(g, h)
     assert abs(left - right) <= 1e-8 * (1.0 + abs(left))
     anti = inner_product(f, lam * g)
