@@ -441,6 +441,8 @@ def check_eigen_identity(
     The j = 0 case is additionally verified coefficientwise: the kernel at
     b is an exact eigenvector with eigenvalue conj(weight(b)).
     """
+    if j_max < 0:
+        raise ValueError(f"j_max must be at least 0, got {j_max}")
     if abs(params.a1.imag) > IDENTITY_TOL:
         raise ValueError("a1 must be real for the eigen-identity hypothesis")
     a1 = params.a1.real

@@ -14,6 +14,7 @@ truncation error.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -321,8 +322,141 @@ class OperatorMatrix:
     def to_csv(self) -> str:
         """Row-major CSV with each entry as a "re,im" pair, 17 significant digits."""
         # a complex128 row viewed as float64 is its re, im, re, im, ... sequence
-        row_format = ",".join(["%.17g"] * (2 * self.dim))
-        return "".join(row_format % tuple(row) + "\n" for row in self.entries.view(np.float64).tolist())
+        return _render_csv(self.entries.view(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# CSV rendering
+# ---------------------------------------------------------------------------
+#
+# Each value is rendered exactly as '%.17g' renders it, by array arithmetic.
+# With k = floor(log10|x|) its digits are D = round(|x| 10^(16-k)): |x| 2^(16-k)
+# is exact, and its product with 5^(16-k), held as a double-double, is formed
+# by Dekker's split (T. J. Dekker, Numer. Math. 18, 1971) to an error far below
+# 1e-9.  Values within 1e-9 of a rounding tie, and those whose D shows a
+# misjudged k, take their digits from Python's formatter instead.  The text
+# is laid out in one zero-padded byte grid per block of whole rows, a column
+# per value, and the padding is deleted.
+
+_CSV_BLOCK = 8192  # values per rendered block, so the grid's memory stays small
+_TIE_MARGIN = 1e-9
+_DEKKER_SPLIT = 134217729.0  # 2^27 + 1
+_K_MIN, _K_MAX = -324, 308  # decimal exponents of the nonzero finite doubles
+# grid rows per value: sign, "0.000" lead, 17 digits and a point, "e-308" suffix, separator
+_SLOT = 30
+_DIGIT_ROWS = np.arange(17, dtype=np.uint8)[:, None]
+
+
+def _pow5(n: int) -> tuple[float, float]:
+    """5^n as a double-double: hi is 5^n rounded to a double, lo the rest rounded."""
+    if n >= 0:
+        exact = 5**n
+        hi = float(exact)
+        return hi, float(exact - int(hi))
+    den = 5**-n
+    hi = 1 / den  # true division of ints rounds correctly
+    num, pow2 = hi.as_integer_ratio()
+    return hi, (pow2 - num * den) / (pow2 * den)
+
+
+@functools.cache
+def _exponent_tables() -> tuple[np.ndarray, ...]:
+    """Per decimal exponent k, at index k - _K_MIN: the scale factors and the layout.
+
+    The factors are 2^(16-k), and 5^(16-k) as hi and lo.  The layout is the
+    number of digits before the point (17: no point), the number of digits
+    always shown (the integer digits of fixed notation), and the text bytes:
+    the "0.000" lead and the exponent suffix.
+    """
+    factors, counts, text = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        fixed = -4 <= k < 17
+        factors.append((2.0 ** (16 - k), *_pow5(16 - k)))
+        counts.append((1 if not fixed else k + 1 if k >= 0 else 17, max(k + 1, 0) if fixed else 0))
+        lead = b"0.000"[: 1 - k] if fixed and k < 0 else b""
+        suffix = b"" if fixed else b"e%+03d" % k
+        text.append(lead.ljust(5, b"\0") + suffix.ljust(5, b"\0"))
+    pow2, hi5, lo5 = np.array(factors).T.copy()
+    point, kept = np.array(counts, dtype=np.uint8).T.copy()
+    tables = (pow2, hi5, lo5, point, kept, np.frombuffer(b"".join(text), dtype=np.uint8).reshape(-1, 10))
+    for table in tables:
+        table.setflags(write=False)  # every call shares them
+    return tables
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into two 26-bit halves, a = hi + lo exactly."""
+    c = _DEKKER_SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _render_csv(values: np.ndarray) -> str:
+    """Rows of doubles as CSV, each value as '%.17g' renders it."""
+    rows, width = values.shape
+    step = max(1, _CSV_BLOCK // width)
+    return "".join(_render_rows(values[i : i + step]) for i in range(0, rows, step))
+
+
+def _decimal_digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, k) of each |x| as '%.17g' rounds it: |x| ~ D 10^(k-16), D of 17 digits, or 0 for 0."""
+    nonzero = mag > 0
+    # zeros get k = 0 and D = 0, which lays out as "0"
+    k = np.floor(np.log10(np.where(nonzero, mag, 1.0))).astype(np.int64)
+    pow2_k, hi5_k, lo5_k = _exponent_tables()[:3]
+    at = k - _K_MIN
+    scaled, hi5, lo5 = mag * pow2_k[at], hi5_k[at], lo5_k[at]  # the power of two is exact
+    prod = scaled * hi5
+    (s_hi, s_lo), (p_hi, p_lo) = _split(scaled), _split(hi5)
+    err = ((s_hi * p_hi - prod) + s_hi * p_lo + s_lo * p_hi) + s_lo * p_lo
+    # |x| 10^(16-k) + 1/2 = prod + tail, and prod is an integer wherever D is in range
+    tail = err + scaled * lo5 + 0.5
+    whole = np.floor(tail)
+    digits = prod.astype(np.int64) + whole.astype(np.int64)
+    frac = tail - whole
+    fallback = nonzero & (
+        (frac < _TIE_MARGIN) | (frac > 1.0 - _TIE_MARGIN) | (digits <= 10**16) | (digits >= 10**17)
+    )
+    for i in np.flatnonzero(fallback):
+        python_digits = "%.16e" % mag[i]
+        digits[i], k[i] = int(python_digits[0] + python_digits[2:18]), int(python_digits[19:])
+    return digits, k
+
+
+def _render_rows(block: np.ndarray) -> str:
+    """One block of whole rows as CSV lines."""
+    x = block.ravel()
+    digits, k = _decimal_digits(np.abs(x))
+    point_k, kept_k, text_k = _exponent_tables()[3:]
+    at = k - _K_MIN
+    point, kept, text = point_k[at], kept_k[at], text_k.take(at, axis=0)
+
+    # the 17 digits, most significant in row 0, by two uint32 divmod chains
+    digit = np.empty((17, x.size), dtype=np.uint8)
+    chains = (((digits // 10**8).astype(np.uint32), range(8, -1, -1)), ((digits % 10**8).astype(np.uint32), range(16, 8, -1)))
+    for rest, rows in chains:
+        for j in rows:
+            quot = rest // 10
+            digit[j] = rest - 10 * quot
+            rest = quot
+    # trailing zeros go, unless they are integer digits of fixed notation
+    shown = np.maximum(((digit != 0) * (_DIGIT_ROWS + 1)).max(axis=0), kept)
+    digit += ord("0")
+    digit *= _DIGIT_ROWS < shown
+
+    grid = np.zeros((_SLOT, x.size), dtype=np.uint8)
+    grid[0] = np.signbit(x) * np.uint8(ord("-"))
+    grid[1:6] = text[:, :5].T
+    # digits before the point in rows 6.., those after it one row further down
+    after = digit * (_DIGIT_ROWS >= point)
+    np.subtract(digit, after, out=grid[6:23])
+    grid[7:24] += after
+    has_point = np.flatnonzero(point < shown)
+    grid.reshape(-1)[(6 + point[has_point].astype(np.intp)) * x.size + has_point] = ord(".")
+    grid[24:29] = text[:, 5:].T
+    grid[29] = ord(",")
+    grid[29, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
+    return grid.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams) -> np.ndarray:
@@ -346,18 +480,20 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams) -> np.nd
     stay = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / k)[:, None])[:, :, None]
     # columns[n, s] is column n of symbol s, so each step is one contiguous block
     columns = np.zeros((params.order + 1, len(maps), params.order + 1), dtype=np.complex128)
-    for s, sym in enumerate(symbols):
-        weight = sym.weight
-        if isinstance(weight, ExpLinearWeight):
-            # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k)
-            columns[0, s] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))
-        else:
-            columns[0, s] = monomial_to_orthonormal(weight.materialize(params))
-    # lists of views: indexing them is cheaper than indexing the array, once per column
-    cols, raised, lowered = list(columns), list(columns[:, :, 1:]), list(columns[:, :, :-1])
-    for n, (stay_n, shift_n) in enumerate(zip(stay, shift), start=1):
-        np.multiply(stay_n, cols[n - 1], out=cols[n])
-        raised[n] += shift_n * lowered[n - 1]
+    # an entry past the double range becomes inf or nan here, which OperatorMatrix reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, sym in enumerate(symbols):
+            weight = sym.weight
+            if isinstance(weight, ExpLinearWeight):
+                # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k)
+                columns[0, s] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))
+            else:
+                columns[0, s] = monomial_to_orthonormal(weight.materialize(params))
+        # lists of views: indexing them is cheaper than indexing the array, once per column
+        cols, raised, lowered = list(columns), list(columns[:, :, 1:]), list(columns[:, :, :-1])
+        for n, (stay_n, shift_n) in enumerate(zip(stay, shift), start=1):
+            np.multiply(stay_n, cols[n - 1], out=cols[n])
+            raised[n] += shift_n * lowered[n - 1]
     return columns.transpose(1, 2, 0)
 
 

@@ -246,6 +246,12 @@ class TestEigenIdentity:
         with pytest.raises(ValueError):
             check_eigen_identity(SelfAdjointSymbolParams(1.0, 0.5, 0.6))  # 0.6 >= 1 - 0.5
 
+    @pytest.mark.parametrize("j_max", [-1, -2])
+    def test_negative_j_max_rejected(self, j_max):
+        # no j would be evaluated, and the pointwise residual would read 0 on no evidence
+        with pytest.raises(ValueError, match="j_max must be at least 0"):
+            check_eigen_identity(CANONICAL, j_max=j_max)
+
 
 class TestFixedPointTransfer:
     def test_identity_companion(self):

@@ -1,12 +1,14 @@
 """CLI contract: flags, exit codes, output formats, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -260,6 +262,13 @@ def test_draws_without_battery_usage_error(capsys, argv):
     assert "--draws" in err
 
 
+def test_negative_j_max_usage_error(capsys):
+    code, out, err = run_cli(["check", "eigen-identity", "--j-max", "-2", "--format", "text"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "j_max must be at least 0" in err
+
+
 @pytest.mark.parametrize(
     "name,echo_key",
     [("disk-criterion", "draws"), ("moebius-conjugation", "draws"), ("adjoint-factorization", "map_draws")],
@@ -333,6 +342,47 @@ def test_matrix_unbounded_warns_but_emits(capsys):
     assert code == 0
     assert "Unbounded" in err
     assert len(out.strip().split("\n")) == 3
+
+
+UNBOUNDED_WARNING = "warning: Unbounded composition map; finite section emitted anyway\n"
+
+
+@pytest.mark.parametrize(
+    "argv,warning",
+    [
+        (["--order=3", "--map-b=1e200"], UNBOUNDED_WARNING),
+        (["--order=2", "--alpha=0.5", "--weight-w=1e308"], ""),
+    ],
+    ids=["unbounded-offset", "weight-overflow"],
+)
+def test_matrix_overflow_reports_one_error(capsys, argv, warning):
+    # entries past the double range are reported once, by the section's finiteness check
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["matrix", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == warning + "error: matrix entries must be finite\n"
+    assert [str(w.message) for w in caught] == []
+
+
+# the flags of one bounded symbol with a nonzero entry in every exponent range of
+# the CSV: fixed notation, scientific notation and exponents below -100
+PINNED_SYMBOL = ["--alpha=1", "--weight-c=0.8-0.3i", "--weight-w=0.35+0.2i", "--map-a=0.6+0.25i", "--map-b=-0.4+0.3i"]
+
+
+@pytest.mark.parametrize(
+    "order,digest",
+    [
+        (170, "e146be8b8adc3f243d4e21824472606463a203aebcec2cacbf607e7151b80e5c"),
+        (1, "8b91c5a9c06d40964f7c1baf581113adc06443c2f2809c4b0a554e203574bf41"),
+    ],
+)
+def test_matrix_csv_bytes_are_pinned(capsys, order, digest):
+    # sha256 of the CSV as per-value '%.17g' formatting wrote it
+    code, out, err = run_cli(["matrix", *PINNED_SYMBOL, f"--order={order}"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

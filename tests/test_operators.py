@@ -37,6 +37,7 @@ from fockcalc import (
     monomial_to_orthonormal,
     orthonormal_basis_element,
 )
+from fockcalc.operators import _CSV_BLOCK, _render_csv
 
 P8 = FockParams(1.0, 8)
 P32 = FockParams(1.0, 32)
@@ -476,6 +477,69 @@ def test_matrix_csv_matches_per_cell_rendering(order):
     values.flat[-len(planted) :] = planted[::-1]
     mat = OperatorMatrix(values.view(np.complex128), FockParams(1.0, order))
     reference = "\n".join(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) for row in mat.entries) + "\n"
+    assert mat.to_csv() == reference
+
+
+def _assert_renders_as_per_value_format(values, width=64):
+    """_render_csv on values laid out in rows of ``width``, against '%.17g' value by value."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    rows = np.concatenate([flat, np.ones(-flat.size % width)]).reshape(-1, width)
+    got = _render_csv(rows).split("\n")
+    want = [",".join("%.17g" % v for v in row) for row in rows.tolist()] + [""]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert got_row.split(",") == want_row.split(",")
+
+
+def test_csv_rounding_ties():
+    rng = np.random.default_rng(12)
+    # (10 D + 5) 10^e, rounded to the nearest double
+    decimal_ties = [float(f"{10 * int(d) + 5}e{e}") for e in range(-60, 61) for d in rng.integers(10**16, 10**17, 8)]
+    # N 2^-j with N odd and N 5^j of 18 digits is a double whose 18th significant digit is a final 5
+    binary_ties = []
+    for j in range(2, 26):
+        low, high = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        if low < high:
+            odd = [int(n) for n in rng.integers(low, high, 8) | 1]
+            assert all(len(str(n * 5**j)) == 18 and Fraction(n, 2**j) == n * 2.0**-j for n in odd)
+            binary_ties += [n * 2.0**-j for n in odd]
+    ties = np.array(decimal_ties + binary_ties)
+    _assert_renders_as_per_value_format(np.concatenate([ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)]))
+
+
+def test_csv_powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{e}") for e in range(-307, 309)])
+    _assert_renders_as_per_value_format(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1, 1e-4, 2.0**-20, 1e16, 1e-300])
+def test_csv_integer_multiples(scale):
+    _assert_renders_as_per_value_format(np.arange(-2000, 2001, dtype=np.float64) * scale)
+
+
+def test_csv_zeros_and_subnormals():
+    rng = np.random.default_rng(3)
+    subnormals = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
+    tiny = np.finfo(np.float64).tiny
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 0.0), 2.0**-1074 * 3]
+    _assert_renders_as_per_value_format(np.concatenate([special, subnormals, -subnormals]))
+
+
+@pytest.mark.parametrize("k", [-5, -4, 16, 17])
+def test_csv_fixed_scientific_switch(k):
+    # '%.17g' is fixed for -4 <= k < 17 and scientific outside, k the exponent after rounding
+    mantissas = np.array([1.0, 1.5, 2.0**0.5, 9.5, 9.999999999999999, 9.9999999999999999])
+    values = mantissas * 10.0**k
+    _assert_renders_as_per_value_format(np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf), -values]))
+
+
+@pytest.mark.parametrize("order", [8, 170])
+def test_csv_of_a_section_across_render_blocks(order):
+    # order 8 fits in one block; at order 170 the last block holds fewer rows than the others
+    rows_per_block = _CSV_BLOCK // (2 * (order + 1))
+    assert order + 1 < rows_per_block or (order + 1) % rows_per_block
+    mat = assemble_matrix(SelfAdjointSymbolParams(0.9, 0.3 - 0.2j, -0.4).symbol(), FockParams(0.7, order))
+    reference = "".join(",".join("%.17g" % v for v in row) + "\n" for row in mat.entries.view(np.float64).tolist())
     assert mat.to_csv() == reference
 
 
