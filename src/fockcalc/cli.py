@@ -76,11 +76,16 @@ def parse_complex(text: str) -> complex:
 def parse_orders(text: str) -> tuple[int, ...]:
     try:
         orders = tuple(int(part) for part in text.split(","))
+        _validate_orders(orders)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"orders must be comma-separated integers, got {text!r}") from None
-    if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
-        raise argparse.ArgumentTypeError("orders must be strictly increasing")
+        raise argparse.ArgumentTypeError(f"orders must be strictly increasing integers >= 1, got {text!r}") from None
     return orders
+
+
+def _validate_orders(orders: tuple[int, ...]) -> None:
+    # the one test of an order list: a check that builds no section would never see an order below 1
+    if not orders or orders[0] < 1 or any(b <= a for a, b in zip(orders, orders[1:])):
+        raise ValueError(f"orders must be non-empty, strictly increasing and at least 1, got {orders!r}")
 
 
 @dataclass(frozen=True)
@@ -97,125 +102,126 @@ class RunConfig:
         # nan fails every comparison, so test for what alpha must be
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be a finite positive real, got {self.alpha!r}")
-        if any(b <= a for a, b in zip(self.orders, self.orders[1:])) or not self.orders:
-            raise ValueError("orders must be non-empty and strictly increasing")
-
-    def tol(self, check_name: str) -> dict[str, float]:
-        if check_name in self.tolerance_overrides:
-            return {"tol": self.tolerance_overrides[check_name]}
-        return {}
-
-    def max_order(self) -> int:
-        return self.orders[-1]
+        _validate_orders(self.orders)
 
 
 # ---------------------------------------------------------------------------
 # checker registry
 # ---------------------------------------------------------------------------
-#
-# One runner (args, cfg) -> CheckReport per check, shared by ``check`` and
-# ``suite``: it reads the ``check`` flags from args and passes the check's
-# tolerance override as ``tol``.
 
 
-def _family(args, cfg: RunConfig) -> SelfAdjointSymbolParams:
-    return SelfAdjointSymbolParams(args.c, args.a0, args.a1, cfg.alpha)
+def _family(f, cfg: RunConfig) -> SelfAdjointSymbolParams:
+    return SelfAdjointSymbolParams(f.c, f.a0, f.a1, cfg.alpha)
 
 
 def _kernel_section(cfg: RunConfig) -> FockParams:
-    return FockParams(cfg.alpha, min(32, cfg.max_order()))
+    return FockParams(cfg.alpha, min(32, cfg.orders[-1]))
 
 
-def _required(args, name: str, *flags: str) -> tuple:
-    missing = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is None]
-    if missing:
-        raise ValueError(f"check {name} requires {' and '.join(missing)}")
-    return tuple(getattr(args, flag) for flag in flags)
+# the flags of the self-adjoint family and their defaults
+_FAMILY = {"c": 1.0, "a0": 0.5, "a1": 0.25}
 
-
-def _draws(args, key: str = "draws") -> dict[str, int]:
-    return {} if args.draws is None else {key: args.draws}
-
-
-def _runs_battery(name: str, args) -> bool:
-    flags = BATTERIES.get(name)
-    return flags is not None and all(getattr(args, flag) is None for flag in flags)
-
-
-def _companion(args, cfg: RunConfig) -> tuple:
-    """(psi, g) for fixed-point-transfer: the commutant pair at --eta, else the linear map --gamma."""
-    if args.eta is not None:
-        return commutant_symbols(args.eta, fixed_point(_family(args, cfg).map()), alpha=cfg.alpha)[:2]
-    return AffineMap(1.0 if args.gamma is None else args.gamma, 0.0), ExpLinearWeight(1.0, 0.0)
-
-
+# check -> its cases, each (flags, runner).  flags maps every check flag the case reads
+# to its default, None where the case requires the flag; the runner maps (flags, cfg,
+# tol) to a CheckReport, tol being {} or the check's override as {"tol": value}.  Of a
+# check with a battery, the battery is the first case and runs unless a flag of the
+# single case is given.
 CHECKERS = {
-    "selfadjoint-forward": lambda args, cfg: check_selfadjoint_forward(
-        _family(args, cfg), cfg.orders, seed=cfg.seed, **cfg.tol("selfadjoint-forward")
-    ),
-    "selfadjoint-reverse": lambda args, cfg: check_selfadjoint_reverse(
-        ExpLinearWeight(args.weight_c, args.weight_w),
-        AffineMap(*_required(args, "selfadjoint-reverse", "map_a", "map_b")),
-        _kernel_section(cfg),
-        **cfg.tol("selfadjoint-reverse"),
-    ),
-    "fixed-point": lambda args, cfg: check_h_conjugation(
-        AffineMap(args.a1, args.a0), seed=cfg.seed, **cfg.tol("fixed-point")
-    ),
-    "disk-criterion": lambda args, cfg: check_disk_criterion(**_draws(args), seed=cfg.seed),
-    "eigen-identity": lambda args, cfg: check_eigen_identity(
-        _family(args, cfg), args.j_max, seed=cfg.seed, **cfg.tol("eigen-identity")
-    ),
-    "fixed-point-transfer": lambda args, cfg: check_fixed_point_transfer(
-        _family(args, cfg), *_companion(args, cfg), seed=cfg.seed, **cfg.tol("fixed-point-transfer")
-    ),
-    "commutant-symbols": lambda args, cfg: check_commutant_symbols(
-        *_required(args, "commutant-symbols", "eta"), args.b, alpha=cfg.alpha, seed=cfg.seed,
-        **cfg.tol("commutant-symbols"),
-    ),
-    "moebius-conjugation": lambda args, cfg: (
-        check_moebius_conjugation_battery(**_draws(args), seed=cfg.seed, **cfg.tol("moebius-conjugation"))
-        if _runs_battery("moebius-conjugation", args)
-        else check_moebius_conjugation(
-            commutant_symbols(args.eta, args.b, alpha=cfg.alpha)[0], args.b, args.eta, seed=cfg.seed,
-            **cfg.tol("moebius-conjugation"),
-        )
-    ),
-    "counterexample": lambda args, cfg: reproduce_counterexample(
-        *_required(args, "counterexample", "eta"), **cfg.tol("counterexample")
-    ),
-    "degenerate-commutant": lambda args, cfg: check_degenerate_commutant(
-        fixed_point(_family(args, cfg).map()), _family(args, cfg), order=min(32, cfg.max_order()),
-        **cfg.tol("degenerate-commutant"),
-    ),
-    "adjoint-factorization": lambda args, cfg: (
-        check_adjoint_factorization_battery(
-            **_draws(args, "map_draws"), params=_kernel_section(cfg), seed=cfg.seed, **cfg.tol("adjoint-factorization")
-        )
-        if _runs_battery("adjoint-factorization", args)
-        else check_cphi_adjoint_factorization(
-            AffineMap(0.25 if args.map_a is None else args.map_a, 0.5 if args.map_b is None else args.map_b),
-            params=_kernel_section(cfg), seed=cfg.seed, **cfg.tol("adjoint-factorization"),
-        )
-    ),
-    "normality": lambda args, cfg: check_normality(
-        ExpLinearWeight(args.weight_c, args.weight_w), AffineMap(args.a, args.b), cfg.orders, alpha=cfg.alpha,
-        **cfg.tol("normality"),
-    ),
+    "selfadjoint-forward": [
+        (_FAMILY, lambda f, cfg, tol: check_selfadjoint_forward(_family(f, cfg), cfg.orders, seed=cfg.seed, **tol)),
+    ],
+    "selfadjoint-reverse": [
+        ({"weight_c": 1.0, "weight_w": 0.0, "map_a": None, "map_b": None}, lambda f, cfg, tol: check_selfadjoint_reverse(
+            ExpLinearWeight(f.weight_c, f.weight_w), AffineMap(f.map_a, f.map_b), _kernel_section(cfg), **tol
+        )),
+    ],
+    "fixed-point": [
+        ({"a0": 0.5, "a1": 0.25}, lambda f, cfg, tol: check_h_conjugation(AffineMap(f.a1, f.a0), seed=cfg.seed, **tol)),
+    ],
+    "disk-criterion": [({"draws": 200}, lambda f, cfg, tol: check_disk_criterion(f.draws, seed=cfg.seed))],
+    "eigen-identity": [
+        ({**_FAMILY, "j_max": 5}, lambda f, cfg, tol: check_eigen_identity(_family(f, cfg), f.j_max, seed=cfg.seed, **tol)),
+    ],
+    "fixed-point-transfer": [
+        # the companion is the linear map gamma z, or with --eta the commutant pair
+        ({**_FAMILY, "gamma": 1.0}, lambda f, cfg, tol: check_fixed_point_transfer(
+            _family(f, cfg), AffineMap(f.gamma, 0.0), ExpLinearWeight(1.0, 0.0), seed=cfg.seed, **tol
+        )),
+        ({**_FAMILY, "eta": None}, lambda f, cfg, tol: check_fixed_point_transfer(
+            _family(f, cfg), *commutant_symbols(f.eta, fixed_point(_family(f, cfg).map()), alpha=cfg.alpha)[:2],
+            seed=cfg.seed, **tol,
+        )),
+    ],
+    "commutant-symbols": [
+        ({"eta": None, "b": 2.0 / 3.0}, lambda f, cfg, tol: check_commutant_symbols(
+            f.eta, f.b, alpha=cfg.alpha, seed=cfg.seed, **tol
+        )),
+    ],
+    "moebius-conjugation": [
+        ({"draws": 50}, lambda f, cfg, tol: check_moebius_conjugation_battery(f.draws, seed=cfg.seed, **tol)),
+        ({"eta": None, "b": 2.0 / 3.0}, lambda f, cfg, tol: check_moebius_conjugation(
+            commutant_symbols(f.eta, f.b, alpha=cfg.alpha)[0], f.b, f.eta, seed=cfg.seed, **tol
+        )),
+    ],
+    "counterexample": [({"eta": None}, lambda f, cfg, tol: reproduce_counterexample(f.eta, **tol))],
+    "degenerate-commutant": [
+        (_FAMILY, lambda f, cfg, tol: check_degenerate_commutant(
+            fixed_point(_family(f, cfg).map()), _family(f, cfg), order=_kernel_section(cfg).order, **tol
+        )),
+    ],
+    "adjoint-factorization": [
+        ({"draws": 20}, lambda f, cfg, tol: check_adjoint_factorization_battery(
+            f.draws, params=_kernel_section(cfg), seed=cfg.seed, **tol
+        )),
+        ({"map_a": 0.25, "map_b": 0.5}, lambda f, cfg, tol: check_cphi_adjoint_factorization(
+            AffineMap(f.map_a, f.map_b), params=_kernel_section(cfg), seed=cfg.seed, **tol
+        )),
+    ],
+    "normality": [
+        ({"weight_c": 1.0, "weight_w": 0.0, "a": 0.5, "b": 2.0 / 3.0}, lambda f, cfg, tol: check_normality(
+            ExpLinearWeight(f.weight_c, f.weight_w), AffineMap(f.a, f.b), cfg.orders, alpha=cfg.alpha, **tol
+        )),
+    ],
 }
 
-# check -> the flags that select one case over its randomized battery, the
-# only runner --draws reaches; checks not listed have no battery
-BATTERIES = {"disk-criterion": (), "moebius-conjugation": ("eta",), "adjoint-factorization": ("map_a", "map_b")}
 # checks whose verdict rests on no tolerance, so --tolerance cannot reach them
 UNTOLERANCED = ("disk-criterion",)
 
 
-def run_check(name: str, args, cfg: RunConfig) -> CheckReport:
-    """Run check ``name`` on the ``check`` flags in ``args``; the one path of ``check`` and ``suite``."""
-    if args.draws is not None and not _runs_battery(name, args):
-        raise ValueError(f"--draws applies only to battery checks; check {name} runs a single case here")
-    return CHECKERS[name](args, cfg)
+def _check_flags() -> dict[str, dict[str, object]]:
+    """Every check flag -> {check that reads it: its default there}; an integer default makes an integer flag."""
+    readers: dict[str, dict[str, object]] = {}
+    for name, cases in CHECKERS.items():
+        for flags, _ in cases:
+            for dest, default in flags.items():
+                readers.setdefault(dest, {})[name] = default
+    return readers
+
+
+def _flag_names(dests) -> str:
+    return " and ".join(f"--{dest.replace('_', '-')}" for dest in dests)
+
+
+def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
+    """Run check ``name`` on the check flags ``given``; the one path of ``check`` and ``suite``.
+
+    The first case of the check that reads every given flag runs, on those flags over its
+    defaults.  A flag no case reads, flags no one case reads together, and a missing
+    required flag are usage errors (ValueError).
+    """
+    cases = CHECKERS[name]
+    for flags, run in cases:
+        if given.keys() <= flags.keys():
+            filled = {**flags, **given}
+            missing = [dest for dest, value in filled.items() if value is None]
+            if missing:
+                raise ValueError(f"check {name} requires {_flag_names(missing)}")
+            tol = {"tol": cfg.tolerance_overrides[name]} if name in cfg.tolerance_overrides else {}
+            return run(argparse.Namespace(**filled), cfg, tol)
+    unread = [dest for dest in given if not any(dest in flags for flags, _ in cases)]
+    if unread:
+        raise ValueError(f"check {name} does not read {_flag_names(unread)}")
+    raise ValueError(f"check {name} does not read {_flag_names(given)} together")
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +255,7 @@ def suite_grid(alpha: float) -> list[tuple[str, dict]]:
 
 def run_suite(cfg: RunConfig) -> list[CheckReport]:
     """Every row of the default grid through ``run_check``, as ``check`` runs it."""
-    check_flags = argparse.ArgumentParser(add_help=False)
-    _add_check_flags(check_flags)
-    defaults = vars(check_flags.parse_args([]))
-    rows = suite_grid(cfg.alpha)
-    reports = [run_check(name, argparse.Namespace(**{**defaults, **flags}), cfg) for name, flags in rows]
+    reports = [run_check(name, flags, cfg) for name, flags in suite_grid(cfg.alpha)]
     reports.sort(key=lambda r: (r.check_name, json.dumps(r.to_dict()["params"], sort_keys=True)))
     return reports
 
@@ -286,23 +288,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_check_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of ``check``; their defaults are the base of every suite row."""
-    parser.add_argument("--c", type=parse_complex, default=1.0, help="weight scale of the self-adjoint family")
-    parser.add_argument("--a0", type=parse_complex, default=0.5, help="map offset of the self-adjoint family")
-    parser.add_argument("--a1", type=parse_complex, default=0.25, help="map slope of the self-adjoint family")
-    parser.add_argument("--eta", type=parse_complex, default=None, help="conjugation multiplier of the commutant family")
-    parser.add_argument("--b", type=parse_complex, default=2.0 / 3.0, help="fixed point of the commutant family / map offset for normality")
-    parser.add_argument("--a", type=parse_complex, default=0.5, help="map slope for normality")
-    parser.add_argument("--weight-c", type=parse_complex, default=1.0, help="weight scale c of c*e^{wz}")
-    parser.add_argument("--weight-w", type=parse_complex, default=0.0, help="weight exponent w of c*e^{wz}")
-    parser.add_argument("--map-a", type=parse_complex, default=None, help="affine map slope")
-    parser.add_argument("--map-b", type=parse_complex, default=None, help="affine map offset")
-    parser.add_argument("--j-max", type=int, default=5, help="largest conjugated-family index checked")
-    parser.add_argument("--gamma", type=parse_complex, default=None, help="slope of a linear companion map for the transfer check")
-    parser.add_argument("--draws", type=int, default=None, help="number of randomized draws for battery checks")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fockcalc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one named checker")
     p_check.add_argument("name", choices=sorted(CHECKERS), help="checker name")
     _add_run_flags(p_check)
-    _add_check_flags(p_check)
+    # no defaults here: a check flag is absent unless given, and run_check fills in the check's own
+    for dest, readers in _check_flags().items():
+        kind = int if any(isinstance(default, int) for default in readers.values()) else parse_complex
+        p_check.add_argument(_flag_names([dest]), type=kind, help=f"read by {', '.join(readers)}")
 
     p_suite = sub.add_parser("suite", help="run the full default verification grid")
     _add_run_flags(p_suite)
@@ -343,6 +331,8 @@ def _config_from_args(args) -> RunConfig:
             raise argparse.ArgumentTypeError(f"--tolerance names unknown check {name!r}")
         if name in UNTOLERANCED:
             raise argparse.ArgumentTypeError(f"--tolerance: check {name} has no tolerance")
+        if name in overrides:
+            raise argparse.ArgumentTypeError(f"--tolerance: check {name} given more than once")
         tol = float(value)
         # inf would pass every residual and nan would fail every comparison
         if not (math.isfinite(tol) and tol >= 0):
@@ -364,7 +354,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
-    report = run_check(args.name, args, cfg)
+    given = {dest: getattr(args, dest) for dest in _check_flags() if getattr(args, dest) is not None}
+    report = run_check(args.name, given, cfg)
     sys.stdout.write(render_reports([report], cfg.output_format))
     return 0 if report.passed else 1
 

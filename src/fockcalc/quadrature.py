@@ -171,17 +171,18 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     The image weight(z) map(z)^n / s_n is evaluated pointwise in closed form,
     as (map(z) s_n^{-1/n})^n with log s_n from the oracle's own scale steps, and
     paired with conj(e_m) = r^m / s_m conj(P[m, a]): only row m of the radial
-    and phase tables is built, the radial one as quad_gram's running product of
-    the quotients r / (s_k / s_{k-1}), k = 1..m.  No series composition and no
-    exact norm is used.
+    table is built, as quad_gram's running product of the quotients
+    r / (s_k / s_{k-1}), k = 1..m, and only rows 1 and m of the phase table.
+    Row 1 is the roots of unity, which also place the grid points, so they are
+    built once per entry.  No series composition and no exact norm is used.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix entries require an affine map")
     for idx in (n, m):
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
-    steps, phase = _scale_and_phases(params, grid, m)
-    pts = grid.points()
+    steps, (roots, phase) = _scale_and_phases(params, grid, np.array([1, m]))
+    pts = grid.radial_nodes[:, 0][:, None] * roots[None, :]
     root = math.exp(-np.sum(np.log(steps[:n])) / max(n, 1))  # s_n^{-1/n}
     image = sym.weight.value(pts) * (sym.map(pts) * root) ** n
     radial = np.prod(grid.radial_nodes[:, 0] / steps[:m, None], axis=0)  # r^m / s_m

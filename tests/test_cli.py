@@ -279,6 +279,97 @@ def test_battery_draws_applied(capsys, name, echo_key):
     assert json.loads(out)["params"][echo_key] == 3
 
 
+# the flags each check cannot run without, so that a test can fault one thing at a time
+REQUIRED_FLAGS = {
+    "selfadjoint-reverse": ["--map-a", "0.25", "--map-b", "0.5"],
+    "commutant-symbols": ["--eta", "2"],
+    "counterexample": ["--eta", "2"],
+}
+
+
+def _read_flags(name):
+    return set().union(*(flags for flags, _ in CHECKERS[name]))
+
+
+@pytest.mark.parametrize(
+    "name,dest",
+    [(name, dest) for name in sorted(CHECKERS) for dest in cli._check_flags() if dest not in _read_flags(name)],
+)
+def test_check_flag_the_check_does_not_read_is_usage_error(capsys, name, dest):
+    flag = f"--{dest.replace('_', '-')}"
+    code, out, err = run_cli(["check", name, *REQUIRED_FLAGS.get(name, []), flag, "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: check {name} does not read {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["fixed-point-transfer", "--eta", "2", "--gamma", "0.5"], ["--eta", "--gamma", "together"]),
+        (["moebius-conjugation", "--eta", "2", "--draws", "5"], ["--eta", "--draws", "together"]),
+        (["moebius-conjugation", "--b", "0.5"], ["requires --eta"]),
+    ],
+)
+def test_flags_of_different_cases_are_usage_errors(capsys, argv, words):
+    # --gamma used to be dropped under --eta, and --b without --eta used to run the battery
+    code, out, err = run_cli(["check", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert all(word in err for word in words)
+
+
+# each check's params echo with no check flag given, as it read before the defaults moved into CHECKERS
+FAMILY_ECHO = {"c": "1.0", "a0": "0.5", "a1": "0.25", "alpha": 1.0}
+DEFAULT_ECHO = {
+    "selfadjoint-forward": FAMILY_ECHO,
+    "fixed-point": {"a0": "0.5", "a1": "0.25", "b": "0.6666666666666666", "samples": 20},
+    "disk-criterion": {"draws": 200, "boundary_points": 1000, "seed": 42},
+    "eigen-identity": {**FAMILY_ECHO, "j_max": 5, "b": "0.6666666666666666", "samples": 20},
+    "fixed-point-transfer": {**FAMILY_ECHO, "b": "0.6666666666666666", "samples": 20},
+    "moebius-conjugation": {"draws": 50, "seed": 42},
+    "degenerate-commutant": {**FAMILY_ECHO, "b": "0.6666666666666666", "order": 32},
+    "adjoint-factorization": {"map_draws": 20, "seed": 42, "order": 32},
+    "normality": {"a": "0.5", "b": "0.6666666666666666", "alpha": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+def test_check_defaults_are_pinned(capsys, name):
+    code, out, err = run_cli(["check", name], capsys)
+    if name in REQUIRED_FLAGS:
+        assert code == 2 and out == "" and REQUIRED_FLAGS[name][0] in err
+    else:
+        assert code == 0, err
+        assert json.loads(out)["params"] == DEFAULT_ECHO[name]
+
+
+def test_repeated_tolerance_for_one_check_usage_error(capsys):
+    # the last value used to win silently, here turning a Pass into a Fail
+    argv = ["check", "normality", "--tolerance", "normality=1e-9", "--tolerance", "normality=5"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "normality" in err and "more than once" in err
+
+
+@pytest.mark.parametrize("orders", ["0", "0,16", "-3,4"])
+@pytest.mark.parametrize(
+    "command", [["suite"], *(["check", name, *REQUIRED_FLAGS.get(name, [])] for name in sorted(CHECKERS))]
+)
+def test_order_below_one_usage_error(capsys, command, orders):
+    # disk-criterion builds no section, so an order 0 used to pass it unnoticed
+    code, out, err = run_cli([*command, f"--orders={orders}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "integers >= 1" in err
+
+
+def test_runconfig_rejects_order_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        RunConfig(orders=(0, 16))
+
+
 # ---------------------------------------------------------------------------
 # matrix subcommand
 # ---------------------------------------------------------------------------
