@@ -8,6 +8,8 @@ relations, commutant symbol formulas, adjoint factorization, normality),
 and emits residual reports with convergence data across truncation orders.
 """
 
+from types import ModuleType as _ModuleType
+
 from .report import CheckReport, Verdict, TOOL_VERSION
 from .series import (
     FockParams,
@@ -74,4 +76,5 @@ from .checks import (
 
 __version__ = TOOL_VERSION
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing the submodules binds them on the package; they stay attributes, not star-imported names
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

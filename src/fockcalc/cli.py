@@ -11,7 +11,7 @@ Reports are written to stdout in json, csv, or text form; the exit code is
 0 when every verdict is Pass or Informational, 1 on any Fail, and 2 on
 usage errors.  Output is deterministic: identical flags and seed produce
 byte-identical reports.  The environment variable FOCKCALC_SEED overrides
-the seed flag.
+the seed of suite and of every check that reads --seed.
 """
 
 from __future__ import annotations
@@ -110,76 +110,85 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _family(f, cfg: RunConfig) -> SelfAdjointSymbolParams:
-    return SelfAdjointSymbolParams(f.c, f.a0, f.a1, cfg.alpha)
+def _family(f) -> SelfAdjointSymbolParams:
+    return SelfAdjointSymbolParams(f.c, f.a0, f.a1, f.alpha)
 
 
-def _kernel_section(cfg: RunConfig) -> FockParams:
-    return FockParams(cfg.alpha, min(32, cfg.orders[-1]))
+def _kernel_section(f) -> FockParams:
+    return FockParams(f.alpha, min(32, f.orders[-1]))
 
+
+# the run flags.  A case lists each it reads as RUN, `check` passes each given as RUN, and
+# run_check gives it the run's value, so FOCKCALC_SEED overrides --seed as for `suite`
+RUN_FLAGS = ("alpha", "orders", "seed")
+RUN = object()
 
 # the flags of the self-adjoint family and their defaults
-_FAMILY = {"c": 1.0, "a0": 0.5, "a1": 0.25}
+_FAMILY = {"c": 1.0, "a0": 0.5, "a1": 0.25, "alpha": RUN}
 
 # check -> its cases, each (flags, runner).  flags maps every check flag the case reads
-# to its default, None where the case requires the flag; the runner maps (flags, cfg,
-# tol) to a CheckReport, tol being {} or the check's override as {"tol": value}.  Of a
-# check with a battery, the battery is the first case and runs unless a flag of the
-# single case is given.
+# to its default, None where the case requires the flag, and every run flag it reads to
+# RUN; the runner maps (flags, tol) to a CheckReport, tol being {} or the check's
+# override as {"tol": value}.  Of a check with a battery, the battery is the first case
+# and runs unless a flag of the single case is given.
 CHECKERS = {
     "selfadjoint-forward": [
-        (_FAMILY, lambda f, cfg, tol: check_selfadjoint_forward(_family(f, cfg), cfg.orders, seed=cfg.seed, **tol)),
+        ({**_FAMILY, "orders": RUN, "seed": RUN}, lambda f, tol: check_selfadjoint_forward(
+            _family(f), f.orders, seed=f.seed, **tol
+        )),
     ],
     "selfadjoint-reverse": [
-        ({"weight_c": 1.0, "weight_w": 0.0, "map_a": None, "map_b": None}, lambda f, cfg, tol: check_selfadjoint_reverse(
-            ExpLinearWeight(f.weight_c, f.weight_w), AffineMap(f.map_a, f.map_b), _kernel_section(cfg), **tol
+        ({"weight_c": 1.0, "weight_w": 0.0, "map_a": None, "map_b": None, "alpha": RUN, "orders": RUN}, lambda f, tol: (
+            check_selfadjoint_reverse(
+                ExpLinearWeight(f.weight_c, f.weight_w), AffineMap(f.map_a, f.map_b), _kernel_section(f), **tol
+            )
         )),
     ],
     "fixed-point": [
-        ({"a0": 0.5, "a1": 0.25}, lambda f, cfg, tol: check_h_conjugation(AffineMap(f.a1, f.a0), seed=cfg.seed, **tol)),
+        ({"a0": 0.5, "a1": 0.25, "seed": RUN}, lambda f, tol: check_h_conjugation(AffineMap(f.a1, f.a0), seed=f.seed, **tol)),
     ],
-    "disk-criterion": [({"draws": 200}, lambda f, cfg, tol: check_disk_criterion(f.draws, seed=cfg.seed))],
+    "disk-criterion": [({"draws": 200, "seed": RUN}, lambda f, tol: check_disk_criterion(f.draws, seed=f.seed))],
     "eigen-identity": [
-        ({**_FAMILY, "j_max": 5}, lambda f, cfg, tol: check_eigen_identity(_family(f, cfg), f.j_max, seed=cfg.seed, **tol)),
+        ({**_FAMILY, "j_max": 5, "seed": RUN}, lambda f, tol: check_eigen_identity(_family(f), f.j_max, seed=f.seed, **tol)),
     ],
     "fixed-point-transfer": [
         # the companion is the linear map gamma z, or with --eta the commutant pair
-        ({**_FAMILY, "gamma": 1.0}, lambda f, cfg, tol: check_fixed_point_transfer(
-            _family(f, cfg), AffineMap(f.gamma, 0.0), ExpLinearWeight(1.0, 0.0), seed=cfg.seed, **tol
+        ({**_FAMILY, "gamma": 1.0, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
+            _family(f), AffineMap(f.gamma, 0.0), ExpLinearWeight(1.0, 0.0), seed=f.seed, **tol
         )),
-        ({**_FAMILY, "eta": None}, lambda f, cfg, tol: check_fixed_point_transfer(
-            _family(f, cfg), *commutant_symbols(f.eta, fixed_point(_family(f, cfg).map()), alpha=cfg.alpha)[:2],
-            seed=cfg.seed, **tol,
+        ({**_FAMILY, "eta": None, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
+            _family(f), *commutant_symbols(f.eta, fixed_point(_family(f).map()), alpha=f.alpha)[:2], seed=f.seed, **tol
         )),
     ],
     "commutant-symbols": [
-        ({"eta": None, "b": 2.0 / 3.0}, lambda f, cfg, tol: check_commutant_symbols(
-            f.eta, f.b, alpha=cfg.alpha, seed=cfg.seed, **tol
+        ({"eta": None, "b": 2.0 / 3.0, "alpha": RUN, "seed": RUN}, lambda f, tol: check_commutant_symbols(
+            f.eta, f.b, alpha=f.alpha, seed=f.seed, **tol
         )),
     ],
     "moebius-conjugation": [
-        ({"draws": 50}, lambda f, cfg, tol: check_moebius_conjugation_battery(f.draws, seed=cfg.seed, **tol)),
-        ({"eta": None, "b": 2.0 / 3.0}, lambda f, cfg, tol: check_moebius_conjugation(
-            commutant_symbols(f.eta, f.b, alpha=cfg.alpha)[0], f.b, f.eta, seed=cfg.seed, **tol
+        ({"draws": 50, "seed": RUN}, lambda f, tol: check_moebius_conjugation_battery(f.draws, seed=f.seed, **tol)),
+        # psi does not depend on alpha
+        ({"eta": None, "b": 2.0 / 3.0, "seed": RUN}, lambda f, tol: check_moebius_conjugation(
+            commutant_symbols(f.eta, f.b)[0], f.b, f.eta, seed=f.seed, **tol
         )),
     ],
-    "counterexample": [({"eta": None}, lambda f, cfg, tol: reproduce_counterexample(f.eta, **tol))],
+    "counterexample": [({"eta": None}, lambda f, tol: reproduce_counterexample(f.eta, **tol))],
     "degenerate-commutant": [
-        (_FAMILY, lambda f, cfg, tol: check_degenerate_commutant(
-            fixed_point(_family(f, cfg).map()), _family(f, cfg), order=_kernel_section(cfg).order, **tol
+        ({**_FAMILY, "orders": RUN}, lambda f, tol: check_degenerate_commutant(
+            fixed_point(_family(f).map()), _family(f), order=_kernel_section(f).order, **tol
         )),
     ],
     "adjoint-factorization": [
-        ({"draws": 20}, lambda f, cfg, tol: check_adjoint_factorization_battery(
-            f.draws, params=_kernel_section(cfg), seed=cfg.seed, **tol
+        ({"draws": 20, "alpha": RUN, "orders": RUN, "seed": RUN}, lambda f, tol: check_adjoint_factorization_battery(
+            f.draws, params=_kernel_section(f), seed=f.seed, **tol
         )),
-        ({"map_a": 0.25, "map_b": 0.5}, lambda f, cfg, tol: check_cphi_adjoint_factorization(
-            AffineMap(f.map_a, f.map_b), params=_kernel_section(cfg), seed=cfg.seed, **tol
+        ({"map_a": 0.25, "map_b": 0.5, "alpha": RUN, "orders": RUN, "seed": RUN}, lambda f, tol: (
+            check_cphi_adjoint_factorization(AffineMap(f.map_a, f.map_b), params=_kernel_section(f), seed=f.seed, **tol)
         )),
     ],
     "normality": [
-        ({"weight_c": 1.0, "weight_w": 0.0, "a": 0.5, "b": 2.0 / 3.0}, lambda f, cfg, tol: check_normality(
-            ExpLinearWeight(f.weight_c, f.weight_w), AffineMap(f.a, f.b), cfg.orders, alpha=cfg.alpha, **tol
+        ({"weight_c": 1.0, "weight_w": 0.0, "a": 0.5, "b": 2.0 / 3.0, "alpha": RUN, "orders": RUN}, lambda f, tol: (
+            check_normality(ExpLinearWeight(f.weight_c, f.weight_w), AffineMap(f.a, f.b), f.orders, alpha=f.alpha, **tol)
         )),
     ],
 }
@@ -194,7 +203,8 @@ def _check_flags() -> dict[str, dict[str, object]]:
     for name, cases in CHECKERS.items():
         for flags, _ in cases:
             for dest, default in flags.items():
-                readers.setdefault(dest, {})[name] = default
+                if default is not RUN:
+                    readers.setdefault(dest, {})[name] = default
     return readers
 
 
@@ -203,21 +213,21 @@ def _flag_names(dests) -> str:
 
 
 def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
-    """Run check ``name`` on the check flags ``given``; the one path of ``check`` and ``suite``.
+    """Run check ``name`` on the flags ``given``; the one path of ``check`` and ``suite``.
 
     The first case of the check that reads every given flag runs, on those flags over its
-    defaults.  A flag no case reads, flags no one case reads together, and a missing
-    required flag are usage errors (ValueError).
+    defaults, each run flag left RUN taking its value from ``cfg``.  A flag no case reads,
+    flags no one case reads together, and a missing required flag are usage errors.
     """
     cases = CHECKERS[name]
     for flags, run in cases:
         if given.keys() <= flags.keys():
-            filled = {**flags, **given}
+            filled = {dest: getattr(cfg, dest) if value is RUN else value for dest, value in {**flags, **given}.items()}
             missing = [dest for dest, value in filled.items() if value is None]
             if missing:
                 raise ValueError(f"check {name} requires {_flag_names(missing)}")
             tol = {"tol": cfg.tolerance_overrides[name]} if name in cfg.tolerance_overrides else {}
-            return run(argparse.Namespace(**filled), cfg, tol)
+            return run(argparse.Namespace(**filled), tol)
     unread = [dest for dest in given if not any(dest in flags for flags, _ in cases)]
     if unread:
         raise ValueError(f"check {name} does not read {_flag_names(unread)}")
@@ -266,7 +276,7 @@ def run_suite(cfg: RunConfig) -> list[CheckReport]:
 
 
 def _add_alpha(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=RunConfig.alpha, help="Gaussian weight parameter (default 1)")
+    parser.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="Gaussian weight parameter (default 1)")
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -276,15 +286,11 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of ``check`` and ``suite``; ``matrix`` and ``oracle`` take only those they read."""
     _add_alpha(parser)
-    parser.add_argument("--orders", type=parse_orders, default=RunConfig.orders, help="comma-separated truncation orders")
-    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for deterministic sample sets")
+    parser.add_argument("--orders", type=parse_orders, default=argparse.SUPPRESS, help="comma-separated truncation orders")
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for deterministic sample sets")
     _add_format(parser)
     parser.add_argument(
-        "--tolerance",
-        action="append",
-        default=[],
-        metavar="CHECK=VALUE",
-        help="override a check's tolerance, repeatable",
+        "--tolerance", action="append", default=[], metavar="CHECK=VALUE", help="override a check's tolerance, repeatable"
     )
 
 
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    """RunConfig from the flags the subcommand declares; the others keep their defaults."""
+    """RunConfig from the flags given; the others keep RunConfig's defaults."""
     overrides = {}
     for item in getattr(args, "tolerance", ()):
         name, _, value = item.partition("=")
@@ -333,19 +339,19 @@ def _config_from_args(args) -> RunConfig:
             raise argparse.ArgumentTypeError(f"--tolerance: check {name} has no tolerance")
         if name in overrides:
             raise argparse.ArgumentTypeError(f"--tolerance: check {name} given more than once")
-        tol = float(value)
+        try:
+            tol = float(value)
+        except ValueError:
+            tol = math.nan
         # inf would pass every residual and nan would fail every comparison
         if not (math.isfinite(tol) and tol >= 0):
             raise argparse.ArgumentTypeError(f"--tolerance {name}: expected a finite value >= 0, got {value!r}")
         overrides[name] = tol
-    config = {"tolerance_overrides": overrides}
-    for flag, key in (("alpha", "alpha"), ("orders", "orders"), ("seed", "seed"), ("format", "output_format")):
-        if hasattr(args, flag):
-            config[key] = getattr(args, flag)
+    config = {dest: getattr(args, dest) for dest in RUN_FLAGS if hasattr(args, dest)}
     env_seed = os.environ.get("FOCKCALC_SEED")
-    if env_seed is not None and "seed" in config:
+    if env_seed is not None and args.command in ("check", "suite"):
         config["seed"] = int(env_seed)
-    return RunConfig(**config)
+    return RunConfig(**config, tolerance_overrides=overrides, output_format=getattr(args, "format", RunConfig.output_format))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +361,7 @@ def _config_from_args(args) -> RunConfig:
 
 def cmd_check(args, cfg: RunConfig) -> int:
     given = {dest: getattr(args, dest) for dest in _check_flags() if getattr(args, dest) is not None}
+    given.update((dest, RUN) for dest in RUN_FLAGS if hasattr(args, dest))
     report = run_check(args.name, given, cfg)
     sys.stdout.write(render_reports([report], cfg.output_format))
     return 0 if report.passed else 1

@@ -2,7 +2,7 @@
 
 import fockcalc
 
-# importing the submodules binds them on the package, so they are listed too
+# the submodules are bound on the package by importing them, but are not listed
 PUBLIC_NAMES = [
     "AffineMap",
     "Boundedness",
@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "check_oracle_agreement",
     "check_selfadjoint_forward",
     "check_selfadjoint_reverse",
-    "checks",
     "commutant_symbols",
     "commutator_residual",
     "compose_affine",
@@ -57,16 +56,11 @@ PUBLIC_NAMES = [
     "inner_product",
     "kernel_series",
     "monomial_to_orthonormal",
-    "operators",
     "orthonormal_basis_element",
     "quad_gram",
     "quad_inner_product",
     "quad_matrix_entry",
-    "quadrature",
-    "report",
     "reproduce_counterexample",
-    "sampling",
-    "series",
 ]
 
 
@@ -74,3 +68,4 @@ def test_public_names_are_the_listed_ones():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert fockcalc.__all__ == PUBLIC_NAMES
     assert all(hasattr(fockcalc, name) for name in PUBLIC_NAMES)
+    assert all(hasattr(fockcalc, name) for name in ("checks", "operators", "quadrature", "report", "sampling", "series"))

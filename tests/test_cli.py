@@ -208,6 +208,13 @@ def test_tolerance_value_not_finite_or_negative_usage_error(capsys, command, nam
     assert name in err
 
 
+def test_tolerance_value_not_a_number_usage_error(capsys):
+    code, out, err = run_cli(["check", "fixed-point", "--tolerance", "fixed-point=abc"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --tolerance fixed-point: expected a finite value >= 0, got 'abc'\n"
+
+
 def test_tolerance_zero_accepted(capsys):
     # the scalar degeneration commutes exactly, so even a zero bound passes
     code, out, err = run_cli(["check", "degenerate-commutant", "--tolerance", "degenerate-commutant=0"], capsys)
@@ -274,7 +281,7 @@ def test_negative_j_max_usage_error(capsys):
     [("disk-criterion", "draws"), ("moebius-conjugation", "draws"), ("adjoint-factorization", "map_draws")],
 )
 def test_battery_draws_applied(capsys, name, echo_key):
-    code, out, _ = run_cli(["check", name, "--draws", "3", "--orders", "16"], capsys)
+    code, out, _ = run_cli(["check", name, "--draws", "3"], capsys)
     assert code == 0
     assert json.loads(out)["params"][echo_key] == 3
 
@@ -301,6 +308,40 @@ def test_check_flag_the_check_does_not_read_is_usage_error(capsys, name, dest):
     assert code == 2
     assert out == ""
     assert err == f"error: check {name} does not read {flag}\n"
+
+
+# the run flags each check reads; every case of a check reads the same ones
+RUN_FLAGS_READ = {
+    "selfadjoint-forward": {"alpha", "orders", "seed"},
+    "selfadjoint-reverse": {"alpha", "orders"},
+    "fixed-point": {"seed"},
+    "disk-criterion": {"seed"},
+    "eigen-identity": {"alpha", "seed"},
+    "fixed-point-transfer": {"alpha", "seed"},
+    "commutant-symbols": {"alpha", "seed"},
+    "moebius-conjugation": {"seed"},
+    "counterexample": set(),
+    "degenerate-commutant": {"alpha", "orders"},
+    "adjoint-factorization": {"alpha", "orders", "seed"},
+    "normality": {"alpha", "orders"},
+}
+
+
+def test_registry_lists_the_run_flags_each_check_reads():
+    for name, cases in CHECKERS.items():
+        assert [flags.keys() & set(cli.RUN_FLAGS) for flags, _ in cases] == [RUN_FLAGS_READ[name]] * len(cases)
+
+
+@pytest.mark.parametrize(
+    "name,dest",
+    [(name, dest) for name in sorted(CHECKERS) for dest in ("alpha", "orders", "seed") if dest not in RUN_FLAGS_READ[name]],
+)
+def test_run_flag_the_check_does_not_read_is_usage_error(capsys, name, dest):
+    # each was accepted and dropped: check counterexample --eta 2 --seed 5 printed the bytes of --eta 2
+    code, out, err = run_cli(["check", name, *REQUIRED_FLAGS.get(name, []), f"--{dest}", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: check {name} does not read --{dest}\n"
 
 
 @pytest.mark.parametrize(
@@ -565,7 +606,11 @@ def test_check_and_suite_share_the_registry(capsys):
     suite_docs = [r.to_dict() for r in run_suite(RunConfig(alpha=alpha, orders=(16,)))]
     check_docs = []
     for name, flags in grid:
-        argv = ["check", name, "--alpha", repr(alpha), "--orders", "16"]
+        argv = ["check", name]
+        # each run flag the row's check reads, at the suite's value
+        for key, value in (("alpha", repr(alpha)), ("orders", "16")):
+            if key in _read_flags(name):
+                argv += [f"--{key}", value]
         for key, value in flags.items():
             argv += [f"--{key.replace('_', '-')}", _flag_text(value)]
         code, out, _ = run_cli(argv, capsys)
@@ -588,6 +633,23 @@ def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.delenv("FOCKCALC_SEED")
     _, out_flag, _ = run_cli(["suite", "--orders", "16", "--seed", "7"], capsys)
     assert out_env == out_flag
+
+
+def test_env_seed_override_of_check(capsys, monkeypatch):
+    _, out_default, _ = run_cli(["check", "fixed-point"], capsys)
+    _, out_flag, _ = run_cli(["check", "fixed-point", "--seed", "7"], capsys)
+    assert out_flag != out_default
+    monkeypatch.setenv("FOCKCALC_SEED", "7")
+    code, out_env, _ = run_cli(["check", "fixed-point"], capsys)
+    assert code == 0
+    assert out_env == out_flag
+    # as for suite, the variable overrides a given --seed too
+    _, out_both, _ = run_cli(["check", "fixed-point", "--seed", "3"], capsys)
+    assert out_both == out_flag
+    # the variable is environment, not a flag, so a check that reads no seed still runs
+    code, out, err = run_cli(["check", "counterexample", "--eta", "2"], capsys)
+    assert code == 0
+    assert err == ""
 
 
 def test_oracle_subcommand(capsys):
