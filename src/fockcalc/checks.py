@@ -45,7 +45,7 @@ from .operators import (
     boundedness_check,
     commutator_residual,
     hermitian_residual,
-    map_pole,
+    _set_finite_complex,
 )
 from .report import CheckReport, Verdict, format_complex
 from .sampling import DEFAULT_POLE_MARGIN, circle_points, disk_pairs, drop_near_poles, pole_mask
@@ -120,11 +120,7 @@ class SelfAdjointSymbolParams:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c", "a0", "a1"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+        _set_finite_complex(self, "c", "a0", "a1")
         if self.c == 0:
             raise ValueError("weight scale c must be nonzero")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
@@ -221,6 +217,11 @@ def mobius_h(b: complex):
     return h
 
 
+def _h_pole(b: complex) -> complex | None:
+    """The pole 1 / conj(b) of mobius_h(b); None for b = 0, where h(z) = -z."""
+    return None if b == 0 else 1.0 / complex(b).conjugate()
+
+
 def conjugation_factor(mp: AffineMap, z):
     """z-dependent factor with h(map(z)) = factor(z) * h(z)."""
     b = fixed_point(mp)
@@ -268,13 +269,24 @@ def disk_boundary_oracle(a0, a1):
     return bool(inside[0]) if a0.ndim == 0 else inside.reshape(a0.shape)
 
 
-def _sample_points(samples, seed: int, poles, margin: float = DEFAULT_POLE_MARGIN, mapped_by=None) -> np.ndarray:
-    """The samples (circle_points(seed) if none are given) that keep the margin from every pole.
+def _sample_rows(samples, seed: int, rows: int = 1) -> np.ndarray:
+    """The (rows, S) sample block: circle_points(seed + i) as row i, or the given samples as one row."""
+    if samples is None:
+        return np.stack([circle_points(seed + i) for i in range(rows)])
+    pts = np.reshape(np.asarray(samples, dtype=np.complex128), (1, -1))
+    if pts.size == 0:
+        raise ValueError("no sample points")
+    return pts
 
-    With mapped_by, a point's image under that map must keep the margin too.
+
+def _sample_points(samples, seed: int, poles, margin: float = DEFAULT_POLE_MARGIN, mapped_by=None) -> np.ndarray:
+    """The points of the one-row sample block that keep the margin from every pole.
+
+    With mapped_by, a point's image under that map must keep the margin too,
+    for a check that evaluates the functions with these poles at map(z).
     Raises when no point is left.
     """
-    pts = drop_near_poles(circle_points(seed) if samples is None else np.asarray(samples), poles, margin)
+    pts = drop_near_poles(_sample_rows(samples, seed)[0], poles, margin)
     if mapped_by is not None:
         pts = pts[pole_mask(mapped_by(pts), poles, margin)]
     if pts.size == 0:
@@ -317,7 +329,7 @@ def check_selfadjoint_forward(
     weight = sym.weight
     mp = sym.map
     kernel_res = 0.0
-    for z, beta in disk_pairs(seed):
+    for z, beta in disk_pairs(seed).tolist():
         lhs = weight.value(z) * cmath.exp(params.alpha * mp(z) * beta.conjugate())
         rhs = weight.value(beta).conjugate() * cmath.exp(params.alpha * complex(mp(beta)).conjugate() * z)
         kernel_res = max(kernel_res, abs(lhs - rhs))
@@ -380,13 +392,8 @@ def check_h_conjugation(
 ) -> CheckReport:
     """Fixed-point residual and the identity h(map(z)) = factor(z) h(z)."""
     b = fixed_point(mp)
-    poles = []
-    if b != 0:
-        poles.append(1.0 / b.conjugate())
-        if mp.a != 0:
-            # pole of h(map(z)): where conj(b) * map(z) = 1
-            poles.append((1.0 - b.conjugate() * mp.b) / (b.conjugate() * mp.a))
-    pts = _sample_points(samples, seed, poles)
+    # h(map(z)) and the factor's denominator conj(b) map(z) - 1 vanish where map(z) is h's pole
+    pts = _sample_points(samples, seed, [_h_pole(b)], mapped_by=mp)
     h = mobius_h(b)
     res = float(np.max(np.abs(h(mp(pts)) - conjugation_factor(mp, pts) * h(pts))))
     fixed_res = abs(mp(b) - b)
@@ -453,7 +460,8 @@ def check_eigen_identity(
     mp = params.map()
     weight = params.weight()
     b = fixed_point(mp)
-    pts = _sample_points(samples, seed, [1.0 / b.conjugate()] if b != 0 else [])
+    # e_j(map(z)) reaches h's pole through the map
+    pts = _sample_points(samples, seed, [_h_pole(b)], mapped_by=mp)
 
     h = mobius_h(b)
     alpha = params.alpha
@@ -507,7 +515,7 @@ def check_fixed_point_transfer(
     mp = f_params.map()
     b = fixed_point(mp)
     # psi(map(z)) also needs map(z) away from the psi pole
-    pts = _sample_points(samples, seed, [map_pole(psi)], mapped_by=mp)
+    pts = _sample_points(samples, seed, [psi.pole], mapped_by=mp)
 
     # only a zero breaks the hypothesis: exponential weights reach 1e-18 at alpha 8
     g_min = float(np.min(np.abs(g.value(pts))))
@@ -589,8 +597,8 @@ def check_commutant_symbols(
     family's two composition orders genuinely differ for eta != 1.
     """
     psi, weight, cp = commutant_symbols(eta, b, alpha=alpha)
-    # rational evaluations stay well conditioned a bit away from the pole
-    pts = _sample_points(samples, seed, [map_pole(psi), cp.offset_form_pole()], margin=1e-2)
+    # rational evaluations stay well conditioned a bit away from the poles
+    pts = _sample_points(samples, seed, [psi.pole, cp.offset_form_pole(), _h_pole(cp.b)], margin=1e-2)
 
     mobius_vals = psi(pts)
     offset_vals = cp.offset_form(pts)
@@ -598,8 +606,7 @@ def check_commutant_symbols(
     form_res = float(np.max(np.abs(mobius_vals - offset_vals) / scale))
     psi0_res = abs(complex(psi(0.0)) - cp.d0)
 
-    h = mobius_h(cp.b)
-    conj_res = float(np.max(np.abs((mobius_vals - cp.b) / (cp.b.conjugate() * mobius_vals - 1.0) - cp.eta * h(pts))))
+    conj_res = float(_moebius_residuals([psi], np.array([cp.b]), np.array([cp.eta]), pts[None, :])[0][0])
 
     residuals = [(0, form_res), (0, psi0_res), (0, conj_res)]
     notes = [
@@ -627,7 +634,7 @@ def check_commutant_symbols(
 
     # informational commutation residual against the matched self-adjoint partner
     f_params = SelfAdjointSymbolParams(1.0, 0.75 * cp.b, 0.25, alpha)
-    comm_res = _pointwise_commutation_residual(f_params, psi, weight, seed)
+    comm_res = _pointwise_commutation_residual(f_params, psi, weight)
     notes.append(f"pointwise commutation residual vs matched self-adjoint partner: {comm_res:.3e} (reported only)")
 
     ok = form_res <= tol and psi0_res <= tol and conj_res <= tol and degeneration_ok
@@ -644,7 +651,6 @@ def _pointwise_commutation_residual(
     f_params: SelfAdjointSymbolParams,
     psi,
     g: WcoWeight,
-    seed: int,
 ) -> float:
     """max over samples of |f g(phi) t(psi(phi)) - g f(psi) t(phi(psi))|.
 
@@ -654,7 +660,7 @@ def _pointwise_commutation_residual(
     """
     mp = f_params.map()
     f = f_params.weight()
-    pole = map_pole(psi)
+    pole = psi.pole
     radius = 0.2 if pole is None else min(0.2, 0.5 * abs(pole))
     pts = radius * np.exp(1j * 2.0 * np.pi * np.arange(8) / 8.0)
     pts = pts[pole_mask(pts, [pole]) & pole_mask(mp(pts), [pole])]
@@ -687,9 +693,7 @@ def check_moebius_conjugation(
     over pole-filtered samples: the one-row case of the battery's block.
     """
     b = complex(b)
-    if samples is None:
-        samples = circle_points(seed)
-    res, kept = _moebius_residuals([psi], np.array([b]), np.array([complex(eta)]), np.reshape(samples, (1, -1)))
+    res, kept = _moebius_residuals([psi], np.array([b]), np.array([complex(eta)]), _sample_rows(samples, seed))
     return CheckReport(
         check_name="moebius-conjugation",
         params_echo={"eta": complex(eta), "b": b, "samples": int(kept[0])},
@@ -704,11 +708,11 @@ def _moebius_residuals(psis, b: np.ndarray, eta: np.ndarray, samples: np.ndarray
     Row i holds the samples of (psis[i], b[i], eta[i]).  Points within the
     pole margin of psi or of h are masked out; a row left with none raises.
     """
-    no_pole = complex(math.inf)
-    psi_pole = np.array([no_pole if psi.pole is None else psi.pole for psi in psis])
-    h_pole = np.array([no_pole if bi == 0 else 1.0 / complex(bi).conjugate() for bi in b])
+    # one (psi pole, h pole) pair per row, infinite where there is none
+    pairs = [(psi.pole, _h_pole(bi)) for psi, bi in zip(psis, b)]
+    poles = np.array([[math.inf if pole is None else pole for pole in pair] for pair in pairs])
     pts = np.asarray(samples, dtype=np.complex128)
-    keep = pole_mask(pts, [psi_pole[:, None], h_pole[:, None]])
+    keep = pole_mask(pts, [poles[:, :1], poles[:, 1:]])
     kept = np.count_nonzero(keep, axis=1)
     if not np.all(kept):
         raise ValueError("all sample points fell within the pole margin")
@@ -829,8 +833,7 @@ def check_moebius_conjugation_battery(
         b, eta = np.append(b, b_try[accept]), np.append(eta, eta_try[accept])
     b, eta = b[:draws], eta[:draws]
     psis = [commutant_symbols(eta_i, b_i)[0] for eta_i, b_i in zip(eta, b)]
-    samples = np.stack([circle_points(seed + i) for i in range(draws)])
-    worst = float(np.max(_moebius_residuals(psis, b, eta, samples)[0]))
+    worst = float(np.max(_moebius_residuals(psis, b, eta, _sample_rows(None, seed, draws))[0]))
     return CheckReport(
         check_name="moebius-conjugation",
         params_echo={"draws": draws, "seed": seed},
@@ -860,8 +863,7 @@ def check_adjoint_factorization_battery(
     # one row per map, in the order |a|, arg a, |b|, arg b
     u = rng.uniform(0.0, (0.9, 2.0 * np.pi, 0.8, 2.0 * np.pi), size=(map_draws, 4))
     maps = [AffineMap(a, b) for a, b in u[:, 0::2] * np.exp(1j * u[:, 1::2])]
-    samples = np.stack([circle_points(seed + i) for i in range(map_draws)])
-    kernel_res, matrix_res = _adjoint_factorization_residuals(maps, samples, params)
+    kernel_res, matrix_res = _adjoint_factorization_residuals(maps, _sample_rows(None, seed, map_draws), params)
     worst_kernel, worst_matrix = float(np.max(kernel_res)), float(np.max(matrix_res))
     ok = worst_kernel <= tol and worst_matrix <= ADJOINT_MATRIX_TOL
     return CheckReport(
@@ -944,11 +946,7 @@ def check_cphi_adjoint_factorization(
         raise ValueError(f"slope magnitude {abs(mp.a)} exceeds 1; adjoint factorization needs |a| <= 1")
     if params is None:
         params = FockParams(1.0, 32)
-    if samples is None:
-        samples = circle_points(seed)
-    pts = np.reshape(np.asarray(samples), (1, -1))
-    if pts.size == 0:
-        raise ValueError("no sample points")
+    pts = _sample_rows(samples, seed)
 
     kernel_res, matrix_res = _adjoint_factorization_residuals([mp], pts, params)
     residuals = [(params.order, float(kernel_res[0]))]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from .checks import (
     DEFAULT_ORDERS,
+    DEFAULT_SEED,
     SelfAdjointSymbolParams,
     check_adjoint_factorization_battery,
     check_commutant_symbols,
@@ -90,19 +91,13 @@ def _validate_orders(orders: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide knobs shared by every subcommand."""
+    """Run-wide knobs shared by every subcommand; run_check validates those a case reads."""
 
     alpha: float = 1.0
     orders: tuple[int, ...] = DEFAULT_ORDERS
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    seed: int = 42
+    seed: int = DEFAULT_SEED
     output_format: str = "json"
-
-    def __post_init__(self) -> None:
-        # nan fails every comparison, so test for what alpha must be
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite positive real, got {self.alpha!r}")
-        _validate_orders(self.orders)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +212,8 @@ def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
 
     The first case of the check that reads every given flag runs, on those flags over its
     defaults, each run flag left RUN taking its value from ``cfg``.  A flag no case reads,
-    flags no one case reads together, and a missing required flag are usage errors.
+    flags no one case reads together, a missing required flag and an invalid alpha or
+    order list of the case are usage errors.
     """
     cases = CHECKERS[name]
     for flags, run in cases:
@@ -226,6 +222,11 @@ def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
             missing = [dest for dest, value in filled.items() if value is None]
             if missing:
                 raise ValueError(f"check {name} requires {_flag_names(missing)}")
+            # nan fails every comparison, so test for what alpha must be
+            if "alpha" in filled and not (math.isfinite(filled["alpha"]) and filled["alpha"] > 0):
+                raise ValueError(f"alpha must be a finite positive real, got {filled['alpha']!r}")
+            if "orders" in filled:
+                _validate_orders(filled["orders"])
             tol = {"tol": cfg.tolerance_overrides[name]} if name in cfg.tolerance_overrides else {}
             return run(argparse.Namespace(**filled), tol)
     unread = [dest for dest in given if not any(dest in flags for flags, _ in cases)]

@@ -74,11 +74,13 @@ class DegenerateMapError(ValueError):
     """Linear fractional coefficients with (effectively) vanishing determinant."""
 
 
-def _require_finite(*values: complex) -> None:
-    for v in values:
-        c = complex(v)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(f"non-finite coefficient {v!r}")
+def _set_finite_complex(obj, *names: str) -> None:
+    """Store each named field of a frozen dataclass as a finite complex number."""
+    for name in names:
+        v = complex(getattr(obj, name))
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError(f"non-finite {name} {v!r}")
+        object.__setattr__(obj, name, v)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +94,10 @@ class AffineMap:
 
     a: complex
     b: complex
+    pole = None  # an affine map is entire
 
     def __post_init__(self) -> None:
-        _require_finite(self.a, self.b)
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
+        _set_finite_complex(self, "a", "b")
 
     def __call__(self, z):
         return self.a * z + self.b
@@ -116,9 +117,7 @@ class LinearFractionalMap:
     s: complex
 
     def __post_init__(self) -> None:
-        _require_finite(self.p, self.q, self.r, self.s)
-        for name in "pqrs":
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        _set_finite_complex(self, *"pqrs")
         det = self.p * self.s - self.q * self.r
         scale = max(abs(self.p) * abs(self.s), abs(self.q) * abs(self.r), 1.0)
         if abs(det) / scale <= DEGENERACY_TOL:
@@ -171,10 +170,6 @@ class LinearFractionalMap:
 MapLike = Union[AffineMap, LinearFractionalMap]
 
 
-def map_pole(mp: MapLike) -> complex | None:
-    return mp.pole if isinstance(mp, LinearFractionalMap) else None
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -188,9 +183,7 @@ class ExpLinearWeight:
     w: complex
 
     def __post_init__(self) -> None:
-        _require_finite(self.c, self.w)
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "w", complex(self.w))
+        _set_finite_complex(self, "c", "w")
         if self.c == 0:
             raise ValueError("weight scale c must be nonzero")
 
@@ -235,9 +228,7 @@ class ExpDisplacementWeight:
     map: MapLike
 
     def __post_init__(self) -> None:
-        _require_finite(self.scale, self.coeff)
-        object.__setattr__(self, "scale", complex(self.scale))
-        object.__setattr__(self, "coeff", complex(self.coeff))
+        _set_finite_complex(self, "scale", "coeff")
         if self.scale == 0:
             raise ValueError("weight scale must be nonzero")
 

@@ -15,15 +15,12 @@ def circle_points(seed: int) -> np.ndarray:
     return np.concatenate([radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 10)) for radius in (0.4, 0.8)])
 
 
-def disk_pairs(seed: int) -> list[tuple[complex, complex]]:
-    """20 seeded (z, beta) pairs drawn uniformly from the disk |z| < 0.9."""
+def disk_pairs(seed: int) -> np.ndarray:
+    """20 seeded (z, beta) pairs drawn uniformly from the disk |z| < 0.9, as a (20, 2) array."""
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(20):
-        r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 2))
-        phi = rng.uniform(0.0, 2.0 * np.pi, 2)
-        pts.append((complex(r[0] * np.exp(1j * phi[0])), complex(r[1] * np.exp(1j * phi[1]))))
-    return pts
+    # one row per pair, in the order radius draw of z, of beta, angle of z, of beta
+    u = rng.uniform(0.0, (1.0, 1.0, 2.0 * np.pi, 2.0 * np.pi), size=(20, 4))
+    return 0.9 * np.sqrt(u[:, :2]) * np.exp(1j * u[:, 2:])
 
 
 def pole_mask(points: np.ndarray, poles, margin: float = DEFAULT_POLE_MARGIN) -> np.ndarray:

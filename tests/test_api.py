@@ -1,4 +1,9 @@
-"""The public name list of the package."""
+"""The public name list of the package and of each of its modules."""
+
+import importlib
+import pkgutil
+
+import pytest
 
 import fockcalc
 
@@ -69,3 +74,10 @@ def test_public_names_are_the_listed_ones():
     assert fockcalc.__all__ == PUBLIC_NAMES
     assert all(hasattr(fockcalc, name) for name in PUBLIC_NAMES)
     assert all(hasattr(fockcalc, name) for name in ("checks", "operators", "quadrature", "report", "sampling", "series"))
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(fockcalc.__path__) if m.name != "__main__"))
+def test_every_exported_name_resolves(module):
+    # a deletion that leaves its name in an __all__ fails here
+    mod = importlib.import_module(f"fockcalc.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

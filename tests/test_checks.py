@@ -41,7 +41,7 @@ from fockcalc import (
     reproduce_counterexample,
 )
 from fockcalc.checks import _moebius_residuals, disk_boundary_oracle
-from fockcalc.sampling import circle_points
+from fockcalc.sampling import circle_points, disk_pairs
 
 CANONICAL = SelfAdjointSymbolParams(1.0, 0.5, 0.25)
 
@@ -397,6 +397,8 @@ PSI_2, G_2, _ = commutant_symbols(2.0, 2.0 / 3.0)
     "run",
     [
         pytest.param(lambda: check_h_conjugation(CANONICAL.map(), samples=[1.5, 4.0]), id="fixed-point"),
+        # the constant map 1 fixes b = 1 and sends every point onto h's pole 1 / conj(b) = 1
+        pytest.param(lambda: check_h_conjugation(AffineMap(0.0, 1.0)), id="fixed-point-constant-map"),
         pytest.param(lambda: check_eigen_identity(CANONICAL, samples=[1.5, 1.5]), id="eigen-identity"),
         pytest.param(
             lambda: check_fixed_point_transfer(CANONICAL, PSI_2, G_2, samples=[PSI_2.pole] * 2), id="fixed-point-transfer"
@@ -410,6 +412,37 @@ PSI_2, G_2, _ = commutant_symbols(2.0, 2.0 / 3.0)
 def test_every_sample_on_a_pole_rejected(run):
     with pytest.raises(ValueError, match="all sample points fell within the pole margin"):
         run()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: check_h_conjugation(CANONICAL.map(), samples=[]), id="fixed-point"),
+        pytest.param(lambda: check_eigen_identity(CANONICAL, samples=[]), id="eigen-identity"),
+        pytest.param(lambda: check_fixed_point_transfer(CANONICAL, PSI_2, G_2, samples=[]), id="fixed-point-transfer"),
+        pytest.param(lambda: check_commutant_symbols(2.0, 2.0 / 3.0, samples=[]), id="commutant-symbols"),
+        pytest.param(lambda: check_moebius_conjugation(PSI_2, 2.0 / 3.0, 2.0, samples=[]), id="moebius-conjugation"),
+        pytest.param(lambda: check_cphi_adjoint_factorization(AffineMap(0.25, 0.5), samples=[]), id="adjoint-factorization"),
+    ],
+)
+def test_empty_samples_rejected(run):
+    # an empty list is no evidence, which the pole margin did not remove
+    with pytest.raises(ValueError, match="^no sample points$"):
+        run()
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_disk_pairs_match_the_per_pair_draws(seed):
+    # the reference draws one pair at a time: two radii, then two angles
+    rng = np.random.default_rng(seed)
+    reference = []
+    for _ in range(20):
+        r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 2))
+        phi = rng.uniform(0.0, 2.0 * np.pi, 2)
+        reference.append([complex(r[0] * np.exp(1j * phi[0])), complex(r[1] * np.exp(1j * phi[1]))])
+    pairs = disk_pairs(seed)
+    assert pairs.shape == (20, 2)
+    assert [[repr(v) for v in row] for row in pairs.tolist()] == [[repr(v) for v in row] for row in reference]
 
 
 class TestCounterexample:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockcalc.cli as cli
-from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_suite, suite_grid
+from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_check, run_suite, suite_grid
 from fockcalc.report import format_complex
 
 
@@ -62,16 +62,23 @@ def test_parse_orders():
 
 
 def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(alpha=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(orders=(32, 16))
+    # RunConfig is a plain record: the run validates the values a check reads
+    with pytest.raises(ValueError, match="alpha must be a finite positive real"):
+        run_suite(RunConfig(alpha=-1.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_suite(RunConfig(orders=(32, 16)))
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 def test_runconfig_rejects_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be a finite positive real"):
-        RunConfig(alpha=alpha)
+        run_check("eigen-identity", {}, RunConfig(alpha=alpha))
+
+
+def test_unread_invalid_run_value_is_not_validated():
+    # a check that reads neither alpha nor orders runs whatever they hold
+    report = run_check("counterexample", {"eta": 2.0}, RunConfig(alpha=math.nan, orders=(0,)))
+    assert report.passed
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -79,11 +86,26 @@ def test_runconfig_rejects_non_finite_alpha(alpha):
     "command", [["check", "disk-criterion"], ["check", "counterexample", "--eta", "2"], ["suite", "--orders", "16"]]
 )
 def test_non_finite_alpha_usage_error(capsys, command, value):
-    # disk-criterion and counterexample never read alpha, so a nan or inf used to go unnoticed
+    # disk-criterion and counterexample never read alpha, and say so before looking at its value
     code, out, err = run_cli([*command, "--alpha", value], capsys)
     assert code == 2
     assert out == ""
-    assert "alpha must be a finite positive real" in err
+    if command[0] == "check":
+        assert err == f"error: check {command[1]} does not read --alpha\n"
+    else:
+        assert err == f"error: alpha must be a finite positive real, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check", "commutant-symbols", "--eta", "2", "--alpha", "-1"], ["matrix", "--alpha", "nan"]],
+    ids=["commutant-symbols", "matrix"],
+)
+def test_invalid_alpha_where_read_usage_error(capsys, command):
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: alpha must be a finite positive real, got {float(command[-1])!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +120,15 @@ def test_check_selfadjoint_forward_passes(capsys):
     assert doc["verdict"] == "Pass"
     assert doc["check"] == "selfadjoint-forward"
     assert all(r["value"] <= 1e-12 for r in doc["residuals"] if r["N"] > 0)
+
+
+def test_check_fixed_point_constant_map_onto_the_pole(capsys):
+    # 1 + 0 z fixes b = 1 and sends every sample onto h's pole 1 / conj(b) = 1;
+    # pytest turns a numpy warning on the way into an error
+    code, out, err = run_cli(["check", "fixed-point", "--a0", "1", "--a1", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: all sample points fell within the pole margin\n"
 
 
 def test_check_normality_trivial_branch(capsys):
@@ -408,7 +439,7 @@ def test_order_below_one_usage_error(capsys, command, orders):
 
 def test_runconfig_rejects_order_below_one():
     with pytest.raises(ValueError, match="at least 1"):
-        RunConfig(orders=(0, 16))
+        run_check("normality", {}, RunConfig(orders=(0, 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +498,18 @@ def test_matrix_and_oracle_take_their_own_flags(capsys):
     assert code == 0 and len(out.strip().split("\n")) == 5
     code, out, _ = run_cli(["oracle", "--max-degree", "4", "--alphas", "1,2", "--format", "text"], capsys)
     assert code == 0 and out.startswith("[Pass] oracle-agreement")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [(["matrix", "--map-a", "nan"], "a"), (["check", "selfadjoint-forward", "--c", "nan"], "c")],
+    ids=["matrix", "selfadjoint-forward"],
+)
+def test_non_finite_field_usage_error(capsys, command, message):
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: non-finite {message} (nan+0j)\n"
 
 
 def test_matrix_unbounded_warns_but_emits(capsys):

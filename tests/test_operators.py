@@ -58,6 +58,27 @@ def test_affine_compose_order():
         assert comp(z) == outer(inner(z))
 
 
+def test_affine_map_has_no_pole():
+    assert AffineMap(0.5, 0.1).pole is None
+    assert LinearFractionalMap(1.0, 0.0, 1.0, -0.5).pole == 0.5
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AffineMap(math.nan, 0.1), "non-finite a (nan+0j)"),
+        (lambda: LinearFractionalMap(1.0, 0.0, complex(0.0, math.inf), 1.0), "non-finite r infj"),
+        (lambda: ExpLinearWeight(1.0, math.inf), "non-finite w (inf+0j)"),
+        (lambda: SelfAdjointSymbolParams(1.0, 0.5, math.nan), "non-finite a1 (nan+0j)"),
+    ],
+    ids=["affine", "linear-fractional", "weight", "family"],
+)
+def test_non_finite_field_named(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_linear_fractional_degenerate_rejected():
     with pytest.raises(DegenerateMapError):
         LinearFractionalMap(1.0, 2.0, 2.0, 4.0)
