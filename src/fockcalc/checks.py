@@ -34,13 +34,13 @@ from .operators import (
     ExpDisplacementWeight,
     ExpLinearWeight,
     LinearFractionalMap,
+    OperatorMatrix,
     SeriesWeight,
     UnsupportedMapError,
     WcoSymbol,
     WcoWeight,
     adjoint_matrix,
     apply_wco,
-    assemble_matrix,
     assemble_sections,
     boundedness_check,
     commutator_residual,
@@ -48,8 +48,8 @@ from .operators import (
     _set_finite_complex,
 )
 from .report import CheckReport, Verdict, format_complex
-from .sampling import DEFAULT_POLE_MARGIN, circle_points, disk_pairs, drop_near_poles, pole_mask
-from .series import FockParams, exp_linear, kernel_coeffs, kernel_series
+from .sampling import DEFAULT_POLE_MARGIN, circle_rows, disk_pairs, drop_near_poles, pole_mask
+from .series import FockParams, exp_linear, kernel_coeffs, kernel_series, validate_alpha
 
 __all__ = [
     "CommutantParams",
@@ -123,8 +123,7 @@ class SelfAdjointSymbolParams:
         _set_finite_complex(self, "c", "a0", "a1")
         if self.c == 0:
             raise ValueError("weight scale c must be nonzero")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be a finite positive real")
+        validate_alpha(self.alpha)
 
     def weight(self) -> ExpLinearWeight:
         return ExpLinearWeight(self.c, self.alpha * self.a0.conjugate())
@@ -272,7 +271,7 @@ def disk_boundary_oracle(a0, a1):
 def _sample_rows(samples, seed: int, rows: int = 1) -> np.ndarray:
     """The (rows, S) sample block: circle_points(seed + i) as row i, or the given samples as one row."""
     if samples is None:
-        return np.stack([circle_points(seed + i) for i in range(rows)])
+        return circle_rows(seed, rows)
     pts = np.reshape(np.asarray(samples, dtype=np.complex128), (1, -1))
     if pts.size == 0:
         raise ValueError("no sample points")
@@ -292,6 +291,16 @@ def _sample_points(samples, seed: int, poles, margin: float = DEFAULT_POLE_MARGI
     if pts.size == 0:
         raise ValueError("all sample points fell within the pole margin")
     return pts
+
+
+def _sections_at(sym: WcoSymbol, alpha: float, orders) -> list[OperatorMatrix]:
+    """The section of sym at each order, read as a leading block of the one at the largest.
+
+    Column n reads only earlier columns and rows up to its own, so a leading block is the smaller
+    section: bit for bit from order 2 on, and at order 1 up to numpy's cumprod rounding row 1 apart.
+    """
+    top = assemble_sections([sym], FockParams(alpha, max(orders)))[0]
+    return [OperatorMatrix(top[: n + 1, : n + 1], FockParams(alpha, n)) for n in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +330,7 @@ def check_selfadjoint_forward(
     if abs(params.a1.imag) > IDENTITY_TOL or not disk_selfmap_criterion(params.a0, params.a1.real):
         notes.append("warning: map does not send the unit disk into itself")
 
-    residuals: list[tuple[int, float]] = []
-    for n in orders:
-        mat = assemble_matrix(sym, FockParams(params.alpha, n))
-        residuals.append((n, hermitian_residual(mat)))
+    residuals = [(mat.params.order, hermitian_residual(mat)) for mat in _sections_at(sym, params.alpha, orders)]
 
     weight = sym.weight
     mp = sym.map
@@ -897,10 +903,9 @@ def check_degenerate_commutant(
     g_const = math.exp(-f_params.alpha * abs(b) ** 2 / 2.0)
     identity_map = AffineMap(1.0, 0.0)
     sym_g = WcoSymbol(ExpLinearWeight(g_const, 0.0), identity_map)
-    mat_g = assemble_matrix(sym_g, params)
+    mat_g, mat_f = (OperatorMatrix(section, params) for section in assemble_sections([sym_g, f_params.symbol()], params))
 
     scalar_res = float(np.max(np.abs(mat_g.entries - g_const * np.eye(params.order + 1))))
-    mat_f = assemble_matrix(f_params.symbol(), params)
     comm_res = commutator_residual(mat_g, mat_f, max(1, order // 2))
     normal_res = commutator_residual(adjoint_matrix(mat_g), mat_g, max(1, order // 2))
     bounded = boundedness_check(identity_map)
@@ -1063,10 +1068,8 @@ def check_normality(
 
     sym = WcoSymbol(weight, mp)
     blocks = [max(1, n // 2) for n in orders]
-    residuals = []
-    for n, block in zip(orders, blocks):
-        mat = assemble_matrix(sym, FockParams(alpha, n))
-        residuals.append((n, commutator_residual(adjoint_matrix(mat), mat, block)))
+    mats = _sections_at(sym, alpha, orders)
+    residuals = [(n, commutator_residual(adjoint_matrix(mat), mat, block)) for n, block, mat in zip(orders, blocks, mats)]
     values = [v for _, v in residuals]
 
     if criterion:

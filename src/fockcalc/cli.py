@@ -53,8 +53,8 @@ from .operators import (
     boundedness_check,
 )
 from .quadrature import check_oracle_agreement
-from .report import TOOL_VERSION, CheckReport, render_reports
-from .series import FockParams
+from .report import TOOL_VERSION, CheckReport, _jsonable, render_reports
+from .series import FockParams, validate_alpha
 
 __all__ = ["RunConfig", "build_parser", "main", "parse_complex", "run_check", "run_suite", "suite_grid"]
 
@@ -222,9 +222,8 @@ def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
             missing = [dest for dest, value in filled.items() if value is None]
             if missing:
                 raise ValueError(f"check {name} requires {_flag_names(missing)}")
-            # nan fails every comparison, so test for what alpha must be
-            if "alpha" in filled and not (math.isfinite(filled["alpha"]) and filled["alpha"] > 0):
-                raise ValueError(f"alpha must be a finite positive real, got {filled['alpha']!r}")
+            if "alpha" in filled:
+                validate_alpha(filled["alpha"])
             if "orders" in filled:
                 _validate_orders(filled["orders"])
             tol = {"tol": cfg.tolerance_overrides[name]} if name in cfg.tolerance_overrides else {}
@@ -267,7 +266,7 @@ def suite_grid(alpha: float) -> list[tuple[str, dict]]:
 def run_suite(cfg: RunConfig) -> list[CheckReport]:
     """Every row of the default grid through ``run_check``, as ``check`` runs it."""
     reports = [run_check(name, flags, cfg) for name, flags in suite_grid(cfg.alpha)]
-    reports.sort(key=lambda r: (r.check_name, json.dumps(r.to_dict()["params"], sort_keys=True)))
+    reports.sort(key=lambda r: (r.check_name, json.dumps(_jsonable(r.params_echo), sort_keys=True)))
     return reports
 
 

@@ -234,7 +234,9 @@ class ExpDisplacementWeight:
 
     def value(self, z):
         z_arr = np.asarray(z, dtype=np.complex128)
-        out = self.scale * np.exp(self.coeff * (z_arr - self.map(z_arr)))
+        # an overflow is reported below as an OverflowError, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.scale * np.exp(self.coeff * (z_arr - self.map(z_arr)))
         if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
             raise OverflowError("displacement weight overflowed near the map pole")
         if np.ndim(z) == 0:

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["circle_points", "disk_pairs", "drop_near_poles", "pole_mask"]
+__all__ = ["circle_points", "circle_rows", "disk_pairs", "drop_near_poles", "pole_mask"]
 
 DEFAULT_POLE_MARGIN = 1e-3
 
 
 def circle_points(seed: int) -> np.ndarray:
     """Seeded points on two circles: 10 points each on |z| = 0.4 and |z| = 0.8, in that order."""
-    rng = np.random.default_rng(seed)
-    return np.concatenate([radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 10)) for radius in (0.4, 0.8)])
+    return circle_rows(seed, 1)[0]
+
+
+def circle_rows(seed: int, rows: int) -> np.ndarray:
+    """The (rows, 20) block whose row i is circle_points(seed + i): one draw of 20 angles per row."""
+    angles = np.stack([np.random.default_rng(seed + i).uniform(0.0, 2.0 * np.pi, 20) for i in range(rows)])
+    return np.repeat((0.4, 0.8), 10) * np.exp(1j * angles)
 
 
 def disk_pairs(seed: int) -> np.ndarray:

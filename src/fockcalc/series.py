@@ -30,11 +30,18 @@ __all__ = [
     "kernel_coeffs",
     "kernel_series",
     "orthonormal_basis_element",
+    "validate_alpha",
 ]
 
 
 class ParamsMismatchError(ValueError):
     """Raised when series with different (alpha, order) are combined."""
+
+
+def validate_alpha(alpha) -> None:
+    """The one test of the Gaussian parameter; it says what alpha must be, as nan fails every comparison."""
+    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,7 @@ class FockParams:
     order: int = 32
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite positive real, got {self.alpha!r}")
+        validate_alpha(self.alpha)
         if not (isinstance(self.order, int) and self.order >= 1):
             raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
         object.__setattr__(self, "alpha", float(self.alpha))

@@ -10,11 +10,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fockcalc.checks as checks
 import fockcalc.cli as cli
+from fockcalc import FockParams, SelfAdjointSymbolParams, assemble_matrix
 from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_check, run_suite, suite_grid
 from fockcalc.report import format_complex
 
@@ -73,6 +76,20 @@ def test_runconfig_validation():
 def test_runconfig_rejects_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be a finite positive real"):
         run_check("eigen-identity", {}, RunConfig(alpha=alpha))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0, -1.0])
+def test_one_alpha_rule_and_message(alpha):
+    # the run, the Fock parameters and the self-adjoint family reject alpha alike
+    builds = (
+        lambda: run_check("eigen-identity", {}, RunConfig(alpha=alpha)),
+        lambda: FockParams(alpha, 8),
+        lambda: SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha),
+    )
+    for build in builds:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == f"alpha must be a finite positive real, got {alpha!r}"
 
 
 def test_unread_invalid_run_value_is_not_validated():
@@ -614,6 +631,9 @@ def test_matrix_order_170_small_alpha_is_finite(capsys):
 @settings(max_examples=8, deadline=None)
 @example(0.05, [512])
 @example(20.0, [1, 512])
+# past alpha 80 the commutant-symbols partner residual overflows: reported as inf, with no numpy warning
+@example(80.0, [16, 32, 64])
+@example(120.0, [1, 512])
 @given(
     st.floats(0.05, 20.0),
     st.lists(st.integers(1, 512), min_size=1, max_size=3, unique=True).map(sorted),
@@ -624,6 +644,41 @@ def test_suite_reaches_a_verdict_for_every_row(alpha, orders):
         code = main(["suite", "--alpha", repr(alpha), "--orders", ",".join(map(str, orders))])
     assert code in (0, 1)
     assert len(json.loads(out.getvalue())["checks"]) == len(suite_grid(alpha)) == 25
+
+
+def test_overflowing_partner_residual_reads_inf():
+    # a numpy warning here fails the test: the overflow is the weight's own OverflowError
+    report = run_check("commutant-symbols", {"eta": 2.0}, RunConfig(alpha=80.0))
+    assert "partner: inf (reported only)" in report.notes
+
+
+def _suite_json(alpha, seed, orders):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.cmd_suite(RunConfig(alpha=alpha, orders=orders, seed=seed))
+    return out.getvalue()
+
+
+def test_suite_bytes_equal_the_per_order_and_per_row_paths(monkeypatch):
+    """Sections read as leading blocks and sample rows drawn one block at a time print what the direct paths print."""
+    grid = [(alpha, seed, orders) for alpha in (0.5, 2.0, 12.0) for seed in (42, 7) for orders in ((16, 32, 64), (2, 3, 5))]
+    fast = [_suite_json(*key) for key in grid]
+
+    def circle_points(seed):
+        # two draws of 10 angles, one per radius
+        rng = np.random.default_rng(seed)
+        return np.concatenate([radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 10)) for radius in (0.4, 0.8)])
+
+    def sections_at(sym, alpha, orders):
+        return [assemble_matrix(sym, FockParams(alpha, n)) for n in orders]
+
+    def assemble_sections(symbols, params):
+        return np.stack([assemble_matrix(sym, params).entries for sym in symbols])
+
+    monkeypatch.setattr(checks, "_sections_at", sections_at)
+    monkeypatch.setattr(checks, "assemble_sections", assemble_sections)
+    monkeypatch.setattr(checks, "circle_rows", lambda seed, rows: np.stack([circle_points(seed + i) for i in range(rows)]))
+    assert [_suite_json(*key) for key in grid] == fast
 
 
 def test_suite_applies_tolerance_override(capsys):

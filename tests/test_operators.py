@@ -317,6 +317,28 @@ def test_batched_sections_bit_equal_per_symbol(alpha, order):
         assert np.array_equal(_bits(section), _bits(assemble_matrix(sym, params).entries))
 
 
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 8.0, 20.0])
+def test_sections_are_leading_blocks_of_the_order_64_section(alpha):
+    """From order 2 on, the order-n section is bit for bit the leading block of a larger one.
+
+    Checks over an order list read their smaller orders so.  At order 1,
+    numpy's cumprod of two values may round entry (1, 0) apart, and (1, 1)
+    with it, by about one rounding of the entry.
+    """
+    rng = np.random.default_rng(16)
+
+    def disk(radius):
+        return complex(radius * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+
+    symbols = [WcoSymbol(ExpLinearWeight(1.0 + disk(0.5), disk(1.0)), AffineMap(disk(0.9), disk(0.8))) for _ in range(24)]
+    top = assemble_sections(symbols, FockParams(alpha, 64))
+    for n in range(2, 65):
+        assert np.array_equal(_bits(assemble_sections(symbols, FockParams(alpha, n))), _bits(top[:, : n + 1, : n + 1])), n
+    order_one, lead = assemble_sections(symbols, FockParams(alpha, 1)), top[:, :2, :2]
+    assert np.array_equal(order_one[:, 0], lead[:, 0])
+    assert np.all(np.abs(order_one - lead) <= 2 * np.finfo(np.float64).eps * np.abs(lead))
+
+
 def test_sections_require_affine_maps():
     psi, _, _ = commutant_symbols(2.0, 2.0 / 3.0)
     with pytest.raises(UnsupportedMapError):
