@@ -21,6 +21,8 @@ from fockcalc import FockParams, SelfAdjointSymbolParams, assemble_matrix
 from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_check, run_suite, suite_grid
 from fockcalc.report import format_complex
 
+from corpus import REQUIRED_FLAGS
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -332,14 +334,6 @@ def test_battery_draws_applied(capsys, name, echo_key):
     code, out, _ = run_cli(["check", name, "--draws", "3"], capsys)
     assert code == 0
     assert json.loads(out)["params"][echo_key] == 3
-
-
-# the flags each check cannot run without, so that a test can fault one thing at a time
-REQUIRED_FLAGS = {
-    "selfadjoint-reverse": ["--map-a", "0.25", "--map-b", "0.5"],
-    "commutant-symbols": ["--eta", "2"],
-    "counterexample": ["--eta", "2"],
-}
 
 
 def _read_flags(name):
