@@ -47,7 +47,7 @@ from .operators import (
     hermitian_residual,
     _set_finite_complex,
 )
-from .report import CheckReport, Verdict, format_complex
+from .report import REPORTED, CheckReport, Rule, format_complex, rules_hold
 from .sampling import DEFAULT_POLE_MARGIN, circle_rows, disk_pairs, drop_near_poles, pole_mask
 from .series import FockParams, exp_linear, kernel_coeffs, kernel_series, validate_alpha
 
@@ -80,7 +80,17 @@ DEFAULT_SEED = 42
 IDENTITY_TOL = 1e-12
 DEFAULT_ORDERS = (16, 32, 64)
 
+# default tolerances, which --tolerance overrides
+EIGEN_TOL = 1e-10  # eigen-identity: the pointwise eigen-identities
+TRANSFER_TOL = 1e-10  # fixed-point-transfer: |psi(b) - b|, asserted when the maps commute
+ADJOINT_KERNEL_TOL = 1e-11  # adjoint-factorization: the kernel-level residual
+NORMALITY_TOL = 1e-9  # normality: the commutator residual of a normal symbol
+
 # fixed bounds, which --tolerance does not reach
+# fixed-point-transfer: the maps commute, so the transfer is asserted, when |map(psi(z)) - psi(map(z))| is at most this
+COMMUTE_GATE = 1e-10
+# counterexample: for eta != 1 the two composition orders must differ at the origin by more than this
+SEPARATION = 1e-6
 # fixed-point: |map(b) - b|
 FIXED_POINT_TOL = 1e-13
 # adjoint-factorization: the finite-section cross-check
@@ -330,23 +340,23 @@ def check_selfadjoint_forward(
     if abs(params.a1.imag) > IDENTITY_TOL or not disk_selfmap_criterion(params.a0, params.a1.real):
         notes.append("warning: map does not send the unit disk into itself")
 
-    residuals = [(mat.params.order, hermitian_residual(mat)) for mat in _sections_at(sym, params.alpha, orders)]
+    rule = Rule(at_most=tol)
+    residuals = [(mat.params.order, hermitian_residual(mat), rule) for mat in _sections_at(sym, params.alpha, orders)]
 
     weight = sym.weight
     mp = sym.map
-    kernel_res = 0.0
+    kernel_diffs = []
     for z, beta in disk_pairs(seed).tolist():
         lhs = weight.value(z) * cmath.exp(params.alpha * mp(z) * beta.conjugate())
         rhs = weight.value(beta).conjugate() * cmath.exp(params.alpha * complex(mp(beta)).conjugate() * z)
-        kernel_res = max(kernel_res, abs(lhs - rhs))
-    residuals.append((0, kernel_res))
+        kernel_diffs.append(abs(lhs - rhs))
+    # np.max, not max: a nan difference must reach the residual
+    residuals.append((0, float(np.max(kernel_diffs)), Rule(at_most=SELFADJOINT_KERNEL_TOL)))
 
-    ok = all(v <= tol for n, v in residuals if n > 0) and kernel_res <= SELFADJOINT_KERNEL_TOL
     return CheckReport(
         check_name="selfadjoint-forward",
         params_echo=params.echo(),
         residuals=tuple(residuals),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
         notes="; ".join(notes),
     )
 
@@ -373,13 +383,11 @@ def check_selfadjoint_reverse(
     a1 = mp.a
     model = exp_linear(params.alpha * a0.conjugate(), c, params)
     coeff_res = weight.materialize(params).max_abs_diff(model)
-    residuals = ((0, abs(c.imag)), (0, abs(a1.imag)), (params.order, coeff_res))
-    ok = abs(c.imag) <= tol and abs(a1.imag) <= tol and coeff_res <= tol
+    rule = Rule(at_most=tol)
     return CheckReport(
         check_name="selfadjoint-reverse",
         params_echo={"c": c, "a0": a0, "a1": a1, "alpha": params.alpha, "order": params.order},
-        residuals=residuals,
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
+        residuals=((0, abs(c.imag), rule), (0, abs(a1.imag), rule), (params.order, coeff_res, rule)),
         notes=f"fitted c={format_complex(c)}, a0={format_complex(a0)}, a1={format_complex(a1)}",
     )
 
@@ -402,13 +410,10 @@ def check_h_conjugation(
     pts = _sample_points(samples, seed, [_h_pole(b)], mapped_by=mp)
     h = mobius_h(b)
     res = float(np.max(np.abs(h(mp(pts)) - conjugation_factor(mp, pts) * h(pts))))
-    fixed_res = abs(mp(b) - b)
-    ok = fixed_res <= FIXED_POINT_TOL and res <= tol
     return CheckReport(
         check_name="fixed-point",
         params_echo={"a0": mp.b, "a1": mp.a, "b": b, "samples": int(pts.size)},
-        residuals=((0, fixed_res), (0, res)),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
+        residuals=((0, abs(mp(b) - b), Rule(at_most=FIXED_POINT_TOL)), (0, res, Rule(at_most=tol))),
         notes=f"fixed point b={format_complex(b)}",
     )
 
@@ -432,8 +437,7 @@ def check_disk_criterion(draws: int = 200, *, seed: int = DEFAULT_SEED) -> Check
     return CheckReport(
         check_name="disk-criterion",
         params_echo={"draws": draws, "boundary_points": BOUNDARY_POINTS, "seed": seed},
-        residuals=((0, float(disagreements)),),
-        verdict=Verdict.PASS if disagreements == 0 else Verdict.FAIL,
+        residuals=((0, float(disagreements), Rule(at_most=0.0)),),
         notes=f"{true_count} of {draws} draws were self-maps",
     )
 
@@ -443,7 +447,7 @@ def check_eigen_identity(
     j_max: int = 5,
     samples=None,
     *,
-    tol: float = 1e-10,
+    tol: float = EIGEN_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Pointwise eigen-identities for the conjugated family e_j.
@@ -478,28 +482,21 @@ def check_eigen_identity(
 
     eig = complex(weight.value(b)).conjugate()
     factor = conjugation_factor(mp, pts)
-    residuals: list[tuple[int, float]] = []
-    worst = 0.0
     per_j = []
     for j in range(j_max + 1):
         lhs = weight.value(pts) * e_j(mp(pts), j)
         rhs = eig * factor**j * e_j(pts, j)
-        rj = float(np.max(np.abs(lhs - rhs)))
-        per_j.append(f"j={j}: {rj:.2e}")
-        worst = max(worst, rj)
-    residuals.append((0, worst))
+        per_j.append(float(np.max(np.abs(lhs - rhs))))
 
     k_b = kernel_series(b, FockParams(alpha, EIGEN_KERNEL_ORDER))
-    coeff_res = apply_wco(params.symbol(), k_b).max_abs_diff(eig * k_b)
-    residuals.append((EIGEN_KERNEL_ORDER, coeff_res))
+    kernel = (EIGEN_KERNEL_ORDER, apply_wco(params.symbol(), k_b).max_abs_diff(eig * k_b), Rule(at_most=EIGEN_KERNEL_TOL))
 
-    ok = worst <= tol and coeff_res <= EIGEN_KERNEL_TOL
     return CheckReport(
         check_name="eigen-identity",
         params_echo={**params.echo(), "j_max": j_max, "b": b, "samples": int(pts.size)},
-        residuals=tuple(residuals),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
-        notes="; ".join(per_j),
+        # np.max, not max: a nan residual of one j must reach the worst
+        residuals=((0, float(np.max(per_j)), Rule(at_most=tol)), kernel),
+        notes="; ".join(f"j={j}: {rj:.2e}" for j, rj in enumerate(per_j)),
     )
 
 
@@ -509,7 +506,7 @@ def check_fixed_point_transfer(
     g: WcoWeight,
     samples=None,
     *,
-    tol: float = 1e-10,
+    tol: float = TRANSFER_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Transfer of the fixed point to a commuting companion map.
@@ -530,19 +527,14 @@ def check_fixed_point_transfer(
 
     transfer_res = abs(complex(psi(b)) - b)
     commute_res = float(np.max(np.abs(mp(psi(pts)) - psi(mp(pts)))))
-    commutes = commute_res <= 1e-10
-
-    if commutes:
-        verdict = Verdict.PASS if transfer_res <= tol else Verdict.FAIL
-        note = "maps commute pointwise; transfer asserted"
+    if commute_res <= COMMUTE_GATE:
+        note, transfer_rule = "maps commute pointwise; transfer asserted", Rule(at_most=tol)
     else:
-        verdict = Verdict.INFORMATIONAL
-        note = "maps do not commute pointwise; transfer reported, not asserted"
+        note, transfer_rule = "maps do not commute pointwise; transfer reported, not asserted", REPORTED
     return CheckReport(
         check_name="fixed-point-transfer",
         params_echo={**f_params.echo(), "b": b, "samples": int(pts.size)},
-        residuals=((0, transfer_res), (0, commute_res)),
-        verdict=verdict,
+        residuals=((0, transfer_res, transfer_rule), (0, commute_res, REPORTED)),
         notes=note + f"; min |g| on samples {g_min:.3g}",
     )
 
@@ -614,7 +606,8 @@ def check_commutant_symbols(
 
     conj_res = float(_moebius_residuals([psi], np.array([cp.b]), np.array([cp.eta]), pts[None, :])[0][0])
 
-    residuals = [(0, form_res), (0, psi0_res), (0, conj_res)]
+    rule = Rule(at_most=tol)
+    residuals = [(0, form_res, rule), (0, psi0_res, rule), (0, conj_res, rule)]
     notes = [
         f"d0={format_complex(cp.d0)}, d1={format_complex(cp.d1)}, "
         f"d2={format_complex(cp.d2)}, d3={format_complex(cp.d3)}",
@@ -622,7 +615,6 @@ def check_commutant_symbols(
         "expansion z - psi(z) = z + (-d0 - d3 z)/(1 - d1 z), so offset rewritings "
         "of g with a d0 denominator or a +d3 numerator describe different functions",
     ]
-    degeneration_ok = True
     if cp.eta == 1.0:
         degeneration = max(
             abs(cp.d0),
@@ -632,8 +624,8 @@ def check_commutant_symbols(
             abs(psi.q),
             abs(psi.r),
         )
-        residuals.append((0, degeneration))
-        degeneration_ok = degeneration == 0.0
+        # exactly the identity: a non-negative value at most 0.0
+        residuals.append((0, degeneration, Rule(at_most=0.0)))
         notes.append("eta=1 degeneration: psi is exactly the identity")
     if abs(cp.d0) > 1.0:
         notes.append(f"|d0|={abs(cp.d0):.6g} > 1: psi(0) lies outside the unit disk")
@@ -643,12 +635,10 @@ def check_commutant_symbols(
     comm_res = _pointwise_commutation_residual(f_params, psi, weight)
     notes.append(f"pointwise commutation residual vs matched self-adjoint partner: {comm_res:.3e} (reported only)")
 
-    ok = form_res <= tol and psi0_res <= tol and conj_res <= tol and degeneration_ok
     return CheckReport(
         check_name="commutant-symbols",
         params_echo=cp.echo(),
         residuals=tuple(residuals),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
         notes="; ".join(notes),
     )
 
@@ -703,8 +693,7 @@ def check_moebius_conjugation(
     return CheckReport(
         check_name="moebius-conjugation",
         params_echo={"eta": complex(eta), "b": b, "samples": int(kept[0])},
-        residuals=((0, float(res[0])),),
-        verdict=Verdict.PASS if res[0] <= tol else Verdict.FAIL,
+        residuals=((0, float(res[0]), Rule(at_most=tol)),),
     )
 
 
@@ -784,14 +773,14 @@ def reproduce_counterexample(eta: complex, *, tol: float = IDENTITY_TOL) -> Chec
         "rescaled by 1/4 before the offset was applied"
     ]
 
-    residuals = [(0, res_true_oai), (0, res_iao)]
+    rule = Rule(at_most=tol)
+    residuals = [(0, res_true_oai, rule), (0, res_iao, rule)]
     if eta == 1.0:
         # psi collapses to the identity; both orders equal the affine map
         residuals.append((0, max(
             outer_after_inner.projective_residual(phi.coefficients()),
             inner_after_outer.projective_residual(phi.coefficients()),
-        )))
-        ok = all(res <= tol for _, res in residuals)
+        ), rule))
         notes.append("eta=1: both composition orders collapse to the affine map itself")
     else:
         at0_oai = complex(outer_after_inner(0.0))
@@ -801,12 +790,12 @@ def reproduce_counterexample(eta: complex, *, tol: float = IDENTITY_TOL) -> Chec
             f"values at 0: outer-after-inner {format_complex(at0_oai)}, "
             f"inner-after-outer {format_complex(at0_iao)}, variant tuple {format_complex(var[1] / var[3])}"
         )
-        ok = res_true_oai <= tol and res_iao <= tol and abs(at0_oai - at0_iao) > 1e-6
+        # strictly more than SEPARATION: at least the next float above it
+        residuals.append((0, abs(at0_oai - at0_iao), Rule(at_least=math.nextafter(SEPARATION, math.inf))))
     return CheckReport(
         check_name="counterexample",
         params_echo={"eta": eta, "b": 2.0 / 3.0},
         residuals=tuple(residuals),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
         notes="; ".join(notes),
     )
 
@@ -843,8 +832,7 @@ def check_moebius_conjugation_battery(
     return CheckReport(
         check_name="moebius-conjugation",
         params_echo={"draws": draws, "seed": seed},
-        residuals=((0, worst),),
-        verdict=Verdict.PASS if worst <= tol else Verdict.FAIL,
+        residuals=((0, worst, Rule(at_most=tol)),),
         notes=f"max residual over {draws} (eta, b) draws",
     )
 
@@ -853,7 +841,7 @@ def check_adjoint_factorization_battery(
     map_draws: int = 20,
     params: FockParams | None = None,
     *,
-    tol: float = 1e-11,
+    tol: float = ADJOINT_KERNEL_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Adjoint factorization over random strictly bounded affine maps.
@@ -870,13 +858,13 @@ def check_adjoint_factorization_battery(
     u = rng.uniform(0.0, (0.9, 2.0 * np.pi, 0.8, 2.0 * np.pi), size=(map_draws, 4))
     maps = [AffineMap(a, b) for a, b in u[:, 0::2] * np.exp(1j * u[:, 1::2])]
     kernel_res, matrix_res = _adjoint_factorization_residuals(maps, _sample_rows(None, seed, map_draws), params)
-    worst_kernel, worst_matrix = float(np.max(kernel_res)), float(np.max(matrix_res))
-    ok = worst_kernel <= tol and worst_matrix <= ADJOINT_MATRIX_TOL
     return CheckReport(
         check_name="adjoint-factorization",
         params_echo={"map_draws": map_draws, "seed": seed, "order": params.order},
-        residuals=((params.order, worst_kernel), (params.order, worst_matrix)),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
+        residuals=(
+            (params.order, float(np.max(kernel_res)), Rule(at_most=tol)),
+            (params.order, float(np.max(matrix_res)), Rule(at_most=ADJOINT_MATRIX_TOL)),
+        ),
         notes=f"worst kernel-level and finite-section residuals over {map_draws} random bounded maps",
     )
 
@@ -906,22 +894,16 @@ def check_degenerate_commutant(
     mat_g, mat_f = (OperatorMatrix(section, params) for section in assemble_sections([sym_g, f_params.symbol()], params))
 
     scalar_res = float(np.max(np.abs(mat_g.entries - g_const * np.eye(params.order + 1))))
-    comm_res = commutator_residual(mat_g, mat_f, max(1, order // 2))
-    normal_res = commutator_residual(adjoint_matrix(mat_g), mat_g, max(1, order // 2))
-    bounded = boundedness_check(identity_map)
-
-    ok = (
-        scalar_res <= DEGENERATE_SCALAR_TOL
-        and comm_res <= tol
-        and normal_res <= DEGENERATE_NORMAL_TOL
-        and bounded is Boundedness.BOUNDED_UNITARY
-    )
+    half = max(1, order // 2)
     return CheckReport(
         check_name="degenerate-commutant",
         params_echo={**f_params.echo(), "b": b, "order": order},
-        residuals=((order, scalar_res), (order, comm_res), (order, normal_res)),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
-        notes=f"constant weight {g_const!r}; composition classified {bounded.value}",
+        residuals=(
+            (order, scalar_res, Rule(at_most=DEGENERATE_SCALAR_TOL)),
+            (order, commutator_residual(mat_g, mat_f, half), Rule(at_most=tol)),
+            (order, commutator_residual(adjoint_matrix(mat_g), mat_g, half), Rule(at_most=DEGENERATE_NORMAL_TOL)),
+        ),
+        notes=f"constant weight {g_const!r}; composition classified {boundedness_check(identity_map).value}",
     )
 
 
@@ -935,7 +917,7 @@ def check_cphi_adjoint_factorization(
     samples=None,
     params: FockParams | None = None,
     *,
-    tol: float = 1e-11,
+    tol: float = ADJOINT_KERNEL_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Adjoint of a composition operator as multiplier times rotation.
@@ -954,19 +936,16 @@ def check_cphi_adjoint_factorization(
     pts = _sample_rows(samples, seed)
 
     kernel_res, matrix_res = _adjoint_factorization_residuals([mp], pts, params)
-    residuals = [(params.order, float(kernel_res[0]))]
-    ok = kernel_res[0] <= tol
+    residuals = [(params.order, float(kernel_res[0]), Rule(at_most=tol))]
     notes = ""
     if boundedness_check(mp) is Boundedness.UNBOUNDED:
         notes = "composition operator unbounded; matrix cross-check skipped"
     else:
-        residuals.append((params.order, float(matrix_res[0])))
-        ok = ok and matrix_res[0] <= ADJOINT_MATRIX_TOL
+        residuals.append((params.order, float(matrix_res[0]), Rule(at_most=ADJOINT_MATRIX_TOL)))
     return CheckReport(
         check_name="adjoint-factorization",
         params_echo={"a": mp.a, "b": mp.b, "alpha": params.alpha, "order": params.order, "samples": int(pts.size)},
         residuals=tuple(residuals),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
         notes=notes,
     )
 
@@ -1033,7 +1012,7 @@ def check_normality(
     orders: tuple[int, ...] = DEFAULT_ORDERS,
     *,
     alpha: float = 1.0,
-    tol: float = 1e-9,
+    tol: float = NORMALITY_TOL,
 ) -> CheckReport:
     """Slope/offset normality predicate against measured commutators.
 
@@ -1051,54 +1030,40 @@ def check_normality(
     failures with an explanatory note.
     """
     criterion = abs(mp.a - 1.0) <= IDENTITY_TOL or abs(mp.b) <= IDENTITY_TOL
-    bounded = boundedness_check(mp)
     notes = [f"criterion (slope 1 or offset 0): {criterion}"]
     if not _is_constant_weight(weight):
         notes.append("non-constant weight: the slope/offset predicate is not expected to govern")
 
-    if bounded is Boundedness.UNBOUNDED:
+    if boundedness_check(mp) is Boundedness.UNBOUNDED:
         notes.append("unbounded composition map: criterion-only report, no matrix path")
-        return CheckReport(
-            check_name="normality",
-            params_echo={"a": mp.a, "b": mp.b, "alpha": alpha},
-            residuals=((0, 0.0),),
-            verdict=Verdict.INFORMATIONAL,
-            notes="; ".join(notes),
-        )
-
-    sym = WcoSymbol(weight, mp)
-    blocks = [max(1, n // 2) for n in orders]
-    mats = _sections_at(sym, alpha, orders)
-    residuals = [(n, commutator_residual(adjoint_matrix(mat), mat, block)) for n, block, mat in zip(orders, blocks, mats)]
-    values = [v for _, v in residuals]
-
-    if criterion:
-        ok = all(v <= tol for v in values)
-        if not ok:
-            notes.append("measured commutator contradicts the predicate (operator is not normal)")
+        residuals = [(0, 0.0, REPORTED)]
     else:
-        floor = NONNORMAL_FACTOR * tol
-        big_enough = all(v >= floor for v in values)
-        # np.linalg.norm of a K = block^2 complex block is sqrt(re.re + im.im).
-        # Each dot product of K non-negative terms is within gamma_K = K u / (1 - K u)
-        # of exact (Higham, Accuracy and Stability of Numerical Algorithms, eq. 3.5),
-        # their sum within gamma_{K+1}, and the square root keeps that relative
-        # error (|sqrt(1 + t) - 1| <= |t|) plus one rounding: gamma_{K+2}.  A
-        # decrease fails unless the exact norms could still be non-decreasing.
-        u = np.finfo(np.float64).eps / 2
-        slack = [(k * k + 2) * u / (1.0 - (k * k + 2) * u) for k in blocks]
-        monotone = all(
-            values[i + 1] * (1.0 + slack[i + 1]) >= values[i] * (1.0 - slack[i]) for i in range(len(values) - 1)
-        )
-        ok = big_enough and (monotone or len(values) < 2)
-        if not big_enough:
-            notes.append("measured commutator is small although the predicate declares non-normal")
-        elif not monotone:
-            notes.append("non-normal residual not non-decreasing across orders")
+        blocks = [max(1, n // 2) for n in orders]
+        mats = _sections_at(WcoSymbol(weight, mp), alpha, orders)
+        values = [commutator_residual(adjoint_matrix(mat), mat, block) for block, mat in zip(blocks, mats)]
+        if criterion:
+            rules = [Rule(at_most=tol)] * len(values)
+            if not rules_hold(values, rules):
+                notes.append("measured commutator contradicts the predicate (operator is not normal)")
+        else:
+            floor = NONNORMAL_FACTOR * tol
+            # np.linalg.norm of a K = block^2 complex block is sqrt(re.re + im.im).
+            # Each dot product of K non-negative terms is within gamma_K = K u / (1 - K u)
+            # of exact (Higham, Accuracy and Stability of Numerical Algorithms, eq. 3.5),
+            # their sum within gamma_{K+1}, and the square root keeps that relative
+            # error (|sqrt(1 + t) - 1| <= |t|) plus one rounding: gamma_{K+2}.  A
+            # decrease fails unless the exact norms could still be non-decreasing.
+            u = np.finfo(np.float64).eps / 2
+            slack = [(k * k + 2) * u / (1.0 - (k * k + 2) * u) for k in blocks]
+            rules = [Rule(at_least=floor, slack=s) for s in slack]
+            if not rules_hold(values, [Rule(at_least=floor)] * len(values)):
+                notes.append("measured commutator is small although the predicate declares non-normal")
+            elif not rules_hold(values, rules):
+                notes.append("non-normal residual not non-decreasing across orders")
+        residuals = list(zip(orders, values, rules))
     return CheckReport(
         check_name="normality",
         params_echo={"a": mp.a, "b": mp.b, "alpha": alpha},
         residuals=tuple(residuals),
-        verdict=Verdict.PASS if ok else Verdict.FAIL,
         notes="; ".join(notes),
     )

@@ -2,20 +2,22 @@
 
 Every checker returns a CheckReport: the residuals it measured (per
 truncation order where truncation matters, with order 0 marking
-order-independent pointwise or symbolic measurements), a verdict, and
-free-form notes.  Reports serialize to a stable JSON schema, to CSV rows,
-or to plain text; serialization is deterministic so identical runs produce
+order-independent pointwise or symbolic measurements), each with the Rule it
+is held to, and free-form notes.  The report derives its verdict from those
+rules alone.  Reports serialize to a stable JSON schema, to CSV rows, or to
+plain text; serialization is deterministic so identical runs produce
 identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-__all__ = ["CheckReport", "Verdict", "render_reports"]
+__all__ = ["REPORTED", "CheckReport", "Rule", "Verdict", "render_reports", "rules_hold"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -27,19 +29,53 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
+class Rule:
+    """What an asserted residual must satisfy: at_least <= value <= at_most, and with a slack, non-decrease
+    across orders up to relative rounding: value * (1 + slack) >= previous * (1 - previous slack), the previous
+    being the last earlier residual with a slack."""
+
+    at_most: float = math.inf
+    at_least: float = -math.inf
+    slack: float | None = None
+
+
+# the rule of a residual that is reported only and never enters the verdict, told apart by identity
+REPORTED = Rule()
+
+
+def rules_hold(values, rules) -> bool:
+    """Whether every value meets its rule: REPORTED always holds, and nan fails every other rule."""
+    steps = [(v, rule.slack) for v, rule in zip(values, rules, strict=True) if rule.slack is not None]
+    return all(rule is REPORTED or rule.at_least <= v <= rule.at_most for v, rule in zip(values, rules)) and all(
+        b * (1.0 + sb) >= a * (1.0 - sa) for (a, sa), (b, sb) in zip(steps, steps[1:])
+    )
+
+
+@dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one named check."""
+    """Outcome of one named check.
+
+    residuals is given as (N, value, rule) triples and kept as (N, value) pairs, the rules apart in
+    ``rules``.  The verdict is Informational when every rule is REPORTED, else Pass iff every rule holds.
+    """
 
     check_name: str
     params_echo: dict[str, Any]
     residuals: tuple[tuple[int, float], ...]
-    verdict: Verdict
     notes: str = ""
+    rules: tuple[Rule, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.residuals:
             raise ValueError("a report must carry at least one residual")
-        object.__setattr__(self, "residuals", tuple((int(n), float(v)) for n, v in self.residuals))
+        object.__setattr__(self, "rules", tuple(rule for _, _, rule in self.residuals))
+        object.__setattr__(self, "residuals", tuple((int(n), float(v)) for n, v, _ in self.residuals))
+
+    @property
+    def verdict(self) -> Verdict:
+        if all(rule is REPORTED for rule in self.rules):
+            return Verdict.INFORMATIONAL
+        return Verdict.PASS if rules_hold([v for _, v in self.residuals], self.rules) else Verdict.FAIL
 
     @property
     def passed(self) -> bool:
@@ -47,7 +83,8 @@ class CheckReport:
 
     @property
     def max_residual(self) -> float:
-        return max(v for _, v in self.residuals)
+        # a nan residual is the largest, as it fails every rule
+        return max((v for _, v in self.residuals), key=lambda v: (math.isnan(v), v))
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -1,10 +1,12 @@
 """Per-identity checkers: worked values, falsifications, and verdict logic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fockcalc.checks as checks
 from fockcalc import (
     AffineMap,
     Boundedness,
@@ -66,6 +68,13 @@ class TestSelfAdjointForward:
         assert report.verdict is Verdict.FAIL
         matrix_residuals = [v for n, v in report.residuals if n > 0]
         assert min(matrix_residuals) >= 0.05
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_kernel_difference_reaches_the_residual(self):
+        # a weight scale of 1e308 overflows both kernel images to inf at some pairs, and inf - inf is nan
+        report = check_selfadjoint_forward(SelfAdjointSymbolParams(1e308, 0.5, 0.25), (4,))
+        assert math.isnan(report.residuals[-1][1])
+        assert report.verdict is Verdict.FAIL
 
     def test_complex_slope_fails(self):
         report = check_selfadjoint_forward(SelfAdjointSymbolParams(1.0, 0.5, 0.25 + 0.1j))
@@ -241,6 +250,14 @@ class TestEigenIdentity:
         report = check_eigen_identity(CANONICAL, j_max=0)
         kernel_res = report.residuals[-1][1]
         assert kernel_res <= 1e-11
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_nan_residual_fails(self):
+        # at z = 2000 both sides overflow and every j reads nan; the worst of them must be nan, not 0
+        report = check_eigen_identity(CANONICAL, samples=[2000.0])
+        assert report.notes.startswith("j=0: nan;")
+        assert math.isnan(report.residuals[0][1])
+        assert report.verdict is Verdict.FAIL
 
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(ValueError):
@@ -449,7 +466,10 @@ class TestCounterexample:
     def test_composition_tuples(self):
         report = reproduce_counterexample(2.0)
         assert report.verdict is Verdict.PASS
-        assert all(v <= 1e-12 for _, v in report.residuals)
+        tuples, (n, separation) = report.residuals[:2], report.residuals[2]
+        assert all(v <= 1e-12 for _, v in tuples)
+        # the separation residual |oai(0) - iao(0)| = |-1 - 1/4|
+        assert n == 0 and abs(separation - 1.25) <= 1e-12
 
     def test_variant_tuple_detected(self):
         report = reproduce_counterexample(2.0)
@@ -635,3 +655,137 @@ class TestNormality:
         report = check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(0.5, 0.3), (16, 8))
         assert report.verdict is Verdict.FAIL
         assert "non-decreasing" in report.notes
+
+
+# ---------------------------------------------------------------------------
+# negative controls: every check returns Fail on one broken input or perturbed step
+# ---------------------------------------------------------------------------
+
+CONTROL_ALPHAS = [0.05, 1.0, 8.0, 20.0]
+
+
+def test_fixed_point_fails_on_a_shifted_fixed_point(monkeypatch):
+    monkeypatch.setattr(checks, "fixed_point", lambda mp: fixed_point(mp) + 1e-6)
+    report = check_h_conjugation(AffineMap(0.25, 0.5))
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > checks.FIXED_POINT_TOL
+
+
+def test_disk_criterion_fails_on_one_flipped_boundary_case(monkeypatch):
+    def flipped(a0, a1):
+        inside = disk_selfmap_criterion(a0, a1)
+        inside[0] = not inside[0]
+        return inside
+
+    monkeypatch.setattr(checks, "disk_selfmap_criterion", flipped)
+    report = check_disk_criterion(200)
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals == ((0, 1.0),)
+
+
+@pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
+def test_eigen_identity_fails_on_a_wrong_eigenvalue_power(monkeypatch, alpha):
+    # factor(z)^(2j) in place of factor(z)^j
+    honest = checks.conjugation_factor
+    monkeypatch.setattr(checks, "conjugation_factor", lambda mp, z: honest(mp, z) ** 2)
+    report = check_eigen_identity(SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha))
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > checks.EIGEN_TOL
+
+
+@pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
+def test_fixed_point_transfer_fails_on_a_shifted_fixed_point(monkeypatch, alpha):
+    # psi fixes b = 2/3 and commutes with the map, so the transfer is asserted, at b + 1e-6
+    monkeypatch.setattr(checks, "fixed_point", lambda mp: fixed_point(mp) + 1e-6)
+    psi = AffineMap(0.3, 0.7 * (2.0 / 3.0))
+    report = check_fixed_point_transfer(SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha), psi, ExpLinearWeight(1.0, 0.0))
+    assert "transfer asserted" in report.notes
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > checks.TRANSFER_TOL
+
+
+@pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
+def test_commutant_symbols_fails_on_a_shifted_offset_form(monkeypatch, alpha):
+    honest = checks.CommutantParams.offset_form
+    monkeypatch.setattr(checks.CommutantParams, "offset_form", lambda self, z: honest(self, z) + 1e-9)
+    report = check_commutant_symbols(2.0, 2.0 / 3.0, alpha=alpha)
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > 1e-12
+
+
+def test_commutant_symbols_degeneration_must_be_exact(monkeypatch):
+    # at eta = 1 a d1 of 1e-300 leaves every closed form within 1e-12, but psi is no longer exactly the identity
+    honest = checks.CommutantParams.from_eta_b.__func__
+    monkeypatch.setattr(
+        checks.CommutantParams, "from_eta_b", classmethod(lambda cls, eta, b: replace(honest(cls, eta, b), d1=1e-300))
+    )
+    report = check_commutant_symbols(1.0, 2.0 / 3.0)
+    assert all(v <= 1e-12 for _, v in report.residuals[:3])
+    assert report.residuals[3] == (0, 1e-300)
+    assert report.verdict is Verdict.FAIL
+
+
+def test_moebius_conjugation_fails_on_a_dropped_conjugate(monkeypatch):
+    # psi built for conj(b) instead of b
+    honest = checks.commutant_symbols
+    monkeypatch.setattr(checks, "commutant_symbols", lambda eta, b: honest(eta, complex(b).conjugate()))
+    report = check_moebius_conjugation_battery(50)
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > 1e-3
+    single = check_moebius_conjugation(honest(2.0, 0.5j)[0], -0.5j, 2.0)
+    assert single.verdict is Verdict.FAIL
+
+
+def test_counterexample_fails_on_the_variant_tuple(monkeypatch):
+    monkeypatch.setattr(checks, "_tuple_outer_after_inner", checks._tuple_outer_after_inner_variant)
+    report = reproduce_counterexample(2.0)
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > 0.1
+
+
+def test_counterexample_fails_when_the_orders_barely_differ():
+    # at eta = 1 + 1e-8 the tuples match, but the two orders differ at 0 by only 1e-9
+    report = reproduce_counterexample(1.0 + 1e-8)
+    assert all(v <= 1e-12 for _, v in report.residuals[:2])
+    assert report.residuals[2][1] < checks.SEPARATION
+    assert report.verdict is Verdict.FAIL
+
+
+def _perturb_sections(monkeypatch, entry, delta):
+    """Make every batch of finite sections the checks build off by delta at one entry."""
+    honest = checks.assemble_sections
+
+    def perturbed(symbols, params):
+        sections = honest(symbols, params)
+        sections[entry] += delta
+        return sections
+
+    monkeypatch.setattr(checks, "assemble_sections", perturbed)
+
+
+@pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
+def test_degenerate_commutant_fails_on_a_perturbed_section(monkeypatch, alpha):
+    _perturb_sections(monkeypatch, (0, 1, 0), 1e-9)
+    f_params = SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha)
+    report = check_degenerate_commutant(fixed_point(f_params.map()), f_params)
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > checks.DEGENERATE_SCALAR_TOL
+
+
+@pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
+def test_adjoint_factorization_fails_on_a_conjugated_offset(monkeypatch, alpha):
+    # the multiplier K_conj(b) in place of K_b
+    honest = checks._kernel_multipliers
+    monkeypatch.setattr(checks, "_kernel_multipliers", lambda offsets, params: honest(offsets.conj(), params))
+    report = check_adjoint_factorization_battery(20, FockParams(alpha, 32))
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] > checks.ADJOINT_KERNEL_TOL
+
+
+@pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
+def test_adjoint_factorization_fails_on_perturbed_sections(monkeypatch, alpha):
+    # only the finite-section cross-check reads the sections
+    _perturb_sections(monkeypatch, (slice(None), 0, 0), 1e-6)
+    report = check_adjoint_factorization_battery(20, FockParams(alpha, 32))
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[1][1] > checks.ADJOINT_MATRIX_TOL

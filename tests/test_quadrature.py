@@ -197,6 +197,14 @@ def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
     assert report.max_residual > 1e-6
 
 
+def test_oracle_fails_on_a_nan_residual(monkeypatch):
+    # a nan deviation of one alpha must fail, not drop out of the worst
+    monkeypatch.setattr(fockcalc.quadrature, "gram", lambda basis: np.full((len(basis), len(basis)), np.nan))
+    report = check_oracle_agreement(4, (1.0,))
+    assert math.isnan(report.residuals[0][1])
+    assert report.verdict is Verdict.FAIL
+
+
 def _forbid_exact_path(monkeypatch):
     """Make every exact norm, inner-product, composition and assembly entry point raise."""
 
