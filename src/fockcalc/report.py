@@ -64,18 +64,18 @@ class CheckReport:
     residuals: tuple[tuple[int, float], ...]
     notes: str = ""
     rules: tuple[Rule, ...] = field(init=False)
+    verdict: Verdict = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.residuals:
             raise ValueError("a report must carry at least one residual")
         object.__setattr__(self, "rules", tuple(rule for _, _, rule in self.residuals))
         object.__setattr__(self, "residuals", tuple((int(n), float(v)) for n, v, _ in self.residuals))
-
-    @property
-    def verdict(self) -> Verdict:
         if all(rule is REPORTED for rule in self.rules):
-            return Verdict.INFORMATIONAL
-        return Verdict.PASS if rules_hold([v for _, v in self.residuals], self.rules) else Verdict.FAIL
+            verdict = Verdict.INFORMATIONAL
+        else:
+            verdict = Verdict.PASS if rules_hold([v for _, v in self.residuals], self.rules) else Verdict.FAIL
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def passed(self) -> bool:
