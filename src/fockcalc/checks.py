@@ -880,8 +880,8 @@ def check_degenerate_commutant(
 
     With the identity map and the constant weight e^{-alpha |b|^2 / 2}, the
     finite section must be exactly that scalar times the identity, commute
-    with the self-adjoint partner, classify as bounded unitary composition,
-    and be normal.
+    with the self-adjoint partner and be normal.  The notes name the identity
+    map's boundedness class, which is always bounded unitary.
     """
     b = complex(b)
     mp = f_params.map()

@@ -45,7 +45,7 @@ REPORTED = Rule()
 
 def rules_hold(values, rules) -> bool:
     """Whether every value meets its rule: REPORTED always holds, and nan fails every other rule."""
-    steps = [(v, rule.slack) for v, rule in zip(values, rules, strict=True) if rule.slack is not None]
+    steps = [(v, rule.slack) for v, rule in zip(values, rules) if rule.slack is not None]
     return all(rule is REPORTED or rule.at_least <= v <= rule.at_most for v, rule in zip(values, rules)) and all(
         b * (1.0 + sb) >= a * (1.0 - sa) for (a, sa), (b, sb) in zip(steps, steps[1:])
     )

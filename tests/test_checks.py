@@ -624,7 +624,7 @@ class TestNormality:
         report = check_normality(ExpLinearWeight(1.0, 0.5), AffineMap(0.25, 0.5))
         assert report.max_residual <= 1e-10
         assert report.verdict is Verdict.FAIL
-        assert "predicate" in report.notes
+        assert "measured commutator is small although the predicate declares non-normal" in report.notes
 
     def test_nonconstant_weight_zero_offset_is_not_normal(self):
         # the other direction of the same disagreement: zero offset but a
@@ -664,11 +664,20 @@ class TestNormality:
 CONTROL_ALPHAS = [0.05, 1.0, 8.0, 20.0]
 
 
-def test_fixed_point_fails_on_a_shifted_fixed_point(monkeypatch):
-    monkeypatch.setattr(checks, "fixed_point", lambda mp: fixed_point(mp) + 1e-6)
-    report = check_h_conjugation(AffineMap(0.25, 0.5))
-    assert report.verdict is Verdict.FAIL
+def test_fixed_point_fails_on_an_inexact_fixed_point():
+    # slope 1 - 1e-9 + 1e-9i puts b near 5e8, where map(b) - b keeps 3e-8 of rounding; the conjugation still holds
+    report = check_h_conjugation(AffineMap(0.999999999 + 1e-9j, 0.3 + 0.7j))
     assert report.residuals[0][1] > checks.FIXED_POINT_TOL
+    assert report.residuals[1][1] <= 1e-12
+    assert report.verdict is Verdict.FAIL
+
+
+def test_fixed_point_fails_on_a_perturbed_conjugation_factor(monkeypatch):
+    honest = checks.conjugation_factor
+    monkeypatch.setattr(checks, "conjugation_factor", lambda mp, z: honest(mp, z) * (1.0 + 1e-9))
+    report = check_h_conjugation(AffineMap(0.25, 0.5))
+    assert report.residuals[0][1] <= checks.FIXED_POINT_TOL
+    assert report.verdict is Verdict.FAIL
 
 
 def test_disk_criterion_fails_on_one_flipped_boundary_case(monkeypatch):
@@ -764,10 +773,12 @@ def _perturb_sections(monkeypatch, entry, delta):
 
 
 @pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
-def test_degenerate_commutant_fails_on_a_perturbed_section(monkeypatch, alpha):
-    _perturb_sections(monkeypatch, (0, 1, 0), 1e-9)
+def test_degenerate_commutant_fails_on_a_shifted_scalar(monkeypatch, alpha):
+    # (g + 1e-9) I is still scalar, so it still commutes and is normal: only the scalar residual fails
+    diagonal = np.arange(33)
+    _perturb_sections(monkeypatch, (0, diagonal, diagonal), 1e-9)
     f_params = SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha)
-    report = check_degenerate_commutant(fixed_point(f_params.map()), f_params)
+    report = check_degenerate_commutant(fixed_point(f_params.map()), f_params, order=32)
     assert report.verdict is Verdict.FAIL
     assert report.residuals[0][1] > checks.DEGENERATE_SCALAR_TOL
 
@@ -783,9 +794,17 @@ def test_adjoint_factorization_fails_on_a_conjugated_offset(monkeypatch, alpha):
 
 
 @pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
-def test_adjoint_factorization_fails_on_perturbed_sections(monkeypatch, alpha):
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda params: check_adjoint_factorization_battery(20, params),
+        lambda params: check_cphi_adjoint_factorization(AffineMap(0.25, 0.5), params=params),
+    ],
+    ids=["battery", "single"],
+)
+def test_adjoint_factorization_fails_on_perturbed_sections(monkeypatch, alpha, run):
     # only the finite-section cross-check reads the sections
     _perturb_sections(monkeypatch, (slice(None), 0, 0), 1e-6)
-    report = check_adjoint_factorization_battery(20, FockParams(alpha, 32))
+    report = run(FockParams(alpha, 32))
     assert report.verdict is Verdict.FAIL
     assert report.residuals[1][1] > checks.ADJOINT_MATRIX_TOL
