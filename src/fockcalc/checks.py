@@ -161,13 +161,7 @@ class CommutantParams:
 
     @classmethod
     def from_eta_b(cls, eta: complex, b: complex) -> "CommutantParams":
-        eta = complex(eta)
-        b = complex(b)
-        if b == 0:
-            raise ValueError("the fixed point b must be nonzero for this family")
-        den = abs(b) ** 2 * eta - 1.0
-        if abs(den) <= 1e-12:
-            raise ValueError(f"|b|^2 * eta too close to 1 (denominator {den})")
+        eta, b, den = _commutant_inputs(eta, b)
         return cls(
             eta=eta,
             b=b,
@@ -200,6 +194,23 @@ class CommutantParams:
 # ---------------------------------------------------------------------------
 # scalar helpers
 # ---------------------------------------------------------------------------
+
+
+def _commutant_inputs(eta, b) -> tuple[complex, complex, complex]:
+    """(eta, b, |b|^2 eta - 1) of the commutant family, rejecting b = 0 and a vanishing denominator."""
+    eta, b = complex(eta), complex(b)
+    if b == 0:
+        raise ValueError("the fixed point b must be nonzero for this family")
+    den = abs(b) ** 2 * eta - 1.0
+    if abs(den) <= 1e-12:
+        raise ValueError(f"|b|^2 * eta too close to 1 (denominator {den})")
+    return eta, b, den
+
+
+def _commutant_map(eta, b) -> LinearFractionalMap:
+    """The family map psi of (eta, b), without the weight or the derived coefficients."""
+    eta, b, den = _commutant_inputs(eta, b)
+    return LinearFractionalMap(abs(b) ** 2 - eta, (eta - 1.0) * b, b.conjugate() * (1.0 - eta), den)
 
 
 def fixed_point(mp: AffineMap) -> complex:
@@ -269,12 +280,19 @@ def disk_boundary_oracle(a0, a1):
     """
     a0, a1 = np.broadcast_arrays(np.asarray(a0, dtype=np.complex128), np.asarray(a1, dtype=np.float64))
     circle = np.exp(1j * (2.0 * np.pi * np.arange(BOUNDARY_POINTS) / BOUNDARY_POINTS))
-    flat0, flat1 = a0.ravel(), a1.ravel()
+    # a real a1 times the circle is the complex product with a1 + 0j, so cast once
+    flat0, flat1 = a0.ravel(), a1.ravel().astype(np.complex128)
     inside = np.empty(flat0.shape, dtype=bool)
     block = ORACLE_BLOCK_POINTS // BOUNDARY_POINTS
+    values = np.empty((block, BOUNDARY_POINTS), dtype=np.complex128)
+    magnitudes = np.empty((block, BOUNDARY_POINTS))
     for start in range(0, flat0.size, block):
         rows = slice(start, start + block)
-        inside[rows] = np.max(np.abs(flat0[rows, None] + flat1[rows, None] * circle), axis=1) <= 1.0 + IDENTITY_TOL
+        count = flat0[rows].size
+        vals, mags = values[:count], magnitudes[:count]
+        np.multiply(flat1[rows, None], circle, out=vals)
+        np.add(flat0[rows, None], vals, out=vals)
+        inside[rows] = np.max(np.abs(vals, out=mags), axis=1) <= 1.0 + IDENTITY_TOL
     return bool(inside[0]) if a0.ndim == 0 else inside.reshape(a0.shape)
 
 
@@ -307,7 +325,7 @@ def _sections_at(sym: WcoSymbol, alpha: float, orders) -> list[OperatorMatrix]:
     """The section of sym at each order, read as a leading block of the one at the largest.
 
     Column n reads only earlier columns and rows up to its own, so a leading block is the smaller
-    section: bit for bit from order 2 on, and at order 1 up to numpy's cumprod rounding row 1 apart.
+    section bit for bit.
     """
     top = assemble_sections([sym], FockParams(alpha, max(orders)))[0]
     return [OperatorMatrix(top[: n + 1, : n + 1], FockParams(alpha, n)) for n in orders]
@@ -560,18 +578,11 @@ def commutant_symbols(
     the generating identity is the only unambiguous source).
     """
     cp = CommutantParams.from_eta_b(eta, b)
-    b = cp.b
-    eta = cp.eta
-    psi = LinearFractionalMap(
-        abs(b) ** 2 - eta,
-        (eta - 1.0) * b,
-        b.conjugate() * (1.0 - eta),
-        abs(b) ** 2 * eta - 1.0,
-    )
-    if eta == 1.0:
+    psi = _commutant_map(cp.eta, cp.b)
+    if cp.eta == 1.0:
         weight: WcoWeight = ExpLinearWeight(1.0, 0.0)
     else:
-        weight = ExpDisplacementWeight(1.0, alpha * b.conjugate(), psi)
+        weight = ExpDisplacementWeight(1.0, alpha * cp.b.conjugate(), psi)
     return psi, weight, cp
 
 
@@ -827,7 +838,7 @@ def check_moebius_conjugation_battery(
         ]
         b, eta = np.append(b, b_try[accept]), np.append(eta, eta_try[accept])
     b, eta = b[:draws], eta[:draws]
-    psis = [commutant_symbols(eta_i, b_i)[0] for eta_i, b_i in zip(eta, b)]
+    psis = [_commutant_map(eta_i, b_i) for eta_i, b_i in zip(eta, b)]
     worst = float(np.max(_moebius_residuals(psis, b, eta, _sample_rows(None, seed, draws))[0]))
     return CheckReport(
         check_name="moebius-conjugation",
@@ -980,9 +991,9 @@ def _adjoint_factorization_residuals(
     if bounded:
         half = (n + 1) // 2
         norms = params.monomial_norms()[:, None]
-        sections = assemble_sections([WcoSymbol(ExpLinearWeight(1.0, 0.0), maps[i]) for i in bounded], params)
-        # the leading rows of each adjoint: conjugated leading columns of the section
-        adjoint_rows = sections[:, :, :half].conj().transpose(0, 2, 1)
+        # the leading rows of each adjoint: conjugated leading columns of the section, the only ones built
+        sections = assemble_sections([WcoSymbol(ExpLinearWeight(1.0, 0.0), maps[i]) for i in bounded], params, columns=half)
+        adjoint_rows = sections.conj().transpose(0, 2, 1)
         orthonormal = kernels[bounded]
         orthonormal *= norms
         applied = (adjoint_rows @ orthonormal) / norms[:half]

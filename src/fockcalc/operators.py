@@ -452,7 +452,7 @@ def _render_rows(block: np.ndarray) -> str:
     return grid.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams) -> np.ndarray:
+def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, columns: int | None = None) -> np.ndarray:
     """Finite sections of M symbols in the normalized-monomial basis, as one (M, N+1, N+1) block.
 
     Column n holds the orthonormal coordinates of the image of e_n; column 0
@@ -462,32 +462,47 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams) -> np.nd
     Multiplying by a z + b only raises degrees, so entries are exact up to
     rounding; for an exponential weight no raw coefficient or norm enters.
     The recurrence runs once for all symbols, each entry by the same
-    operations as for that symbol alone.
+    operations as for that symbol alone.  With columns, only the leading
+    columns are built, as an (M, N+1, columns) block: the same bits as the
+    full build's, since column n reads only column n-1.
     """
     maps = [sym.map for sym in symbols]
     if not all(isinstance(mp, AffineMap) for mp in maps):
         raise UnsupportedMapError("matrix assembly requires an affine map")
-    k = np.arange(1, params.order + 1)
-    # shift[n-1, s, m-1] = a_s sqrt(m / n): one square root, so exactly a_s on the diagonal
-    shift = np.array([mp.a for mp in maps])[:, None] * np.sqrt(k / k[:, None])[:, None, :]
-    stay = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / k)[:, None])[:, :, None]
-    # columns[n, s] is column n of symbol s, so each step is one contiguous block
-    columns = np.zeros((params.order + 1, len(maps), params.order + 1), dtype=np.complex128)
+    order = params.order
+    width = order + 1 if columns is None else columns
+    if not 1 <= width <= order + 1:
+        raise ValueError(f"columns {width} outside 1..{order + 1}")
+    steps = np.arange(1, width)
+    # coef[n-1, 0, s] = b_s sqrt(alpha / n) on every row, and coef[n-1, 1, s, m] = a_s sqrt((m+1) / n), the
+    # factor from row m to row m+1: one square root, so exactly a_s on the diagonal
+    coef = np.empty((width - 1, 2, len(maps), order + 1), dtype=np.complex128)
+    coef[:, 0] = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / steps)[:, None])[:, :, None]
+    ratios = np.arange(1, order + 2) / steps[:, None]
+    np.multiply(np.array([mp.a for mp in maps])[:, None], np.sqrt(ratios, out=ratios)[:, None, :], out=coef[:, 1])
+    # block[n, s] is column n of symbol s, so each step is one contiguous block
+    block = np.zeros((width, len(maps), order + 1), dtype=np.complex128)
+    # the two products of a step, each one row down: prod[0, s, m+1] stays in row m, prod[1, s, m+1] moves to
+    # row m+1; adding the -0 of prod[1, s, 0] keeps row 0 the stay product, sign of a zero included
+    prod = np.empty((2, len(maps), order + 2), dtype=np.complex128)
+    prod[1, :, 0] = complex(-0.0, -0.0)
     # an entry past the double range becomes inf or nan here, which OperatorMatrix reports
     with np.errstate(over="ignore", invalid="ignore"):
+        # at least three factors: numpy's cumprod of two rounds apart from the first two of a longer one
+        k = np.arange(1, max(order, 2) + 1)
         for s, sym in enumerate(symbols):
             weight = sym.weight
             if isinstance(weight, ExpLinearWeight):
                 # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k)
-                columns[0, s] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))
+                block[0, s] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))[: order + 1]
             else:
-                columns[0, s] = monomial_to_orthonormal(weight.materialize(params))
-        # lists of views: indexing them is cheaper than indexing the array, once per column
-        cols, raised, lowered = list(columns), list(columns[:, :, 1:]), list(columns[:, :, :-1])
-        for n, (stay_n, shift_n) in enumerate(zip(stay, shift), start=1):
-            np.multiply(stay_n, cols[n - 1], out=cols[n])
-            raised[n] += shift_n * lowered[n - 1]
-    return columns.transpose(1, 2, 0)
+                block[0, s] = monomial_to_orthonormal(weight.materialize(params))
+        # views taken once: indexing a list is cheaper than slicing the array, once per column
+        cols, products, stayed, moved = list(block), prod[:, :, 1:], prod[0, :, 1:], prod[1, :, :-1]
+        for n, coef_n in enumerate(coef, start=1):
+            np.multiply(coef_n, cols[n - 1], out=products)
+            np.add(stayed, moved, out=cols[n])
+    return block.transpose(1, 2, 0)
 
 
 def assemble_matrix(sym: WcoSymbol, params: FockParams) -> OperatorMatrix:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["circle_points", "circle_rows", "disk_pairs", "drop_near_poles", "pole_mask"]
 
 DEFAULT_POLE_MARGIN = 1e-3
+# seeded rows kept for reuse, process-wide: at 20 complex values a row, about 0.5 MB
+CIRCLE_ROW_CACHE = 1024
 
 
 def circle_points(seed: int) -> np.ndarray:
@@ -15,9 +19,16 @@ def circle_points(seed: int) -> np.ndarray:
 
 
 def circle_rows(seed: int, rows: int) -> np.ndarray:
-    """The (rows, 20) block whose row i is circle_points(seed + i): one draw of 20 angles per row."""
-    angles = np.stack([np.random.default_rng(seed + i).uniform(0.0, 2.0 * np.pi, 20) for i in range(rows)])
-    return np.repeat((0.4, 0.8), 10) * np.exp(1j * angles)
+    """The (rows, 20) block whose row i is circle_points(seed + i), as a fresh writable array."""
+    return np.stack([_circle_row(seed + i) for i in range(rows)])
+
+
+@functools.lru_cache(maxsize=CIRCLE_ROW_CACHE)
+def _circle_row(seed: int) -> np.ndarray:
+    """Row seed, drawn once while it stays cached: one draw of 20 angles; read-only, as every caller shares it."""
+    row = np.repeat((0.4, 0.8), 10) * np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 20))
+    row.setflags(write=False)
+    return row
 
 
 def disk_pairs(seed: int) -> np.ndarray:

@@ -344,6 +344,23 @@ class TestCommutantSymbols:
         with pytest.raises(ValueError):
             commutant_symbols(9.0 / 4.0, 2.0 / 3.0)  # |b|^2 eta = 1
 
+    def test_map_alone_equals_the_family_map(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            b = complex(rng.uniform(0.1, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            eta = complex(rng.uniform(-2.0, 2.5), rng.uniform(-1.0, 1.0))
+            psi, family = checks._commutant_map(eta, b), commutant_symbols(eta, b)[0]
+            assert [repr(getattr(psi, name)) for name in "pqrs"] == [repr(getattr(family, name)) for name in "pqrs"]
+
+    def test_map_alone_keeps_the_preconditions(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            checks._commutant_map(2.0, 0.0)
+        with pytest.raises(ValueError, match="too close to 1"):
+            checks._commutant_map(9.0 / 4.0, 2.0 / 3.0)
+        # psi's determinant is eta (|b|^2 - 1)^2, so |b| = 1 degenerates it
+        with pytest.raises(DegenerateMapError):
+            checks._commutant_map(2.0, 1.0)
+
 
 class TestMoebiusConjugation:
     def test_identity_at_multiplier_one(self):
@@ -736,12 +753,12 @@ def test_commutant_symbols_degeneration_must_be_exact(monkeypatch):
 
 def test_moebius_conjugation_fails_on_a_dropped_conjugate(monkeypatch):
     # psi built for conj(b) instead of b
-    honest = checks.commutant_symbols
-    monkeypatch.setattr(checks, "commutant_symbols", lambda eta, b: honest(eta, complex(b).conjugate()))
+    honest = checks._commutant_map
+    monkeypatch.setattr(checks, "_commutant_map", lambda eta, b: honest(eta, complex(b).conjugate()))
     report = check_moebius_conjugation_battery(50)
     assert report.verdict is Verdict.FAIL
     assert report.residuals[0][1] > 1e-3
-    single = check_moebius_conjugation(honest(2.0, 0.5j)[0], -0.5j, 2.0)
+    single = check_moebius_conjugation(honest(2.0, 0.5j), -0.5j, 2.0)
     assert single.verdict is Verdict.FAIL
 
 
@@ -764,8 +781,8 @@ def _perturb_sections(monkeypatch, entry, delta):
     """Make every batch of finite sections the checks build off by delta at one entry."""
     honest = checks.assemble_sections
 
-    def perturbed(symbols, params):
-        sections = honest(symbols, params)
+    def perturbed(symbols, params, *, columns=None):
+        sections = honest(symbols, params)[:, :, :columns]
         sections[entry] += delta
         return sections
 

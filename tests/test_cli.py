@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fockcalc.checks as checks
 import fockcalc.cli as cli
+import fockcalc.sampling as sampling
 from fockcalc import FockParams, SelfAdjointSymbolParams, assemble_matrix
 from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_check, run_suite, suite_grid
 from fockcalc.report import format_complex
@@ -561,11 +562,11 @@ PINNED_SYMBOL = ["--alpha=1", "--weight-c=0.8-0.3i", "--weight-w=0.35+0.2i", "--
     "order,digest",
     [
         (170, "e146be8b8adc3f243d4e21824472606463a203aebcec2cacbf607e7151b80e5c"),
-        (1, "8b91c5a9c06d40964f7c1baf581113adc06443c2f2809c4b0a554e203574bf41"),
+        (1, "1c5ddc27c8c080ef227a82f3c509e8b8bd761bc218e0af112a6b51c3e9d84fbe"),
     ],
 )
 def test_matrix_csv_bytes_are_pinned(capsys, order, digest):
-    # sha256 of the CSV as per-value '%.17g' formatting wrote it
+    # sha256 of the CSV as per-value '%.17g' formatting wrote it; order 1 is the leading block of order 2
     code, out, err = run_cli(["matrix", *PINNED_SYMBOL, f"--order={order}"], capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
@@ -666,13 +667,24 @@ def test_suite_bytes_equal_the_per_order_and_per_row_paths(monkeypatch):
     def sections_at(sym, alpha, orders):
         return [assemble_matrix(sym, FockParams(alpha, n)) for n in orders]
 
-    def assemble_sections(symbols, params):
-        return np.stack([assemble_matrix(sym, params).entries for sym in symbols])
+    def assemble_sections(symbols, params, *, columns=None):
+        return np.stack([assemble_matrix(sym, params).entries[:, :columns] for sym in symbols])
 
     monkeypatch.setattr(checks, "_sections_at", sections_at)
     monkeypatch.setattr(checks, "assemble_sections", assemble_sections)
     monkeypatch.setattr(checks, "circle_rows", lambda seed, rows: np.stack([circle_points(seed + i) for i in range(rows)]))
     assert [_suite_json(*key) for key in grid] == fast
+
+
+def test_repeated_suite_draws_no_sample_row_again():
+    """A suite draws each distinct sample row once, and a second run at the same seed draws none."""
+    sampling._circle_row.cache_clear()
+    cfg = RunConfig()
+    first = [r.to_dict() for r in run_suite(cfg)]
+    # rows seed .. seed + 49 of moebius-conjugation; the other checks read rows among them
+    assert sampling._circle_row.cache_info().misses == 50
+    assert [r.to_dict() for r in run_suite(cfg)] == first
+    assert sampling._circle_row.cache_info().misses == 50
 
 
 def test_suite_applies_tolerance_override(capsys):
