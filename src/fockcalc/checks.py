@@ -79,6 +79,8 @@ __all__ = [
 DEFAULT_SEED = 42
 IDENTITY_TOL = 1e-12
 DEFAULT_ORDERS = (16, 32, 64)
+# alpha and order of the checks that work at one order: selfadjoint-reverse, degenerate-commutant, adjoint-factorization
+KERNEL_PARAMS = FockParams(1.0, 32)
 
 # default tolerances, which --tolerance overrides
 EIGEN_TOL = 1e-10  # eigen-identity: the pointwise eigen-identities
@@ -144,9 +146,6 @@ class SelfAdjointSymbolParams:
     def symbol(self) -> WcoSymbol:
         return WcoSymbol(self.weight(), self.map())
 
-    def echo(self) -> dict:
-        return {"c": self.c, "a0": self.a0, "a1": self.a1, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class CommutantParams:
@@ -179,16 +178,6 @@ class CommutantParams:
         if self.d1 == 0:
             return None
         return 1.0 / self.d1
-
-    def echo(self) -> dict:
-        return {
-            "eta": self.eta,
-            "b": self.b,
-            "d0": self.d0,
-            "d1": self.d1,
-            "d2": self.d2,
-            "d3": self.d3,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +286,7 @@ def disk_boundary_oracle(a0, a1):
 
 
 def _sample_rows(samples, seed: int, rows: int = 1) -> np.ndarray:
-    """The (rows, S) sample block: circle_points(seed + i) as row i, or the given samples as one row."""
+    """The (rows, S) sample block: circle_rows(seed, rows), or the given samples as one row."""
     if samples is None:
         return circle_rows(seed, rows)
     pts = np.reshape(np.asarray(samples, dtype=np.complex128), (1, -1))
@@ -373,7 +362,7 @@ def check_selfadjoint_forward(
 
     return CheckReport(
         check_name="selfadjoint-forward",
-        params_echo=params.echo(),
+        params_echo=dict(vars(params)),
         residuals=tuple(residuals),
         notes="; ".join(notes),
     )
@@ -382,7 +371,7 @@ def check_selfadjoint_forward(
 def check_selfadjoint_reverse(
     weight: WcoWeight,
     mp: AffineMap,
-    params: FockParams | None = None,
+    params: FockParams = KERNEL_PARAMS,
     *,
     tol: float = IDENTITY_TOL,
 ) -> CheckReport:
@@ -394,8 +383,6 @@ def check_selfadjoint_reverse(
     """
     if not isinstance(mp, AffineMap):
         raise UnsupportedMapError("the reverse check requires an affine map")
-    if params is None:
-        params = FockParams(1.0, 32)
     c = complex(weight.value(0.0))
     a0 = mp.b
     a1 = mp.a
@@ -511,7 +498,7 @@ def check_eigen_identity(
 
     return CheckReport(
         check_name="eigen-identity",
-        params_echo={**params.echo(), "j_max": j_max, "b": b, "samples": int(pts.size)},
+        params_echo={**vars(params), "j_max": j_max, "b": b, "samples": int(pts.size)},
         # np.max, not max: a nan residual of one j must reach the worst
         residuals=((0, float(np.max(per_j)), Rule(at_most=tol)), kernel),
         notes="; ".join(f"j={j}: {rj:.2e}" for j, rj in enumerate(per_j)),
@@ -551,7 +538,7 @@ def check_fixed_point_transfer(
         note, transfer_rule = "maps do not commute pointwise; transfer reported, not asserted", REPORTED
     return CheckReport(
         check_name="fixed-point-transfer",
-        params_echo={**f_params.echo(), "b": b, "samples": int(pts.size)},
+        params_echo={**vars(f_params), "b": b, "samples": int(pts.size)},
         residuals=((0, transfer_res, transfer_rule), (0, commute_res, REPORTED)),
         notes=note + f"; min |g| on samples {g_min:.3g}",
     )
@@ -648,7 +635,7 @@ def check_commutant_symbols(
 
     return CheckReport(
         check_name="commutant-symbols",
-        params_echo=cp.echo(),
+        params_echo=dict(vars(cp)),
         residuals=tuple(residuals),
         notes="; ".join(notes),
     )
@@ -821,7 +808,7 @@ def check_moebius_conjugation_battery(
 
     Fixed points are drawn with 0.1 <= |b| <= 0.9 and eta from a complex
     rectangle, rejecting draws with |b|^2 eta within 0.05 of 1 where the
-    family degenerates.  Draw i is checked on circle_points(seed + i), and
+    family degenerates.  Draw i is checked on row i of circle_rows(seed, draws), and
     all draws are evaluated as one masked block.
     """
     if draws < 1:
@@ -850,20 +837,18 @@ def check_moebius_conjugation_battery(
 
 def check_adjoint_factorization_battery(
     map_draws: int = 20,
-    params: FockParams | None = None,
+    params: FockParams = KERNEL_PARAMS,
     *,
     tol: float = ADJOINT_KERNEL_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Adjoint factorization over random strictly bounded affine maps.
 
-    Map i is checked on circle_points(seed + i), and all maps are evaluated
+    Map i is checked on row i of circle_rows(seed, map_draws), and all maps are evaluated
     as one kernel block with one batch of finite sections.
     """
     if map_draws < 1:
         raise ValueError(f"draws must be at least 1, got {map_draws}")
-    if params is None:
-        params = FockParams(1.0, 32)
     rng = np.random.default_rng(seed)
     # one row per map, in the order |a|, arg a, |b|, arg b
     u = rng.uniform(0.0, (0.9, 2.0 * np.pi, 0.8, 2.0 * np.pi), size=(map_draws, 4))
@@ -884,7 +869,7 @@ def check_degenerate_commutant(
     b: complex,
     f_params: SelfAdjointSymbolParams,
     *,
-    order: int = 32,
+    order: int = KERNEL_PARAMS.order,
     tol: float = IDENTITY_TOL,
 ) -> CheckReport:
     """The bounded degeneration of the commutant family: a scalar operator.
@@ -908,7 +893,7 @@ def check_degenerate_commutant(
     half = max(1, order // 2)
     return CheckReport(
         check_name="degenerate-commutant",
-        params_echo={**f_params.echo(), "b": b, "order": order},
+        params_echo={**vars(f_params), "b": b, "order": order},
         residuals=(
             (order, scalar_res, Rule(at_most=DEGENERATE_SCALAR_TOL)),
             (order, commutator_residual(mat_g, mat_f, half), Rule(at_most=tol)),
@@ -926,7 +911,7 @@ def check_degenerate_commutant(
 def check_cphi_adjoint_factorization(
     mp: AffineMap,
     samples=None,
-    params: FockParams | None = None,
+    params: FockParams = KERNEL_PARAMS,
     *,
     tol: float = ADJOINT_KERNEL_TOL,
     seed: int = DEFAULT_SEED,
@@ -942,8 +927,6 @@ def check_cphi_adjoint_factorization(
     """
     if abs(mp.a) > 1.0 + IDENTITY_TOL:
         raise ValueError(f"slope magnitude {abs(mp.a)} exceeds 1; adjoint factorization needs |a| <= 1")
-    if params is None:
-        params = FockParams(1.0, 32)
     pts = _sample_rows(samples, seed)
 
     kernel_res, matrix_res = _adjoint_factorization_residuals([mp], pts, params)

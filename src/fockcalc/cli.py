@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .checks import (
     DEFAULT_ORDERS,
     DEFAULT_SEED,
+    KERNEL_PARAMS,
     SelfAdjointSymbolParams,
     check_adjoint_factorization_battery,
     check_commutant_symbols,
@@ -83,6 +84,13 @@ def parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
+def _parse_seed(text: str, source: str = "seed") -> int:
+    """A seed as numpy's generators take it: an integer >= 0, in decimal digits; an error names the source."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{source} must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _validate_orders(orders: tuple[int, ...]) -> None:
     # the one test of an order list: a check that builds no section would never see an order below 1
     if not orders or orders[0] < 1 or any(b <= a for a, b in zip(orders, orders[1:])):
@@ -110,7 +118,7 @@ def _family(f) -> SelfAdjointSymbolParams:
 
 
 def _kernel_section(f) -> FockParams:
-    return FockParams(f.alpha, min(32, f.orders[-1]))
+    return FockParams(f.alpha, min(KERNEL_PARAMS.order, f.orders[-1]))
 
 
 # the run flags.  A case lists each it reads as RUN, `check` passes each given as RUN, and
@@ -287,7 +295,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of ``check`` and ``suite``; ``matrix`` and ``oracle`` take only those they read."""
     _add_alpha(parser)
     parser.add_argument("--orders", type=parse_orders, default=argparse.SUPPRESS, help="comma-separated truncation orders")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for deterministic sample sets")
+    parser.add_argument("--seed", type=_parse_seed, default=argparse.SUPPRESS, help="seed for deterministic sample sets")
     _add_format(parser)
     parser.add_argument(
         "--tolerance", action="append", default=[], metavar="CHECK=VALUE", help="override a check's tolerance, repeatable"
@@ -349,8 +357,9 @@ def _config_from_args(args) -> RunConfig:
         overrides[name] = tol
     config = {dest: getattr(args, dest) for dest in RUN_FLAGS if hasattr(args, dest)}
     env_seed = os.environ.get("FOCKCALC_SEED")
-    if env_seed is not None and args.command in ("check", "suite"):
-        config["seed"] = int(env_seed)
+    # not a flag: read, and checked, only by a run that reads a seed; a check reads it in all its cases or in none
+    if env_seed is not None and (args.command == "suite" or args.command == "check" and "seed" in CHECKERS[args.name][0][0]):
+        config["seed"] = _parse_seed(env_seed, "FOCKCALC_SEED")
     return RunConfig(**config, tolerance_overrides=overrides, output_format=getattr(args, "format", RunConfig.output_format))
 
 
@@ -359,12 +368,16 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _emit(report: CheckReport, cfg: RunConfig) -> int:
+    """Write one report; exit 0 unless its verdict is Fail."""
+    sys.stdout.write(render_reports([report], cfg.output_format))
+    return 0 if report.passed else 1
+
+
 def cmd_check(args, cfg: RunConfig) -> int:
     given = {dest: getattr(args, dest) for dest in _check_flags() if getattr(args, dest) is not None}
     given.update((dest, RUN) for dest in RUN_FLAGS if hasattr(args, dest))
-    report = run_check(args.name, given, cfg)
-    sys.stdout.write(render_reports([report], cfg.output_format))
-    return 0 if report.passed else 1
+    return _emit(run_check(args.name, given, cfg), cfg)
 
 
 def cmd_suite(cfg: RunConfig) -> int:
@@ -400,9 +413,7 @@ def cmd_matrix(args, cfg: RunConfig) -> int:
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
     alphas = tuple(float(part) for part in args.alphas.split(","))
-    report = check_oracle_agreement(args.max_degree, alphas)
-    sys.stdout.write(render_reports([report], cfg.output_format))
-    return 0 if report.passed else 1
+    return _emit(check_oracle_agreement(args.max_degree, alphas), cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -412,25 +423,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    commands = {"check": cmd_check, "suite": lambda args, cfg: cmd_suite(cfg), "matrix": cmd_matrix, "oracle": cmd_oracle}
     try:
-        cfg = _config_from_args(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+        return commands[args.command](args, _config_from_args(args))
+    except (ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "check":
-            return cmd_check(args, cfg)
-        if args.command == "suite":
-            return cmd_suite(cfg)
-        if args.command == "matrix":
-            return cmd_matrix(args, cfg)
-        if args.command == "oracle":
-            return cmd_oracle(args, cfg)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"error: unknown command {args.command!r}", file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

@@ -102,10 +102,6 @@ class AffineMap:
     def __call__(self, z):
         return self.a * z + self.b
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self o inner: slope product, offset chained through self."""
-        return AffineMap(self.a * inner.a, self.a * inner.b + self.b)
-
 
 @dataclass(frozen=True)
 class LinearFractionalMap:
@@ -256,10 +252,6 @@ class WcoSymbol:
 
     weight: WcoWeight
     map: MapLike
-
-    @classmethod
-    def identity(cls) -> "WcoSymbol":
-        return cls(ExpLinearWeight(1.0, 0.0), AffineMap(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -67,8 +67,6 @@ class QuadratureGrid:
     angular_count: int
     cutoff: float
     alpha: float
-    panels: int | None = None
-    nodes_per_panel: int | None = None
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.radial_nodes, dtype=np.float64)
@@ -82,19 +80,9 @@ class QuadratureGrid:
         nodes.setflags(write=False)
         object.__setattr__(self, "radial_nodes", nodes)
 
-    def refined(self) -> "QuadratureGrid":
-        """Same rule with twice the radial panels."""
-        if self.panels is None or self.nodes_per_panel is None:
-            raise ValueError("refinement needs a panel layout; build the grid with default_grid")
-        return _build_grid(self.alpha, self.cutoff, 2 * self.panels, self.nodes_per_panel, self.angular_count)
-
     def roots(self) -> np.ndarray:
         """The angular_count-th roots of unity e^{2 pi i a / A}, a = 0..A-1: the angles of every ring."""
         return np.exp(1j * (2.0 * np.pi * np.arange(self.angular_count) / self.angular_count))
-
-    def points(self) -> np.ndarray:
-        """Complex grid points, shape (n_radial, angular_count)."""
-        return self.radial_nodes[:, 0][:, None] * self.roots()[None, :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,14 +99,12 @@ def _build_grid(alpha: float, radius: float, panels: int, per_panel: int, angula
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     r = (mid + half * base_x).ravel()
     w = (half * base_w).ravel() * np.exp(-alpha * r**2) * r
-    return QuadratureGrid(np.column_stack([r, w]), angular, radius, alpha, panels, per_panel)
+    return QuadratureGrid(np.column_stack([r, w]), angular, radius, alpha)
 
 
-def default_grid(params: FockParams, angular_count: int | None = None) -> QuadratureGrid:
-    """16 radial panels of 16 Gauss-Legendre nodes to the cutoff radius; by default 4 (N+1) angles, at least 64."""
-    if angular_count is None:
-        angular_count = max(64, 4 * (params.order + 1))
-    return _build_grid(params.alpha, cutoff_radius(params), 16, 16, angular_count)
+def default_grid(params: FockParams) -> QuadratureGrid:
+    """16 radial panels of 16 Gauss-Legendre nodes to the cutoff radius, and 4 (N+1) angles, at least 64."""
+    return _build_grid(params.alpha, cutoff_radius(params), 16, 16, max(64, 4 * (params.order + 1)))
 
 
 def _point_weights(grid: QuadratureGrid) -> np.ndarray:
@@ -189,7 +175,7 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     return complex((_point_weights(grid) * radial) @ (image @ phase.conj()))
 
 
-def check_oracle_agreement(max_degree: int = 16, alphas: tuple[float, ...] = (0.5, 1.0, 2.0)) -> CheckReport:
+def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckReport:
     """Exact vs quadrature inner products on the full monomial suite.
 
     The pairs are compared in normalized form (each monomial scaled to unit

@@ -6,20 +6,15 @@ import functools
 
 import numpy as np
 
-__all__ = ["circle_points", "circle_rows", "disk_pairs", "drop_near_poles", "pole_mask"]
+__all__ = ["circle_rows", "disk_pairs", "drop_near_poles", "pole_mask"]
 
 DEFAULT_POLE_MARGIN = 1e-3
 # seeded rows kept for reuse, process-wide: at 20 complex values a row, about 0.5 MB
 CIRCLE_ROW_CACHE = 1024
 
 
-def circle_points(seed: int) -> np.ndarray:
-    """Seeded points on two circles: 10 points each on |z| = 0.4 and |z| = 0.8, in that order."""
-    return circle_rows(seed, 1)[0]
-
-
 def circle_rows(seed: int, rows: int) -> np.ndarray:
-    """The (rows, 20) block whose row i is circle_points(seed + i), as a fresh writable array."""
+    """Seeded rows seed .. seed + rows - 1 as a fresh writable (rows, 20) block: 10 points on |z| = 0.4, then 10 on 0.8."""
     return np.stack([_circle_row(seed + i) for i in range(rows)])
 
 

@@ -89,6 +89,12 @@ def digest(out: str) -> str:
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
+def same_build() -> bool:
+    """Whether this numpy build and machine wrote the digests, so that output bytes must match them."""
+    pinned = json.loads(DIGESTS.read_text())
+    return (pinned["numpy"], pinned["machine"]) == (np.__version__, platform.machine())
+
+
 def build() -> str:
     """The digests file: the build, then one line per case, so that a moved digest is one changed line."""
     lines = []

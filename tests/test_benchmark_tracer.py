@@ -1,10 +1,14 @@
-"""The benchmark tracer (perfbench/spans.py) wraps fockcalc functions by name.
+"""The benchmark (perfbench/) reads fockcalc by name.
 
-Renaming or deleting a traced function breaks ``perfbench/run.py --trace 1``;
-this runs one traced ``suite`` operation so such a change fails here too.
+The tracer (perfbench/spans.py) wraps fockcalc functions, and the workloads
+(perfbench/workloads.py) call them.  Renaming or deleting either breaks
+``perfbench/run.py``; these run one traced ``suite`` operation and one item of
+each workload, so such a change fails here too.
 """
 
 from pathlib import Path
+
+import pytest
 
 import fockcalc.cli as fcli
 
@@ -30,3 +34,13 @@ def test_tracer_installs_and_counts_one_suite_op(monkeypatch, capsys):
     assert metrics["series.compose_affine.calls"][0] > 0
     for check in spans.CHECK_NAMES:
         assert metrics[f"checks.{check}.calls"][0] > 0, check
+
+
+@pytest.mark.parametrize("name", ["suite", "sections", "oracle"])
+def test_workload_runs_and_checks_its_first_item(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    workload = workloads.WORKLOADS[name](5)
+    item = workload.items[0]
+    assert workload.check(0, item, workload.run(item)) == workloads.OK

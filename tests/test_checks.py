@@ -43,7 +43,7 @@ from fockcalc import (
     reproduce_counterexample,
 )
 from fockcalc.checks import _moebius_residuals, disk_boundary_oracle
-from fockcalc.sampling import circle_points, disk_pairs
+from fockcalc.sampling import circle_rows, disk_pairs
 
 CANONICAL = SelfAdjointSymbolParams(1.0, 0.5, 0.25)
 
@@ -613,7 +613,7 @@ class TestAdjointFactorization:
             matrix_worst = max(matrix_worst, check_cphi_adjoint_factorization(mp, params=params, seed=42 + i).residuals[1][1])
             # K_{map(beta)} against K_b times the kernel composed with conj(a) z, one sample at a time
             c_phi = WcoSymbol(ExpLinearWeight(1.0, 0.0), mp)
-            for beta in circle_points(42 + i):
+            for beta in circle_rows(42 + i, 1)[0]:
                 lhs = adjoint_on_kernel(c_phi, beta, params)
                 rhs = kernel_series(b, params) * compose_affine(kernel_series(beta, params), a.conjugate(), 0.0)
                 kernel_ref = max(kernel_ref, lhs.max_abs_diff(rhs))
@@ -798,6 +798,21 @@ def test_degenerate_commutant_fails_on_a_shifted_scalar(monkeypatch, alpha):
     report = check_degenerate_commutant(fixed_point(f_params.map()), f_params, order=32)
     assert report.verdict is Verdict.FAIL
     assert report.residuals[0][1] > checks.DEGENERATE_SCALAR_TOL
+
+
+@pytest.mark.parametrize("alpha", [8.0, 20.0])
+def test_degenerate_commutant_fails_on_an_off_diagonal_perturbation(monkeypatch, alpha):
+    # g I + D, D 0.9e-14 on every off-diagonal entry: the scalar residual holds at 9e-15, the commutator with
+    # the partner reads 1.4e-12 at alpha 8 and 6.7e-11 at 20.  At alpha 0.05 and 1 it reads 5.7e-14 and
+    # 1.1e-13, inside its bound, so this perturbation cannot fail it there on its own.  The normal residual
+    # holds: ||[A*, A]|| = ||[D*, D]|| <= 2 ||D||^2, far below its bound whenever the scalar residual holds.
+    _perturb_sections(monkeypatch, (0, ~np.eye(33, dtype=bool)), 0.9e-14)
+    f_params = SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha)
+    report = check_degenerate_commutant(fixed_point(f_params.map()), f_params)
+    assert report.verdict is Verdict.FAIL
+    assert report.residuals[0][1] <= checks.DEGENERATE_SCALAR_TOL
+    assert report.residuals[1][1] > checks.IDENTITY_TOL
+    assert report.residuals[2][1] <= checks.DEGENERATE_NORMAL_TOL
 
 
 @pytest.mark.parametrize("alpha", CONTROL_ALPHAS)

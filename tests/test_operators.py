@@ -43,19 +43,12 @@ P8 = FockParams(1.0, 8)
 P32 = FockParams(1.0, 32)
 
 CANONICAL = SelfAdjointSymbolParams(1.0, 0.5, 0.25).symbol()
+IDENTITY = WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # maps and weights
 # ---------------------------------------------------------------------------
-
-
-def test_affine_compose_order():
-    outer = AffineMap(2.0, 1.0)
-    inner = AffineMap(0.5, -1.0)
-    comp = outer.compose(inner)
-    for z in (0.0, 1.0, 1j):
-        assert comp(z) == outer(inner(z))
 
 
 def test_affine_map_has_no_pole():
@@ -109,7 +102,7 @@ def test_series_weight_params_pinned():
 
 def test_apply_identity_symbol():
     f = TruncatedSeries.from_coeffs([1, 2, 3j], P8)
-    out = apply_wco(WcoSymbol.identity(), f)
+    out = apply_wco(IDENTITY, f)
     assert np.max(np.abs(out.coeffs - f.coeffs)) == 0.0
 
 
@@ -141,7 +134,7 @@ def test_apply_requires_affine():
 def test_eval_identity_symbol():
     f = TruncatedSeries.from_coeffs([1, 2, 3], P8)
     for z in (0.2, -0.5j):
-        sym = WcoSymbol.identity()
+        sym = IDENTITY
         assert abs(sym.weight.value(z) * f(sym.map(z)) - f(z)) <= 1e-15
 
 
@@ -168,7 +161,7 @@ def test_eval_degenerate_multiplier_keeps_identity_map():
 
 
 def test_identity_matrix_exact():
-    mat = assemble_matrix(WcoSymbol.identity(), P8)
+    mat = assemble_matrix(IDENTITY, P8)
     assert np.array_equal(mat.entries, np.eye(9))
 
 
@@ -375,7 +368,7 @@ def _exp_linear_product(s1: WcoSymbol, s2: WcoSymbol) -> WcoSymbol:
     # c1 e^{w1 z} * c2 e^{w2 (a1 z + b1)} = (c1 c2 e^{w2 b1}) e^{(w1 + w2 a1) z}
     w1, w2, m1 = s1.weight, s2.weight, s1.map
     weight = ExpLinearWeight(w1.c * w2.c * cmath.exp(w2.w * m1.b), w1.w + w2.w * m1.a)
-    return WcoSymbol(weight, s2.map.compose(m1))
+    return WcoSymbol(weight, AffineMap(s2.map.a * m1.a, s2.map.a * m1.b + s2.map.b))
 
 
 def test_product_matrix_consistency():
@@ -401,7 +394,7 @@ def test_displacement_weight_has_no_series_form():
 
 def test_adjoint_on_kernel_identity():
     z = 0.3 + 0.1j
-    out = adjoint_on_kernel(WcoSymbol.identity(), z, P32)
+    out = adjoint_on_kernel(IDENTITY, z, P32)
     assert out.max_abs_diff(kernel_series(z, P32)) == 0.0
 
 
@@ -462,7 +455,7 @@ def test_unit_slope_with_offset_blows_up_on_a_ray():
 
 
 def test_hermitian_residual_cases():
-    ident = assemble_matrix(WcoSymbol.identity(), P8)
+    ident = assemble_matrix(IDENTITY, P8)
     assert hermitian_residual(ident) == 0.0
     for order in (16, 32):
         mat = assemble_matrix(CANONICAL, FockParams(1.0, order))
@@ -472,7 +465,7 @@ def test_hermitian_residual_cases():
 
 
 def test_commutator_residual_cases():
-    ident = assemble_matrix(WcoSymbol.identity(), P8)
+    ident = assemble_matrix(IDENTITY, P8)
     mat = assemble_matrix(CANONICAL, P8)
     assert commutator_residual(mat, ident, 4) == 0.0
     assert commutator_residual(mat, mat, 4) == 0.0
@@ -482,7 +475,7 @@ def test_commutator_residual_cases():
     with pytest.raises(ValueError):
         commutator_residual(d1, d2, 5)  # block beyond half the order
     with pytest.raises(ParamsMismatchError):
-        commutator_residual(d1, assemble_matrix(WcoSymbol.identity(), P32), 4)
+        commutator_residual(d1, assemble_matrix(IDENTITY, P32), 4)
 
 
 def test_commutator_residual_is_the_leading_block_of_the_full_commutator():
@@ -504,7 +497,7 @@ def test_commutator_residual_is_the_leading_block_of_the_full_commutator():
 
 
 def test_matrix_csv_shape_and_roundtrip():
-    mat = assemble_matrix(WcoSymbol.identity(), FockParams(1.0, 3))
+    mat = assemble_matrix(IDENTITY, FockParams(1.0, 3))
     text = mat.to_csv()
     rows = text.strip().split("\n")
     assert len(rows) == 4

@@ -75,11 +75,11 @@ def _panel_loop_nodes(alpha, radius, panels, per_panel):
 
 @pytest.mark.parametrize("alpha,order", [(1.0, 16), (0.5, 200)])
 def test_grid_equals_panel_loop(alpha, order):
+    # the default grid has 16 panels of 16 nodes
     grid = default_grid(FockParams(alpha, order))
-    reference = _panel_loop_nodes(alpha, grid.cutoff, grid.panels, grid.nodes_per_panel)
-    assert np.array_equal(grid.radial_nodes, reference)
-    refined = grid.refined()
-    assert np.array_equal(refined.radial_nodes, _panel_loop_nodes(alpha, grid.cutoff, 2 * grid.panels, grid.nodes_per_panel))
+    assert np.array_equal(grid.radial_nodes, _panel_loop_nodes(alpha, grid.cutoff, 16, 16))
+    refined = _build_grid(alpha, grid.cutoff, 32, 16, grid.angular_count)
+    assert np.array_equal(refined.radial_nodes, _panel_loop_nodes(alpha, grid.cutoff, 32, 16))
 
 
 def test_grid_validation():
@@ -117,7 +117,7 @@ def test_gram_is_hermitian():
 def _assert_matches_pairwise_rule(series, grid):
     """quad_gram against each pair's integrand, with every series evaluated by Horner on every point."""
     gram = quad_gram(series, grid)
-    pts = grid.points()
+    pts = grid.radial_nodes[:, 0][:, None] * grid.roots()[None, :]
     for i, f in enumerate(series):
         for j, g in enumerate(series):
             integrand = f(pts) * np.conj(g(pts))
@@ -157,7 +157,8 @@ def test_phase_gram_is_scaled_identity(order):
     eps = np.finfo(float).eps
     params = FockParams(1.0, order)
     for count in (max(64, 2 * order + 1), 4 * (order + 1)):
-        _, phases = _scale_and_phases(params, default_grid(params, angular_count=count), np.arange(order + 1))
+        grid = _build_grid(params.alpha, cutoff_radius(params), 16, 16, count)
+        _, phases = _scale_and_phases(params, grid, np.arange(order + 1))
         q = phases @ phases.conj().T
         assert np.max(np.abs(np.diag(q) - count)) <= 4 * np.spacing(float(count))
         assert np.max(np.abs(q - np.diag(np.diag(q)))) <= 4 * count * eps
@@ -168,7 +169,7 @@ def test_gram_matches_pairwise_rule_at_smallest_angular_count(alpha, order):
     # 2N+1 angles, the fewest the oracle accepts: each off-diagonal sum of
     # the phase Gram cancels over the fewest roots of unity
     params = FockParams(alpha, order)
-    _assert_matches_pairwise_rule(_mixed_series(params), default_grid(params, angular_count=2 * order + 1))
+    _assert_matches_pairwise_rule(_mixed_series(params), _build_grid(alpha, cutoff_radius(params), 16, 16, 2 * order + 1))
 
 
 def test_gram_rejects_mixed_params_and_coarse_grid():
@@ -265,18 +266,15 @@ def test_refinement_never_increases_error():
                 worst = max(worst, abs(quad - exact))
         return worst
 
-    grid = _build_grid(1.0, cutoff_radius(params), 1, 8, 64)
-    errors = [suite_error(grid)]
-    for _ in range(4):
-        grid = grid.refined()
-        errors.append(suite_error(grid))
+    # 1, 2, 4, 8 and 16 panels of 8 nodes
+    errors = [suite_error(_build_grid(1.0, cutoff_radius(params), 2**k, 8, 64)) for k in range(5)]
     assert all(nxt <= prev for prev, nxt in zip(errors, errors[1:])), errors
     assert errors[0] > 1e-3 and errors[-1] <= 1e-7
 
 
 def test_matrix_entry_identity():
     grid = default_grid(P16)
-    value = quad_matrix_entry(WcoSymbol.identity(), 2, 2, grid, P16)
+    value = quad_matrix_entry(WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(1.0, 0.0)), 2, 2, grid, P16)
     assert abs(value - 1.0) <= 1e-8
 
 

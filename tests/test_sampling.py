@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockcalc import sampling
-from fockcalc.sampling import circle_points, circle_rows
+from fockcalc.sampling import circle_rows
 
 
 def _direct(seed):
@@ -18,7 +18,7 @@ def test_rows_equal_direct_draws():
         block = circle_rows(int(seed), 3)
         direct = np.stack([_direct(int(seed) + i) for i in range(3)])
         assert np.array_equal(block.view(np.uint64), direct.view(np.uint64))
-    assert np.array_equal(circle_points(7).view(np.uint64), _direct(7).view(np.uint64))
+    assert np.array_equal(circle_rows(7, 1)[0].view(np.uint64), _direct(7).view(np.uint64))
 
 
 def test_block_is_a_fresh_writable_array():
@@ -26,7 +26,7 @@ def test_block_is_a_fresh_writable_array():
     before = block.copy()
     block[:] = 0.0
     assert np.array_equal(circle_rows(42, 2), before)
-    assert np.array_equal(circle_points(43), before[1])
+    assert np.array_equal(circle_rows(43, 1)[0], before[1])
 
 
 def test_cached_row_is_read_only():
