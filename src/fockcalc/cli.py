@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -84,11 +85,19 @@ def parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
+def _validate_seed(seed, source: str = "seed") -> int:
+    """The one test of a seed, as numpy's generators take it: an integer >= 0; an error names the source."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"{source} must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def _parse_seed(text: str, source: str = "seed") -> int:
-    """A seed as numpy's generators take it: an integer >= 0, in decimal digits; an error names the source."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"{source} must be an integer >= 0, got {text!r}")
-    return int(text)
+    """A seed in decimal digits, refused in _validate_seed's words as argparse reports them."""
+    try:
+        return _validate_seed(int(text) if text.isdecimal() else text, source)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _validate_orders(orders: tuple[int, ...]) -> None:
@@ -220,8 +229,8 @@ def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
 
     The first case of the check that reads every given flag runs, on those flags over its
     defaults, each run flag left RUN taking its value from ``cfg``.  A flag no case reads,
-    flags no one case reads together, a missing required flag and an invalid alpha or
-    order list of the case are usage errors.
+    flags no one case reads together, a missing required flag and an invalid alpha,
+    order list or seed of the case are usage errors.
     """
     cases = CHECKERS[name]
     for flags, run in cases:
@@ -230,10 +239,9 @@ def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
             missing = [dest for dest, value in filled.items() if value is None]
             if missing:
                 raise ValueError(f"check {name} requires {_flag_names(missing)}")
-            if "alpha" in filled:
-                validate_alpha(filled["alpha"])
-            if "orders" in filled:
-                _validate_orders(filled["orders"])
+            for dest, validate in (("alpha", validate_alpha), ("orders", _validate_orders), ("seed", _validate_seed)):
+                if dest in filled:
+                    validate(filled[dest])
             tol = {"tol": cfg.tolerance_overrides[name]} if name in cfg.tolerance_overrides else {}
             return run(argparse.Namespace(**filled), tol)
     unread = [dest for dest in given if not any(dest in flags for flags, _ in cases)]

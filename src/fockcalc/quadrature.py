@@ -54,7 +54,7 @@ def cutoff_radius(params: FockParams) -> float:
     return min(heuristic, representable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Polar product grid: radial (node, weight) pairs and angular count.
 
@@ -158,21 +158,33 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     as (map(z) s_n^{-1/n})^n with log s_n from the oracle's own scale steps, and
     paired with conj(e_m) = r^m / s_m conj(P[m, a]): only row m of the radial
     table is built, as quad_gram's running product of the quotients
-    r / (s_k / s_{k-1}), k = 1..m, and only rows 1 and m of the phase table.
-    Row 1 is the roots of unity, which also place the grid points, so they are
-    built once per entry.  No series composition and no exact norm is used.
+    r / (s_k / s_{k-1}), k = 1..m, and only row m of the phase table.  weight(z)
+    and map(z) at the grid points are evaluated once per (symbol, grid) pair and
+    shared by its entries.  No series composition and no exact norm is used.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix entries require an affine map")
     for idx in (n, m):
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
-    steps, (roots, phase) = _scale_and_phases(params, grid, np.array([1, m]))
-    pts = grid.radial_nodes[:, 0][:, None] * roots[None, :]
+    steps, (phase,) = _scale_and_phases(params, grid, np.array([m]))
+    weight_values, map_values = _symbol_values(sym, grid)
     root = math.exp(-np.sum(np.log(steps[:n])) / max(n, 1))  # s_n^{-1/n}
-    image = sym.weight.value(pts) * (sym.map(pts) * root) ** n
+    image = (map_values * root) ** n
+    # weight first: a complex product rounds by operand order, which numpy may swap in weight * temporary
+    np.multiply(weight_values, image, out=image)
     radial = np.prod(grid.radial_nodes[:, 0] / steps[:m, None], axis=0)  # r^m / s_m
     return complex((_point_weights(grid) * radial) @ (image @ phase.conj()))
+
+
+@functools.lru_cache(maxsize=1)
+def _symbol_values(sym: WcoSymbol, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """weight(z) and map(z) at every grid point z = r_i * root_a, read-only; kept for one (symbol, grid) pair."""
+    pts = grid.radial_nodes[:, 0][:, None] * grid.roots()[None, :]
+    values = (sym.weight.value(pts), sym.map(pts))
+    for v in values:
+        v.setflags(write=False)
+    return values
 
 
 def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckReport:

@@ -96,9 +96,23 @@ def test_one_alpha_rule_and_message(alpha):
 
 
 def test_unread_invalid_run_value_is_not_validated():
-    # a check that reads neither alpha nor orders runs whatever they hold
-    report = run_check("counterexample", {"eta": 2.0}, RunConfig(alpha=math.nan, orders=(0,)))
+    # a check that reads no alpha, orders or seed runs whatever they hold
+    report = run_check("counterexample", {"eta": 2.0}, RunConfig(alpha=math.nan, orders=(0,), seed=-1))
     assert report.passed
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_run_check_rejects_an_invalid_seed_in_the_words_of_the_cli(seed):
+    # numpy would reject each, with a message that names no seed
+    for run in (lambda: run_check("disk-criterion", {}, RunConfig(seed=seed)), lambda: run_suite(RunConfig(seed=seed))):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
+def test_run_check_takes_any_integer_seed():
+    report = run_check("disk-criterion", {}, RunConfig(seed=np.int64(7)))
+    assert report.to_dict() == run_check("disk-criterion", {}, RunConfig(seed=7)).to_dict()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

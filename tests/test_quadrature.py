@@ -7,8 +7,10 @@ import pytest
 
 from fockcalc import (
     AffineMap,
+    ExpDisplacementWeight,
     ExpLinearWeight,
     FockParams,
+    SeriesWeight,
     TruncatedSeries,
     Verdict,
     WcoSymbol,
@@ -234,6 +236,9 @@ def test_quad_matrix_entry_uses_no_exact_path(monkeypatch):
     indices = ((0, 0), (3, 1), (12, 7))
     expected = [quad_matrix_entry(sym, n, m, grid, params) for n, m in indices]
     _forbid_exact_path(monkeypatch)
+    # the first grid's entries would read the values cached before the patch: evaluate them again
+    fockcalc.quadrature._symbol_values.cache_clear()
+    grid = default_grid(params)
     assert [quad_matrix_entry(sym, n, m, grid, params) for n, m in indices] == expected
 
 
@@ -310,6 +315,62 @@ def test_matrix_entries_at_high_order(alpha, order):
         quad = quad_matrix_entry(sym, n, m, grid, params)
         assert np.isfinite(quad)
         assert abs(quad - mat.entries[m, n]) <= 1e-8 * max(1.0, abs(mat.entries[m, n]))
+
+
+P12 = FockParams(1.0, 12)
+ENTRY_INDICES = ((0, 0), (3, 1), (12, 7), (5, 9))
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        ExpLinearWeight(0.8, -0.3 + 0.2j),
+        SeriesWeight(TruncatedSeries.from_coeffs([0.9, 0.2 - 0.1j, 0.05j], P12)),
+        # the map's pole at 30 lies beyond the cutoff radius, about 21 at this order
+        ExpDisplacementWeight(1.2, 0.05 + 0.02j, LinearFractionalMap(1.0, 0.0, 1.0, -30.0)),
+    ],
+    ids=["exp-linear", "series", "displacement"],
+)
+def test_entries_sharing_a_grid_match_entries_alone(weight):
+    """Entries of symbols A, B, A on one grid, in blocks and interleaved, equal each entry on a fresh grid, bit for bit."""
+    a = WcoSymbol(weight, AffineMap(0.4j, 0.3))
+    b = WcoSymbol(ExpLinearWeight(1.1, 0.2), AffineMap(-0.5, 0.1j))
+    calls = [(sym, n, m) for sym in (a, b, a) for n, m in ENTRY_INDICES]
+    calls += [(sym, n, m) for n, m in ENTRY_INDICES for sym in (a, b, a)]
+    grid = default_grid(P12)
+    shared = [quad_matrix_entry(sym, n, m, grid, P12) for sym, n, m in calls]
+    alone = [quad_matrix_entry(sym, n, m, default_grid(P12), P12) for sym, n, m in calls]
+    assert np.all(np.isfinite(shared))
+    assert _bits(shared) == _bits(alone)
+
+
+def test_entries_of_one_symbol_on_one_grid_evaluate_the_weight_once(monkeypatch):
+    """Four entries on one grid evaluate the weight once, and a fresh grid evaluates it once more."""
+    evaluated = []
+    value = ExpLinearWeight.value
+    monkeypatch.setattr(ExpLinearWeight, "value", lambda self, z: evaluated.append(np.shape(z)) or value(self, z))
+    sym = WcoSymbol(ExpLinearWeight(0.8, -0.3 + 0.2j), AffineMap(0.4j, 0.3))
+    fockcalc.quadrature._symbol_values.cache_clear()
+    grid = default_grid(P12)
+    for n, m in ENTRY_INDICES:
+        quad_matrix_entry(sym, n, m, grid, P12)
+    assert evaluated == [(256, grid.angular_count)]
+    # every entry reads the same arrays, so none may write to them
+    assert not any(v.flags.writeable for v in fockcalc.quadrature._symbol_values(sym, grid))
+    quad_matrix_entry(sym, 0, 0, default_grid(P12), P12)
+    assert len(evaluated) == 2
+
+
+def test_grids_compare_by_identity():
+    grid = default_grid(P12)
+    assert hash(grid) == hash(grid)
+    assert grid == grid
+    # equal nodes make another grid, not the same one
+    assert grid != default_grid(P12)
 
 
 def test_matrix_entry_requires_affine():
