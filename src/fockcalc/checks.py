@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .operators import (
 )
 from .report import REPORTED, CheckReport, Rule, format_complex, rules_hold
 from .sampling import DEFAULT_POLE_MARGIN, circle_rows, disk_pairs, drop_near_poles, pole_mask
-from .series import FockParams, exp_linear, kernel_coeffs, kernel_series, validate_alpha
+from .series import FockParams, _Record, exp_linear, kernel_coeffs, kernel_series, validate_alpha
 
 __all__ = [
     "CommutantParams",
@@ -116,8 +115,7 @@ BOUNDARY_POINTS = 1000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfAdjointSymbolParams:
+class SelfAdjointSymbolParams(_Record):
     """Parameters (c, a0, a1) of the candidate self-adjoint family.
 
     c and a1 are complex on purpose: self-adjointness requires them real,
@@ -129,13 +127,14 @@ class SelfAdjointSymbolParams:
     c: complex
     a0: complex
     a1: complex
-    alpha: float = 1.0
+    alpha: float
 
-    def __post_init__(self) -> None:
-        _set_finite_complex(self, "c", "a0", "a1")
+    def __init__(self, c: complex, a0: complex, a1: complex, alpha: float = 1.0) -> None:
+        _set_finite_complex(self, c=c, a0=a0, a1=a1)
         if self.c == 0:
             raise ValueError("weight scale c must be nonzero")
-        validate_alpha(self.alpha)
+        validate_alpha(alpha)
+        object.__setattr__(self, "alpha", alpha)
 
     def weight(self) -> ExpLinearWeight:
         return ExpLinearWeight(self.c, self.alpha * self.a0.conjugate())
@@ -147,8 +146,7 @@ class SelfAdjointSymbolParams:
         return WcoSymbol(self.weight(), self.map())
 
 
-@dataclass(frozen=True)
-class CommutantParams:
+class CommutantParams(_Record):
     """Derived coefficients d0..d3 of the commutant symbol family."""
 
     eta: complex
@@ -157,6 +155,14 @@ class CommutantParams:
     d1: complex
     d2: complex
     d3: complex
+
+    def __init__(self, eta: complex, b: complex, d0: complex, d1: complex, d2: complex, d3: complex) -> None:
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "d3", d3)
 
     @classmethod
     def from_eta_b(cls, eta: complex, b: complex) -> "CommutantParams":

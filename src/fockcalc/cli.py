@@ -22,7 +22,6 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .checks import (
     DEFAULT_ORDERS,
@@ -55,8 +54,8 @@ from .operators import (
     boundedness_check,
 )
 from .quadrature import check_oracle_agreement
-from .report import TOOL_VERSION, CheckReport, _jsonable, render_reports
-from .series import FockParams, validate_alpha
+from .report import TOOL_VERSION, CheckReport, _json_text, _jsonable, render_reports
+from .series import FockParams, _Record, validate_alpha
 
 __all__ = ["RunConfig", "build_parser", "main", "parse_complex", "run_check", "run_suite", "suite_grid"]
 
@@ -106,15 +105,23 @@ def _validate_orders(orders: tuple[int, ...]) -> None:
         raise ValueError(f"orders must be non-empty, strictly increasing and at least 1, got {orders!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Run-wide knobs shared by every subcommand; run_check validates those a case reads."""
 
-    alpha: float = 1.0
-    orders: tuple[int, ...] = DEFAULT_ORDERS
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
-    output_format: str = "json"
+    alpha: float
+    orders: tuple[int, ...]
+    tolerance_overrides: dict[str, float]
+    seed: int
+    output_format: str = "json"  # read on the class too, as the default of --format
+
+    def __init__(
+        self, alpha=1.0, orders=DEFAULT_ORDERS, tolerance_overrides=None, seed=DEFAULT_SEED, output_format=output_format
+    ) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "tolerance_overrides", {} if tolerance_overrides is None else tolerance_overrides)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "output_format", output_format)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +410,7 @@ def cmd_suite(cfg: RunConfig) -> int:
             "all_passed": all_passed,
             "tool_version": TOOL_VERSION,
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc) + "\n")
     else:
         sys.stdout.write(render_reports(reports, cfg.output_format))
         sys.stdout.write(f"all_passed: {all_passed}\n")

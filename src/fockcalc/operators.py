@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -27,6 +26,7 @@ from .series import (
     FockParams,
     ParamsMismatchError,
     TruncatedSeries,
+    _Record,
     compose_affine,
     exp_linear,
     kernel_series,
@@ -74,10 +74,10 @@ class DegenerateMapError(ValueError):
     """Linear fractional coefficients with (effectively) vanishing determinant."""
 
 
-def _set_finite_complex(obj, *names: str) -> None:
-    """Store each named field of a frozen dataclass as a finite complex number."""
-    for name in names:
-        v = complex(getattr(obj, name))
+def _set_finite_complex(obj, **values) -> None:
+    """Store each given field of an immutable record, in the order given, as a finite complex number."""
+    for name, v in values.items():
+        v = complex(v)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"non-finite {name} {v!r}")
         object.__setattr__(obj, name, v)
@@ -88,23 +88,21 @@ def _set_finite_complex(obj, *names: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Record):
     """z |-> a*z + b."""
 
     a: complex
     b: complex
     pole = None  # an affine map is entire
 
-    def __post_init__(self) -> None:
-        _set_finite_complex(self, "a", "b")
+    def __init__(self, a: complex, b: complex) -> None:
+        _set_finite_complex(self, a=a, b=b)
 
     def __call__(self, z):
         return self.a * z + self.b
 
 
-@dataclass(frozen=True)
-class LinearFractionalMap:
+class LinearFractionalMap(_Record):
     """z |-> (p*z + q) / (r*z + s), with p*s - q*r bounded away from zero."""
 
     p: complex
@@ -112,8 +110,8 @@ class LinearFractionalMap:
     r: complex
     s: complex
 
-    def __post_init__(self) -> None:
-        _set_finite_complex(self, *"pqrs")
+    def __init__(self, p: complex, q: complex, r: complex, s: complex) -> None:
+        _set_finite_complex(self, p=p, q=q, r=r, s=s)
         det = self.p * self.s - self.q * self.r
         scale = max(abs(self.p) * abs(self.s), abs(self.q) * abs(self.r), 1.0)
         if abs(det) / scale <= DEGENERACY_TOL:
@@ -171,15 +169,14 @@ MapLike = Union[AffineMap, LinearFractionalMap]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpLinearWeight:
+class ExpLinearWeight(_Record):
     """c * e^{w z}; never vanishes, materializes exactly at any order."""
 
     c: complex
     w: complex
 
-    def __post_init__(self) -> None:
-        _set_finite_complex(self, "c", "w")
+    def __init__(self, c: complex, w: complex) -> None:
+        _set_finite_complex(self, c=c, w=w)
         if self.c == 0:
             raise ValueError("weight scale c must be nonzero")
 
@@ -194,11 +191,13 @@ class ExpLinearWeight:
         return exp_linear(self.w, self.c, params)
 
 
-@dataclass(frozen=True)
-class SeriesWeight:
+class SeriesWeight(_Record):
     """Weight given directly by a truncated series."""
 
     series: TruncatedSeries
+
+    def __init__(self, series: TruncatedSeries) -> None:
+        object.__setattr__(self, "series", series)
 
     def value(self, z):
         return self.series(z)
@@ -209,8 +208,7 @@ class SeriesWeight:
         return self.series
 
 
-@dataclass(frozen=True)
-class ExpDisplacementWeight:
+class ExpDisplacementWeight(_Record):
     """scale * exp(coeff * (z - map(z))); pointwise only.
 
     This is the weight shape induced by conjugating along a linear
@@ -223,8 +221,9 @@ class ExpDisplacementWeight:
     coeff: complex
     map: MapLike
 
-    def __post_init__(self) -> None:
-        _set_finite_complex(self, "scale", "coeff")
+    def __init__(self, scale: complex, coeff: complex, map: MapLike) -> None:
+        _set_finite_complex(self, scale=scale, coeff=coeff)
+        object.__setattr__(self, "map", map)
         if self.scale == 0:
             raise ValueError("weight scale must be nonzero")
 
@@ -246,12 +245,15 @@ class ExpDisplacementWeight:
 WcoWeight = Union[ExpLinearWeight, SeriesWeight, ExpDisplacementWeight]
 
 
-@dataclass(frozen=True)
-class WcoSymbol:
+class WcoSymbol(_Record):
     """A weight paired with a composition map."""
 
     weight: WcoWeight
     map: MapLike
+
+    def __init__(self, weight: WcoWeight, map: MapLike) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "map", map)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +284,15 @@ def monomial_to_orthonormal(f: TruncatedSeries) -> np.ndarray:
     return f.coeffs * f.params.monomial_norms()
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
+class OperatorMatrix(_Record, eq=False):
     """Dense finite section; entry (m, n) is <W e_n, e_m>."""
 
     entries: np.ndarray
     params: FockParams
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        dim = self.params.order + 1
+    def __init__(self, entries, params: FockParams) -> None:
+        arr = np.asarray(entries, dtype=np.complex128)
+        dim = params.order + 1
         if arr.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} entries, got {arr.shape}")
         if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
@@ -299,6 +300,7 @@ class OperatorMatrix:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "params", params)
 
     @property
     def dim(self) -> int:

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FockParams, TruncatedSeries, common_params, gram
+from .series import FockParams, TruncatedSeries, _Record, common_params, gram
 from .operators import AffineMap, UnsupportedMapError, WcoSymbol
 from .report import CheckReport, Rule
 
@@ -54,8 +53,7 @@ def cutoff_radius(params: FockParams) -> float:
     return min(heuristic, representable)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
+class QuadratureGrid(_Record, eq=False):
     """Polar product grid: radial (node, weight) pairs and angular count.
 
     Radial weights already include the e^{-alpha r^2} r factor, so an
@@ -68,17 +66,20 @@ class QuadratureGrid:
     cutoff: float
     alpha: float
 
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.radial_nodes, dtype=np.float64)
+    def __init__(self, radial_nodes, angular_count: int, cutoff: float, alpha: float) -> None:
+        nodes = np.asarray(radial_nodes, dtype=np.float64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("radial_nodes must be an (n, 2) array of (radius, weight)")
         if np.any(nodes[:, 1] <= 0):
             raise ValueError("radial weights must be positive")
-        if self.angular_count < 64:
-            raise ValueError(f"angular_count must be at least 64, got {self.angular_count}")
+        if angular_count < 64:
+            raise ValueError(f"angular_count must be at least 64, got {angular_count}")
         nodes = nodes.copy()
         nodes.setflags(write=False)
         object.__setattr__(self, "radial_nodes", nodes)
+        object.__setattr__(self, "angular_count", angular_count)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "alpha", alpha)
 
     def roots(self) -> np.ndarray:
         """The angular_count-th roots of unity e^{2 pi i a / A}, a = 0..A-1: the angles of every ring."""

@@ -11,11 +11,12 @@ identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Any
+
+from .series import _Record
 
 __all__ = ["REPORTED", "CheckReport", "Rule", "Verdict", "render_reports", "rules_hold"]
 
@@ -28,15 +29,19 @@ class Verdict(Enum):
     INFORMATIONAL = "Informational"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """What an asserted residual must satisfy: at_least <= value <= at_most, and with a slack, non-decrease
     across orders up to relative rounding: value * (1 + slack) >= previous * (1 - previous slack), the previous
     being the last earlier residual with a slack."""
 
-    at_most: float = math.inf
-    at_least: float = -math.inf
-    slack: float | None = None
+    at_most: float
+    at_least: float
+    slack: float | None
+
+    def __init__(self, at_most: float = math.inf, at_least: float = -math.inf, slack: float | None = None) -> None:
+        object.__setattr__(self, "at_most", at_most)
+        object.__setattr__(self, "at_least", at_least)
+        object.__setattr__(self, "slack", slack)
 
 
 # the rule of a residual that is reported only and never enters the verdict, told apart by identity
@@ -51,8 +56,7 @@ def rules_hold(values, rules) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one named check.
 
     residuals is given as (N, value, rule) triples and kept as (N, value) pairs, the rules apart in
@@ -62,19 +66,24 @@ class CheckReport:
     check_name: str
     params_echo: dict[str, Any]
     residuals: tuple[tuple[int, float], ...]
-    notes: str = ""
-    rules: tuple[Rule, ...] = field(init=False)
-    verdict: Verdict = field(init=False)
+    notes: str
+    rules: tuple[Rule, ...]
+    verdict: Verdict
 
-    def __post_init__(self) -> None:
-        if not self.residuals:
+    def __init__(self, check_name: str, params_echo: dict[str, Any], residuals, notes: str = "") -> None:
+        if not residuals:
             raise ValueError("a report must carry at least one residual")
-        object.__setattr__(self, "rules", tuple(rule for _, _, rule in self.residuals))
-        object.__setattr__(self, "residuals", tuple((int(n), float(v)) for n, v, _ in self.residuals))
-        if all(rule is REPORTED for rule in self.rules):
+        rules = tuple(rule for _, _, rule in residuals)
+        values = tuple((int(n), float(v)) for n, v, _ in residuals)
+        if all(rule is REPORTED for rule in rules):
             verdict = Verdict.INFORMATIONAL
         else:
-            verdict = Verdict.PASS if rules_hold([v for _, v in self.residuals], self.rules) else Verdict.FAIL
+            verdict = Verdict.PASS if rules_hold([v for _, v in values], rules) else Verdict.FAIL
+        object.__setattr__(self, "check_name", check_name)
+        object.__setattr__(self, "params_echo", params_echo)
+        object.__setattr__(self, "residuals", values)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "verdict", verdict)
 
     @property
@@ -119,11 +128,37 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
+def _json_text(value: Any, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2) without the pure-Python encoder json runs to indent, for str-keyed dicts, lists,
+    tuples, str, int, float, bool and None; newline is the break and indent before the value's closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_reports(reports: list[CheckReport], fmt: str) -> str:
     if fmt == "json":
         docs = [r.to_dict() for r in reports]
         payload: Any = docs[0] if len(docs) == 1 else docs
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return _json_text(payload) + "\n"
     if fmt == "csv":
         lines = ["check,N,residual,verdict"]
         for r in reports:

@@ -12,7 +12,7 @@ quadrature never appears here (it lives in the independent oracle module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -44,22 +44,55 @@ def validate_alpha(alpha) -> None:
         raise ValueError(f"alpha must be a finite positive real, got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class FockParams:
+class _Record:
+    """Immutable record: a subclass annotates its fields in order and its __init__ stores them through
+    object.__setattr__.  Records of one class compare and hash by their field values (by identity with
+    eq=False) and print as ``Name(field=value, ...)``; no code is generated when a record class is created."""
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # the field values in one C call, so comparing and hashing loop in no Python code
+        cls._values = operator.attrgetter(*cls._fields)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        # equal without reading a field: series compare their shared params with themselves
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+
+class FockParams(_Record):
     """Gaussian weight parameter alpha and truncation order N.
 
     Series carry coefficients for degrees 0..N, so they hold N+1 numbers and
     the finite section of an operator is (N+1) x (N+1).
     """
 
-    alpha: float = 1.0
-    order: int = 32
+    alpha: float
+    order: int
 
-    def __post_init__(self) -> None:
-        validate_alpha(self.alpha)
-        if not (isinstance(self.order, int) and self.order >= 1):
-            raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+    def __init__(self, alpha: float = 1.0, order: int = 32) -> None:
+        validate_alpha(alpha)
+        if not (isinstance(order, int) and order >= 1):
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        object.__setattr__(self, "alpha", float(alpha))
+        object.__setattr__(self, "order", order)
 
     def monomial_norms(self) -> np.ndarray:
         """||z^k|| = sqrt(k! / alpha^k) for k = 0..N, as a running product of sqrt(k / alpha).
@@ -87,8 +120,7 @@ def _as_coeff_array(coeffs, order: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
+class TruncatedSeries(_Record, eq=False):
     """Degree-N truncation of an entire function, raw monomial coefficients.
 
     Immutable after construction; the coefficient array is read-only.
@@ -96,6 +128,12 @@ class TruncatedSeries:
 
     coeffs: np.ndarray
     params: FockParams
+
+    def __init__(self, coeffs, params: FockParams) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "params", params)
+        # validation stays a method of its own, which perfbench's tracer times by name
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs, self.params.order))

@@ -1,7 +1,6 @@
 """Per-identity checkers: worked values, falsifications, and verdict logic."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -742,9 +741,11 @@ def test_commutant_symbols_fails_on_a_shifted_offset_form(monkeypatch, alpha):
 def test_commutant_symbols_degeneration_must_be_exact(monkeypatch):
     # at eta = 1 a d1 of 1e-300 leaves every closed form within 1e-12, but psi is no longer exactly the identity
     honest = checks.CommutantParams.from_eta_b.__func__
-    monkeypatch.setattr(
-        checks.CommutantParams, "from_eta_b", classmethod(lambda cls, eta, b: replace(honest(cls, eta, b), d1=1e-300))
-    )
+
+    def perturbed(cls, eta, b):
+        return cls(**{**vars(honest(cls, eta, b)), "d1": 1e-300})
+
+    monkeypatch.setattr(checks.CommutantParams, "from_eta_b", classmethod(perturbed))
     report = check_commutant_symbols(1.0, 2.0 / 3.0)
     assert all(v <= 1e-12 for _, v in report.residuals[:3])
     assert report.residuals[3] == (0, 1e-300)
