@@ -259,9 +259,8 @@ def disk_selfmap_criterion(a0, a1):
     return bool(inside) if inside.ndim == 0 else inside
 
 
-# boundary points per block of the oracle, so that each complex temporary of
-# a block (128 kB; 8 draws of 1000 points) stays in cache
-ORACLE_BLOCK_POINTS = 8192
+# projected values per block of the oracle, so that a block's temporary stays in cache
+ORACLE_BLOCK_POINTS = 16384
 
 
 def disk_boundary_oracle(a0, a1):
@@ -269,25 +268,32 @@ def disk_boundary_oracle(a0, a1):
 
     Boundary-touching maps (max exactly 1) count as self-maps, matching the
     closed inequalities of the criterion; the comparison carries the same
-    tolerance.  a0 and a1 may be arrays of draws, evaluated against the
-    circle in blocks of about ORACLE_BLOCK_POINTS values; scalar inputs give
-    a bool.
+    tolerance.  On the circle |a0 + a1 z|^2 = |a0|^2 + a1^2 + 2 a1 Re(conj(a0) z),
+    so a draw's maximum comes from the largest product of its (Re a0, Im a0)
+    row, sign of a1 folded in, with the circle's (cos, sin) table, in blocks
+    of about ORACLE_BLOCK_POINTS values.  A draw within a rounding band of the
+    bound takes max |a0 + a1 z| over the complex circle instead.  a0 and a1
+    may be arrays of draws; scalar inputs give a bool.
     """
     a0, a1 = np.broadcast_arrays(np.asarray(a0, dtype=np.complex128), np.asarray(a1, dtype=np.float64))
     circle = np.exp(1j * (2.0 * np.pi * np.arange(BOUNDARY_POINTS) / BOUNDARY_POINTS))
-    # a real a1 times the circle is the complex product with a1 + 0j, so cast once
-    flat0, flat1 = a0.ravel(), a1.ravel().astype(np.complex128)
-    inside = np.empty(flat0.shape, dtype=bool)
+    table = np.stack((circle.real, circle.imag))
+    flat0, flat1 = a0.ravel(), a1.ravel()
+    rows = np.stack((flat0.real, flat0.imag), axis=1)
+    rows[flat1 < 0] *= -1.0
+    reach = np.empty(flat0.shape)
     block = ORACLE_BLOCK_POINTS // BOUNDARY_POINTS
-    values = np.empty((block, BOUNDARY_POINTS), dtype=np.complex128)
-    magnitudes = np.empty((block, BOUNDARY_POINTS))
     for start in range(0, flat0.size, block):
-        rows = slice(start, start + block)
-        count = flat0[rows].size
-        vals, mags = values[:count], magnitudes[:count]
-        np.multiply(flat1[rows, None], circle, out=vals)
-        np.add(flat0[rows, None], vals, out=vals)
-        inside[rows] = np.max(np.abs(vals, out=mags), axis=1) <= 1.0 + IDENTITY_TOL
+        reach[start : start + block] = np.max(rows[start : start + block] @ table, axis=1)
+    x, y, t = np.abs(flat0.real), np.abs(flat0.imag), np.abs(flat1)
+    squared = (x * x + y * y + t * t) + 2.0 * t * reach
+    bound = 1.0 + IDENTITY_TOL
+    inside = squared <= bound * bound
+    # the band, 32 u max(|a0| + |a1|, 1)^2 with u = 2^-53, bounds the rounding of both maxima (derived in
+    # CHANGES.md), so outside it the verdict is the complex maximum's; not greater, so a nan is in it
+    scale = np.maximum(x + y + t, 1.0)
+    for i in np.flatnonzero(~(np.abs(squared - bound * bound) > 32 * 2.0**-53 * scale * scale)):
+        inside[i] = np.max(np.abs(flat0[i] + complex(flat1[i]) * circle)) <= bound
     return bool(inside[0]) if a0.ndim == 0 else inside.reshape(a0.shape)
 
 
@@ -358,10 +364,13 @@ def check_selfadjoint_forward(
 
     weight = sym.weight
     mp = sym.map
+    pairs = disk_pairs(seed)
+    # c e^{wz} at every z and beta: the exponentials as arrays, each times c as a Python complex, as in weight.value(z)
+    at_z, at_beta = ([weight.c * e for e in np.exp(weight.w * points).tolist()] for points in pairs.T)
     kernel_diffs = []
-    for z, beta in disk_pairs(seed).tolist():
-        lhs = weight.value(z) * cmath.exp(params.alpha * mp(z) * beta.conjugate())
-        rhs = weight.value(beta).conjugate() * cmath.exp(params.alpha * complex(mp(beta)).conjugate() * z)
+    for (z, beta), weight_z, weight_beta in zip(pairs.tolist(), at_z, at_beta):
+        lhs = weight_z * cmath.exp(params.alpha * mp(z) * beta.conjugate())
+        rhs = weight_beta.conjugate() * cmath.exp(params.alpha * complex(mp(beta)).conjugate() * z)
         kernel_diffs.append(abs(lhs - rhs))
     # np.max, not max: a nan difference must reach the residual
     residuals.append((0, float(np.max(kernel_diffs)), Rule(at_most=SELFADJOINT_KERNEL_TOL)))
@@ -486,17 +495,16 @@ def check_eigen_identity(
 
     h = mobius_h(b)
     alpha = params.alpha
-
-    def e_j(z, j):
-        envelope = np.exp(alpha * (b.conjugate() * np.asarray(z) - abs(b) ** 2 / 2.0))
-        return envelope * h(z) ** j if j else envelope
-
+    # e_j(z) = envelope(z) h(z)^j, with the envelope and h taken once at the points and once at their images
+    mapped = mp(pts)
+    env_mapped, env_pts = (np.exp(alpha * (b.conjugate() * z - abs(b) ** 2 / 2.0)) for z in (mapped, pts))
+    h_mapped, h_pts, weight_pts = h(mapped), h(pts), weight.value(pts)
     eig = complex(weight.value(b)).conjugate()
     factor = conjugation_factor(mp, pts)
     per_j = []
     for j in range(j_max + 1):
-        lhs = weight.value(pts) * e_j(mp(pts), j)
-        rhs = eig * factor**j * e_j(pts, j)
+        lhs = weight_pts * (env_mapped * h_mapped**j if j else env_mapped)
+        rhs = eig * factor**j * (env_pts * h_pts**j if j else env_pts)
         per_j.append(float(np.max(np.abs(lhs - rhs))))
 
     k_b = kernel_series(b, FockParams(alpha, EIGEN_KERNEL_ORDER))

@@ -446,6 +446,14 @@ def _render_rows(block: np.ndarray) -> str:
     return grid.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
+@functools.lru_cache(maxsize=16)
+def _row_ratio_roots(order: int, width: int) -> np.ndarray:
+    """sqrt((m+1) / n) at [n-1, m] for steps n = 1..width-1 and rows m = 0..order, read-only: calls share it."""
+    roots = np.sqrt(np.arange(1, order + 2) / np.arange(1, width)[:, None])
+    roots.setflags(write=False)
+    return roots
+
+
 def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, columns: int | None = None) -> np.ndarray:
     """Finite sections of M symbols in the normalized-monomial basis, as one (M, N+1, N+1) block.
 
@@ -456,9 +464,12 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     Multiplying by a z + b only raises degrees, so entries are exact up to
     rounding; for an exponential weight no raw coefficient or norm enters.
     The recurrence runs once for all symbols, each entry by the same
-    operations as for that symbol alone.  With columns, only the leading
-    columns are built, as an (M, N+1, columns) block: the same bits as the
-    full build's, since column n reads only column n-1.
+    operations as for that symbol alone: the factors sqrt((m+1) / n) come
+    from one read-only table per order and width, built once in a process,
+    and column 0 of every exponential weight from one running product.
+    With columns, only the leading columns are built, as an (M, N+1,
+    columns) block: the same bits as the full build's, since column n reads
+    only column n-1.
     """
     maps = [sym.map for sym in symbols]
     if not all(isinstance(mp, AffineMap) for mp in maps):
@@ -467,13 +478,11 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     width = order + 1 if columns is None else columns
     if not 1 <= width <= order + 1:
         raise ValueError(f"columns {width} outside 1..{order + 1}")
-    steps = np.arange(1, width)
     # coef[n-1, 0, s] = b_s sqrt(alpha / n) on every row, and coef[n-1, 1, s, m] = a_s sqrt((m+1) / n), the
     # factor from row m to row m+1: one square root, so exactly a_s on the diagonal
     coef = np.empty((width - 1, 2, len(maps), order + 1), dtype=np.complex128)
-    coef[:, 0] = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / steps)[:, None])[:, :, None]
-    ratios = np.arange(1, order + 2) / steps[:, None]
-    np.multiply(np.array([mp.a for mp in maps])[:, None], np.sqrt(ratios, out=ratios)[:, None, :], out=coef[:, 1])
+    coef[:, 0] = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / np.arange(1, width))[:, None])[:, :, None]
+    np.multiply(np.array([mp.a for mp in maps])[:, None], _row_ratio_roots(order, width)[:, None, :], out=coef[:, 1])
     # block[n, s] is column n of symbol s, so each step is one contiguous block
     block = np.zeros((width, len(maps), order + 1), dtype=np.complex128)
     # the two products of a step, each one row down: prod[0, s, m+1] stays in row m, prod[1, s, m+1] moves to
@@ -482,14 +491,15 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     prod[1, :, 0] = complex(-0.0, -0.0)
     # an entry past the double range becomes inf or nan here, which OperatorMatrix reports
     with np.errstate(over="ignore", invalid="ignore"):
-        # at least three factors: numpy's cumprod of two rounds apart from the first two of a longer one
-        k = np.arange(1, max(order, 2) + 1)
-        for s, sym in enumerate(symbols):
-            weight = sym.weight
-            if isinstance(weight, ExpLinearWeight):
-                # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k)
-                block[0, s] = np.cumprod(np.concatenate(([weight.c], weight.w / np.sqrt(params.alpha * k))))[: order + 1]
-            else:
+        weights = [sym.weight for sym in symbols]
+        exp_at = [s for s, weight in enumerate(weights) if isinstance(weight, ExpLinearWeight)]
+        # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k), a row per weight of one cumprod; at least three
+        # factors, as numpy's cumprod of two rounds apart from the first two of a longer one
+        cw = np.array([(weights[s].c, weights[s].w) for s in exp_at], dtype=np.complex128).reshape(-1, 2)
+        steps = cw[:, 1:] / np.sqrt(params.alpha * np.arange(1, max(order, 2) + 1))
+        block[0, exp_at] = np.cumprod(np.concatenate((cw[:, :1], steps), axis=1), axis=1)[:, : order + 1]
+        for s, weight in enumerate(weights):
+            if not isinstance(weight, ExpLinearWeight):
                 block[0, s] = monomial_to_orthonormal(weight.materialize(params))
         # views taken once: indexing a list is cheaper than slicing the array, once per column
         cols, products, stayed, moved = list(block), prod[:, :, 1:], prod[0, :, 1:], prod[1, :, :-1]

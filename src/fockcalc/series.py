@@ -11,6 +11,7 @@ quadrature never appears here (it lives in the independent oracle module).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -188,14 +189,23 @@ class TruncatedSeries(_Record, eq=False):
         return float(np.max(np.abs(self.coeffs - other.coeffs)))
 
 
+@functools.lru_cache(maxsize=16)
+def _reciprocals(order: int) -> np.ndarray:
+    """1 / (k + 0j) = fl(1/k) - 0j for k = 1..order, read-only.  numpy divides a complex by k + 0j by Smith's formula,
+    which multiplies by fl(1/k); times fl(1/k) - 0j rounds the same, zero signs included (+ 0j would flip some)."""
+    recips = np.reciprocal(np.arange(1, order + 1, dtype=np.complex128))
+    recips.setflags(write=False)
+    return recips
+
+
 def exp_linear_coeffs(w, scale: complex, order: int) -> np.ndarray:
-    """Coefficients scale * w^k / k! for k = 0..order, as one running product.
+    """Coefficients scale * w^k / k! for k = 0..order, as one running product of the steps w / k.
 
     w may be an array: row k then holds degree k for every entry of w, so the
     series of S exponents form one (order + 1) x S block.
     """
     w = np.asarray(w, dtype=np.complex128)
-    steps = w / np.arange(1, order + 1).reshape((order,) + (1,) * w.ndim)
+    steps = w * _reciprocals(order).reshape((order,) + (1,) * w.ndim)
     return np.cumprod(np.concatenate((np.full((1,) + w.shape, scale, dtype=np.complex128), steps)), axis=0)
 
 

@@ -1,5 +1,6 @@
 """Per-identity checkers: worked values, falsifications, and verdict logic."""
 
+import cmath
 import math
 
 import numpy as np
@@ -109,6 +110,20 @@ class TestSelfAdjointForward:
                         SelfAdjointSymbolParams(c, a0, a1 + imag * 1j), orders=(16,), seed=7 + i
                     )
                 assert bad.verdict is Verdict.FAIL
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("seed", [42, 7, 3])
+    def test_kernel_residual_matches_scalar_loop(self, seed, alpha):
+        # one weight.value call per point, against the checker's weight evaluated over all points at once
+        for params in (SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha), SelfAdjointSymbolParams(1.3 + 0.1j, 0.3 - 0.4j, -0.35, alpha)):
+            weight, mp = params.weight(), params.map()
+            diffs = []
+            for z, beta in disk_pairs(seed).tolist():
+                lhs = weight.value(z) * cmath.exp(alpha * mp(z) * beta.conjugate())
+                rhs = weight.value(beta).conjugate() * cmath.exp(alpha * complex(mp(beta)).conjugate() * z)
+                diffs.append(abs(lhs - rhs))
+            report = check_selfadjoint_forward(params, (4,), seed=seed)
+            assert repr(report.residuals[-1][1]) == repr(float(np.max(diffs)))
 
     def test_exponent_mismatch_falsified_by_reverse_check(self):
         rng = np.random.default_rng(9)
@@ -224,6 +239,42 @@ class TestDiskCriterion:
         assert report.residuals[0][1] == disagreements
         assert report.notes == f"{self_maps} of 200 draws were self-maps"
 
+    def test_oracle_matches_the_complex_maximum_at_the_bound(self):
+        """Draws with |a0| + |a1| a few ulps from 1 + IDENTITY_TOL against max |a0 + a1 z| over the complex circle."""
+        circle = np.exp(1j * (2.0 * np.pi * np.arange(1000) / 1000))
+        bound = 1.0 + 1e-12
+        rng = np.random.default_rng(22)
+        a0s, a1s = [], []
+        for radius, j in zip(rng.uniform(0.05, 0.95, 60), rng.integers(0, 1000, 60)):
+            # a0 on a sample angle, where the maximum reaches |a0| + |a1|, and halfway between two
+            for angle in (2.0 * np.pi * j / 1000, 2.0 * np.pi * (j + 0.5) / 1000):
+                for sign in (1.0, -1.0):
+                    for ulps in range(-4, 5):
+                        a0s.append(radius * cmath.exp(1j * angle))
+                        a1s.append(sign * ((bound - radius) + ulps * np.spacing(bound - radius)))
+        for ulps in range(-4, 5):
+            edge = bound + ulps * np.spacing(bound)
+            # a0 = 0 (so |a1| > 1), and a1 = 0 on sample angles and between them
+            a0s += [0.0, 0.0] + [edge * cmath.exp(1j * np.pi * k / 1000) for k in range(0, 40, 3)]
+            a1s += [edge, -edge] + [0.0] * 14
+        # |a1| > 1 with a small a0, and |a1| just above 1 with a0 = 0
+        a0s += list(0.1 * rng.uniform(-1.0, 1.0, 40) + 0.1j * rng.uniform(-1.0, 1.0, 40)) + [0.0] * 8
+        a1s += list(rng.choice([-1.0, 1.0], 40) * rng.uniform(1.0, 3.0, 40)) + [s * (1.0 + k * 2.0**-52) for s in (1.0, -1.0) for k in range(1, 5)]
+        brute = [float(np.max(np.abs(a0 + a1 * circle))) <= bound for a0, a1 in zip(a0s, a1s)]
+        assert len(brute) >= 2000
+        # the draws straddle the bound
+        assert min(sum(brute), len(brute) - sum(brute)) > 0.1 * len(brute)
+        assert disk_boundary_oracle(np.array(a0s), np.array(a1s)).tolist() == brute
+
+    @pytest.mark.parametrize("a1", [1.0 + 1e-12, -(1.0 + 1e-12)])
+    def test_oracle_takes_the_complex_path_where_rounding_decides(self, a1):
+        # the projection's squared maximum is a1^2, the squared bound itself, but a stored circle point of modulus
+        # rounded above 1 carries |a1 z| past the bound: only the complex maximum gives the verdict
+        circle = np.exp(1j * (2.0 * np.pi * np.arange(1000) / 1000))
+        assert a1 * a1 <= (1.0 + 1e-12) ** 2
+        assert float(np.max(np.abs(a1 * circle))) > 1.0 + 1e-12
+        assert disk_boundary_oracle(0.0, a1) is False
+
     def test_array_inputs_give_arrays(self):
         a0 = np.array([0.0, 0.5, 0.9, 0.3j])
         a1 = np.array([1.0, 0.25, 0.5, -0.8])
@@ -257,6 +308,27 @@ class TestEigenIdentity:
         assert report.notes.startswith("j=0: nan;")
         assert math.isnan(report.residuals[0][1])
         assert report.verdict is Verdict.FAIL
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("seed", [42, 7, 3])
+    def test_residuals_match_per_j_evaluation(self, seed, alpha):
+        # the weight, map, envelope and h evaluated afresh for each j, against the checker's values taken once
+        for params in (SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha), SelfAdjointSymbolParams(1.3, 0.3 - 0.4j, -0.35, alpha)):
+            mp, weight = params.map(), params.weight()
+            b = fixed_point(mp)
+            pts = checks._sample_points(None, seed, [checks._h_pole(b)], mapped_by=mp)
+            h = checks.mobius_h(b)
+
+            def e_j(z, j):
+                envelope = np.exp(alpha * (b.conjugate() * np.asarray(z) - abs(b) ** 2 / 2.0))
+                return envelope * h(z) ** j if j else envelope
+
+            eig = complex(weight.value(b)).conjugate()
+            factor = checks.conjugation_factor(mp, pts)
+            per_j = [float(np.max(np.abs(weight.value(pts) * e_j(mp(pts), j) - eig * factor**j * e_j(pts, j)))) for j in range(6)]
+            report = check_eigen_identity(params, 5, seed=seed)
+            assert repr(report.residuals[0][1]) == repr(float(np.max(per_j)))
+            assert report.notes == "; ".join(f"j={j}: {r:.2e}" for j, r in enumerate(per_j))
 
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(ValueError):

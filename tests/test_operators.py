@@ -37,6 +37,7 @@ from fockcalc import (
     monomial_to_orthonormal,
     orthonormal_basis_element,
 )
+from fockcalc import operators
 from fockcalc.operators import _CSV_BLOCK, _render_csv
 
 P8 = FockParams(1.0, 8)
@@ -332,6 +333,35 @@ def test_sections_are_leading_blocks_of_the_order_64_section(alpha):
     top = assemble_sections(symbols, FockParams(alpha, 64))
     for n in range(1, 65):
         assert np.array_equal(_bits(assemble_sections(symbols, FockParams(alpha, n))), _bits(top[:, : n + 1, : n + 1])), n
+
+
+@pytest.mark.parametrize("sequence", [(170, 32, 64, 2, 1), (1, 2, 64, 32, 170)], ids=["170-first", "170-last"])
+def test_mixed_batch_bit_equal_to_one_symbol_builds(sequence):
+    """Exponential weights on both sides of a series weight, in one batch, at orders taken in either call order.
+
+    The root table of an order and width is built on first use and shared after, so it starts empty here.
+    """
+    operators._row_ratio_roots.cache_clear()
+    for order in sequence:
+        params = FockParams(2.0, order)
+        symbols = [
+            WcoSymbol(ExpLinearWeight(0.7 - 0.4j, 0.5 + 0.3j), AffineMap(0.6 - 0.2j, 0.3 + 0.1j)),
+            WcoSymbol(SeriesWeight(exp_linear(0.3 + 0.2j, 0.8 - 0.3j, params)), AffineMap(0.5 - 0.6j, 0.3 + 0.25j)),
+            WcoSymbol(ExpLinearWeight(1.2, -0.9j), AffineMap(-0.4, 0.2j)),
+        ]
+        for columns in (None, order // 2 + 1):
+            block = assemble_sections(symbols, params, columns=columns)
+            for sym, section in zip(symbols, block):
+                alone = assemble_sections([sym], params, columns=columns)[0]
+                assert np.array_equal(_bits(section), _bits(alone)), (order, columns)
+                assert np.array_equal(_bits(section), _bits(_section_by_columns(sym, params)[:, : section.shape[1]]))
+
+
+def test_root_table_is_read_only():
+    roots = operators._row_ratio_roots(8, 9)
+    assert roots.shape == (8, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        roots[0, 0] = 2.0
 
 
 def test_sections_require_affine_maps():

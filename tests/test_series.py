@@ -17,7 +17,7 @@ from fockcalc import (
     kernel_series,
     orthonormal_basis_element,
 )
-from fockcalc.series import affine_composition_matrix, exp_linear_coeffs, gram
+from fockcalc.series import affine_composition_matrix, exp_linear_coeffs, gram, kernel_coeffs
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -100,6 +100,38 @@ def test_exp_linear_block_columns_are_the_single_series():
         assert np.array_equal(block[:, j], exp_linear(w, 0.8 - 0.3j, P32).coeffs)
         closed = [(0.8 - 0.3j) * complex(w) ** k / math.factorial(k) for k in range(33)]
         assert np.allclose(block[:, j], closed, rtol=1e-14, atol=0)
+
+
+def _division_form(w, scale, order):
+    """exp_linear_coeffs with each step w / k taken by numpy's complex division by k + 0j."""
+    w = np.asarray(w, dtype=np.complex128)
+    steps = w / np.arange(1, order + 1).reshape((order,) + (1,) * w.ndim)
+    return np.cumprod(np.concatenate((np.full((1,) + w.shape, scale, dtype=np.complex128), steps)), axis=0)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("order", [1, 2, 32, 170])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_exp_linear_coeffs_bit_equal_to_the_division_form(order):
+    """Multiplying by the reciprocals of k gives numpy's quotients by k bit for bit, zero signs included."""
+    rng = np.random.default_rng(order)
+    ws = 10.0 ** rng.uniform(-300, 300, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 300))
+    # parts of either sign, and zero parts of either sign
+    parts = (0.0, -0.0, 1.5, -2.5e-300, 3e300)
+    ws = np.concatenate((ws, [complex(re, im) for re in parts for im in parts], [complex(-re, -im) for re in parts for im in parts]))
+    block = exp_linear_coeffs(ws, 0.8 - 0.3j, order)
+    assert np.array_equal(_bits(block), _bits(_division_form(ws, 0.8 - 0.3j, order)))
+    for w in np.concatenate((ws[:300:7], ws[300:])).tolist():
+        assert np.array_equal(_bits(exp_linear_coeffs(w, 1.0, order)), _bits(_division_form(w, 1.0, order))), w
+    for alpha in (0.05, 1.0, 8.0):
+        params = FockParams(alpha, order)
+        points = ws / alpha
+        assert np.array_equal(_bits(kernel_coeffs(points, params)), _bits(_division_form(alpha * np.conj(points), 1.0, order)))
+        point = complex(points[5])
+        assert np.array_equal(_bits(kernel_coeffs(point, params)), _bits(_division_form(alpha * np.conj(point), 1.0, order)))
 
 
 def test_params_accept_large_orders_and_reject_zero():
