@@ -84,6 +84,22 @@ def parse_orders(text: str) -> tuple[int, ...]:
     return orders
 
 
+def _parse_max_degree(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"max degree must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _parse_alphas(text: str) -> tuple[float, ...]:
+    try:
+        alphas = tuple(float(part) for part in text.split(","))
+        for alpha in alphas:
+            validate_alpha(alpha)
+        return alphas
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"alphas must be comma-separated finite positive reals, got {text!r}") from None
+
+
 def _validate_seed(seed, source: str = "seed") -> int:
     """The one test of a seed, as numpy's generators take it: an integer >= 0; an error names the source."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
@@ -343,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: --alpha, a flag oracle does not take, would silently read as --alphas
     p_oracle = sub.add_parser("oracle", help="compare exact and quadrature inner products", allow_abbrev=False)
     _add_format(p_oracle)
-    p_oracle.add_argument("--max-degree", type=int, default=12, help="largest monomial degree in the comparison")
-    p_oracle.add_argument("--alphas", type=str, default="0.5,1,2", help="comma-separated Gaussian parameters")
+    p_oracle.add_argument("--max-degree", type=_parse_max_degree, default=12, help="largest monomial degree in the comparison")
+    p_oracle.add_argument("--alphas", type=_parse_alphas, default="0.5,1,2", help="comma-separated Gaussian parameters")
 
     return parser
 
@@ -427,8 +443,7 @@ def cmd_matrix(args, cfg: RunConfig) -> int:
 
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
-    alphas = tuple(float(part) for part in args.alphas.split(","))
-    return _emit(check_oracle_agreement(args.max_degree, alphas), cfg)
+    return _emit(check_oracle_agreement(args.max_degree, args.alphas), cfg)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,7 +11,7 @@ carrying the e^{-alpha r^2} r measure factor.
 
 The rule's sum over grid points is reassociated exactly: scaled powers
 z^k / s_k split into radial and phase tables, and the angular sums of all
-degree pairs form one phase Gram, so no series is evaluated point by point.
+degree pairs form one phase Gram per call, so no series is evaluated pointwise.
 The oracle computes its scale s_k itself and never borrows the exact norms.
 """
 
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .series import FockParams, TruncatedSeries, _Record, common_params, gram
+from .series import FockParams, TruncatedSeries, _Record, _row_gram, common_params
 from .operators import AffineMap, UnsupportedMapError, WcoSymbol
 from .report import CheckReport, Rule
 
@@ -113,17 +113,34 @@ def _point_weights(grid: QuadratureGrid) -> np.ndarray:
     return 2.0 * grid.alpha * grid.radial_nodes[:, 1] / grid.angular_count
 
 
-def _scale_and_phases(params: FockParams, grid: QuadratureGrid, degrees) -> tuple[np.ndarray, np.ndarray]:
-    """Scale steps s_k / s_{k-1} and phase rows P[k, a] = e^{2 pi i k a / A} for k in degrees.
+def _scale_steps(params: FockParams) -> np.ndarray:
+    """Steps sqrt(k / alpha), k = 1..N, of the oracle's own scale s_k = sqrt(k! / alpha^k) (37^200 would overflow)."""
+    return np.sqrt(np.arange(1, params.order + 1) / params.alpha)
 
-    s_k = sqrt(k! / alpha^k) is the oracle's own scale (raw powers such as 37^200
-    overflow); P indexes the roots by k a mod A, so no angle grows with k.
-    """
+
+def _phase_rows(params: FockParams, grid: QuadratureGrid, degrees) -> np.ndarray:
+    """Phase rows P[k, a] = e^{2 pi i k a / A} for k in degrees, indexing the roots by k a mod A (no angle grows)."""
     count = grid.angular_count
     if count <= 2 * params.order:
         raise ValueError(f"grid too coarse: angular_count {count} must exceed 2*order = {2 * params.order}")
-    steps = np.sqrt(np.arange(1, params.order + 1) / params.alpha)
-    return steps, grid.roots()[np.multiply.outer(degrees, np.arange(count)) % count]
+    return grid.roots()[np.multiply.outer(degrees, np.arange(count)) % count]
+
+
+def _phase_gram(params: FockParams, grid: QuadratureGrid) -> np.ndarray:
+    """Q = P P^H, degrees 0..N; it depends on the order and angular count alone (the order, on default grids)."""
+    phases = _phase_rows(params, grid, np.arange(params.order + 1))
+    return phases @ phases.conj().T
+
+
+def _quad_row_gram(params: FockParams, grid: QuadratureGrid, coeffs: np.ndarray, phase_gram: np.ndarray) -> np.ndarray:
+    """quad_gram of the series whose coefficients are the rows of coeffs, given the phase Gram of (params, grid)."""
+    steps = _scale_steps(params)
+    radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
+    radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
+    np.cumprod(radial, axis=0, out=radial)
+    scaled = coeffs.copy()
+    scaled[:, 1:] *= np.cumprod(steps)
+    return scaled @ (phase_gram * ((radial * _point_weights(grid)) @ radial.T)) @ scaled.conj().T
 
 
 def quad_gram(series: list[TruncatedSeries], grid: QuadratureGrid) -> np.ndarray:
@@ -138,13 +155,7 @@ def quad_gram(series: list[TruncatedSeries], grid: QuadratureGrid) -> np.ndarray
     it is still computed from the roots, never assumed.  No exact norm is borrowed.
     """
     params = common_params(series)
-    steps, phases = _scale_and_phases(params, grid, np.arange(params.order + 1))
-    radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
-    radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
-    np.cumprod(radial, axis=0, out=radial)
-    scaled = np.stack([s.coeffs for s in series])
-    scaled[:, 1:] *= np.cumprod(steps)
-    return scaled @ ((phases @ phases.conj().T) * ((radial * _point_weights(grid)) @ radial.T)) @ scaled.conj().T
+    return _quad_row_gram(params, grid, np.stack([s.coeffs for s in series]), _phase_gram(params, grid))
 
 
 def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureGrid) -> complex:
@@ -156,9 +167,9 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     """Quadrature evaluation of the finite-section entry <W e_n, e_m>.
 
     The image weight(z) map(z)^n / s_n is evaluated pointwise in closed form,
-    as (map(z) s_n^{-1/n})^n with log s_n from the oracle's own scale steps, and
-    paired with conj(e_m) = r^m / s_m conj(P[m, a]): only row m of the radial
-    table is built, as quad_gram's running product of the quotients
+    as (map(z) s_n^{-1/n})^n by _power with log s_n from the oracle's own scale
+    steps, and paired with conj(e_m) = r^m / s_m conj(P[m, a]): only row m of
+    the radial table is built, as quad_gram's running product of the quotients
     r / (s_k / s_{k-1}), k = 1..m, and only row m of the phase table.  weight(z)
     and map(z) at the grid points are evaluated once per (symbol, grid) pair and
     shared by its entries.  No series composition and no exact norm is used.
@@ -168,14 +179,25 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     for idx in (n, m):
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
-    steps, (phase,) = _scale_and_phases(params, grid, np.array([m]))
+    steps, phase = _scale_steps(params), _phase_rows(params, grid, m)
     weight_values, map_values = _symbol_values(sym, grid)
     root = math.exp(-np.sum(np.log(steps[:n])) / max(n, 1))  # s_n^{-1/n}
-    image = (map_values * root) ** n
+    image = _power(map_values * root, n)
     # weight first: a complex product rounds by operand order, which numpy may swap in weight * temporary
     np.multiply(weight_values, image, out=image)
     radial = np.prod(grid.radial_nodes[:, 0] / steps[:m, None], axis=0)  # r^m / s_m
     return complex((_point_weights(grid) * radial) @ (image @ phase.conj()))
+
+
+def _power(base: np.ndarray, n: int) -> np.ndarray:
+    """base**n by squaring base in place: floor(log2 n) squarings, popcount(n) - 1 products; base**0 is ones."""
+    image = np.ones_like(base) if n == 0 else None
+    for k in range(n.bit_length()):
+        if k:  # in place, unless image holds base: at most two arrays are live, as with numpy's pointwise **
+            base = base * base if base is image else np.multiply(base, base, out=base)
+        if n >> k & 1:
+            image = base if image is None else np.multiply(image, base, out=image)
+    return image
 
 
 @functools.lru_cache(maxsize=1)
@@ -191,19 +213,20 @@ def _symbol_values(sym: WcoSymbol, grid: QuadratureGrid) -> tuple[np.ndarray, np
 def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckReport:
     """Exact vs quadrature inner products on the full monomial suite.
 
-    The pairs are compared in normalized form (each monomial scaled to unit
-    norm), which keeps every target value at 0 or 1.  Raw monomials are not
-    usable here: their diagonal values grow like n!/alpha^n (about 1.4e18 at
-    alpha = 0.5, degree 16) and the angular cancellation of off-diagonal
+    The pairs are compared in normalized form, the rows z^k / ||z^k|| of one
+    coefficient matrix, which keeps every target value at 0 or 1.  Raw monomials
+    are not usable here: their diagonal values grow like n!/alpha^n (about 1.4e18
+    at alpha = 0.5, degree 16) and the angular cancellation of off-diagonal
     pairs is only exact relative to that integrand scale, so no double
     precision quadrature can reach a fixed absolute tolerance on them.
     """
-    residuals = []
+    residuals, q = [], None
     for alpha in alphas:
         params = FockParams(alpha, max_degree)
-        inv = 1.0 / params.monomial_norms()
-        basis = [TruncatedSeries.monomial(n, params, inv[n]) for n in range(max_degree + 1)]
-        dev = float(np.max(np.abs(np.triu(quad_gram(basis, default_grid(params)) - gram(basis)))))
+        basis = np.diag(1.0 / params.monomial_norms() + 0j)
+        grid = default_grid(params)
+        q = _phase_gram(params, grid) if q is None else q
+        dev = float(np.max(np.abs(np.triu(_quad_row_gram(params, grid, basis, q) - _row_gram(params, basis)))))
         residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
     return CheckReport(
         check_name="oracle-agreement",

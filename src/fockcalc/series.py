@@ -248,13 +248,15 @@ def common_params(series: list[TruncatedSeries]) -> FockParams:
 
 
 def gram(series: list[TruncatedSeries]) -> np.ndarray:
-    """Truncated Gram matrix G[i, j] = <s_i, s_j> = sum_k (c_ik ||z^k||) conj(c_jk ||z^k||).
+    """Truncated Gram matrix G[i, j] = <s_i, s_j> = sum_k (c_ik ||z^k||) conj(c_jk ||z^k||)."""
+    return _row_gram(common_params(series), np.stack([s.coeffs for s in series]))
 
-    One matrix product of the norm-scaled coefficient rows with their conjugates.
-    """
-    norms = common_params(series).monomial_norms()
+
+def _row_gram(params: FockParams, coeffs: np.ndarray) -> np.ndarray:
+    """gram of the series whose raw coefficients are the rows of coeffs: one product of the norm-scaled rows."""
+    norms = params.monomial_norms()
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.stack([s.coeffs for s in series]) * norms
+        scaled = coeffs * norms
         value = scaled @ scaled.conj().T
     if not np.all(np.isfinite(value)):
         raise OverflowError("inner product overflowed")

@@ -47,6 +47,7 @@ def _cases() -> dict[str, tuple[dict[str, str], list[str]]]:
     runs.append(({"FOCKCALC_SEED": "7"}, ["suite"]))
     runs += [({}, ["check", name, *REQUIRED_FLAGS.get(name, [])]) for name in sorted(CHECKERS)]
     runs += [({}, ["matrix"]), ({}, ["oracle"])]
+    runs += [({}, ["oracle", "--max-degree", "64", "--alphas", "0.25,1,4"]), ({}, ["oracle", "--max-degree", "250"])]
     return {" ".join([*(f"{k}={v}" for k, v in env.items()), *argv]): (env, argv) for env, argv in runs}
 
 

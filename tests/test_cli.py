@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, output formats, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -803,6 +804,29 @@ def test_oracle_subcommand(capsys):
     doc = json.loads(out)
     assert doc["check"] == "oracle-agreement"
     assert doc["verdict"] == "Pass"
+
+
+def _oracle_usage():
+    """The usage text argparse prints above an oracle flag's error."""
+    (sub,) = [action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices["oracle"].format_usage()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--alphas", ",1"], "argument --alphas: alphas must be comma-separated finite positive reals, got ',1'"),
+        (["--alphas", "1,nan"], "argument --alphas: alphas must be comma-separated finite positive reals, got '1,nan'"),
+        (["--alphas=-2"], "argument --alphas: alphas must be comma-separated finite positive reals, got '-2'"),
+        (["--max-degree", "0"], "argument --max-degree: max degree must be an integer >= 1, got '0'"),
+        (["--max-degree", "2.5"], "argument --max-degree: max degree must be an integer >= 1, got '2.5'"),
+    ],
+)
+def test_oracle_flag_errors_name_the_flag(capsys, argv, message):
+    # these used to read "could not convert string to float: ''" and "order must be an integer >= 1, got 0"
+    code, out, err = run_cli(["oracle", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == _oracle_usage() + f"fockcalc oracle: error: {message}\n"
 
 
 def test_oracle_at_degree_250(capsys):

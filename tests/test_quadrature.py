@@ -1,6 +1,7 @@
 """Quadrature oracle against the exact inner-product path."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from fockcalc import (
     quad_inner_product,
     quad_matrix_entry,
 )
-from fockcalc.quadrature import QuadratureGrid, _build_grid, _scale_and_phases, cutoff_radius
+from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _phase_gram, _power, cutoff_radius
+from fockcalc.report import CheckReport, Rule
 from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
 import fockcalc.operators
@@ -160,8 +162,7 @@ def test_phase_gram_is_scaled_identity(order):
     params = FockParams(1.0, order)
     for count in (max(64, 2 * order + 1), 4 * (order + 1)):
         grid = _build_grid(params.alpha, cutoff_radius(params), 16, 16, count)
-        _, phases = _scale_and_phases(params, grid, np.arange(order + 1))
-        q = phases @ phases.conj().T
+        q = _phase_gram(params, grid)
         assert np.max(np.abs(np.diag(q) - count)) <= 4 * np.spacing(float(count))
         assert np.max(np.abs(q - np.diag(np.diag(q)))) <= 4 * count * eps
 
@@ -201,8 +202,8 @@ def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
 
 
 def test_oracle_fails_on_a_nan_residual(monkeypatch):
-    # a nan deviation of one alpha must fail, not drop out of the worst
-    monkeypatch.setattr(fockcalc.quadrature, "gram", lambda basis: np.full((len(basis), len(basis)), np.nan))
+    # a nan deviation of one alpha must fail, not drop out of the worst; the exact side is gram's core on the basis rows
+    monkeypatch.setattr(fockcalc.quadrature, "_row_gram", lambda params, rows: np.full((len(rows), len(rows)), np.nan))
     report = check_oracle_agreement(4, (1.0,))
     assert math.isnan(report.residuals[0][1])
     assert report.verdict is Verdict.FAIL
@@ -216,7 +217,7 @@ def _forbid_exact_path(monkeypatch):
 
     monkeypatch.setattr(FockParams, "monomial_norms", forbidden)
     for module in (fockcalc.series, fockcalc.quadrature, fockcalc.operators):
-        for name in ("inner_product", "gram", "compose_affine", "assemble_matrix", "assemble_sections"):
+        for name in ("inner_product", "gram", "_row_gram", "compose_affine", "assemble_matrix", "assemble_sections"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
 
@@ -240,6 +241,88 @@ def test_quad_matrix_entry_uses_no_exact_path(monkeypatch):
     fockcalc.quadrature._symbol_values.cache_clear()
     grid = default_grid(params)
     assert [quad_matrix_entry(sym, n, m, grid, params) for n, m in indices] == expected
+
+
+def _per_alpha_oracle(max_degree, alphas):
+    """check_oracle_agreement as a loop over alphas of monomial series through quad_gram and gram."""
+    residuals = []
+    for alpha in alphas:
+        params = FockParams(alpha, max_degree)
+        inv = 1.0 / params.monomial_norms()
+        basis = [TruncatedSeries.monomial(n, params, inv[n]) for n in range(max_degree + 1)]
+        dev = float(np.max(np.abs(np.triu(quad_gram(basis, default_grid(params)) - fockcalc.series.gram(basis)))))
+        residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
+    return CheckReport(
+        check_name="oracle-agreement",
+        params_echo={"max_degree": max_degree, "alphas": list(alphas)},
+        residuals=tuple(residuals),
+        notes="one residual per alpha, in the order given; normalized monomial pairs",
+    )
+
+
+@pytest.mark.parametrize("alphas", [(1.0,), (0.5, 1.0, 2.0), (2.0, 0.5, 2.0)])
+@pytest.mark.parametrize("max_degree", [1, 12, 40, 250])
+def test_oracle_agreement_equals_the_per_alpha_series_path(max_degree, alphas):
+    # one coefficient matrix per alpha and one phase Gram per call: the same sums, bit for bit
+    report = check_oracle_agreement(max_degree, alphas)
+    reference = _per_alpha_oracle(max_degree, alphas)
+    assert report.to_dict() == reference.to_dict()
+    assert [r[1].hex() for r in report.residuals] == [r[1].hex() for r in reference.residuals]
+
+
+def test_oracle_agreement_forms_the_phase_gram_once_per_call(monkeypatch):
+    formed = []
+    phase_gram = fockcalc.quadrature._phase_gram
+    monkeypatch.setattr(fockcalc.quadrature, "_phase_gram", lambda params, grid: formed.append(1) or phase_gram(params, grid))
+    check_oracle_agreement(12, (0.5, 1.0, 2.0))
+    assert len(formed) == 1
+    # nothing outlives the call: the next one forms Q again
+    check_oracle_agreement(12, (0.5, 1.0, 2.0))
+    assert len(formed) == 2
+
+
+U = 2.0**-53  # unit roundoff of float64
+POWER_EXPONENTS = (0, 1, 2, 3, 31, 32, 33, 99, 100, 101, 255, 256, 320)
+
+
+def _power_points():
+    """Points of modulus 0.5 to 2: on both axes, either sign, and at seeded angles in between."""
+    moduli = (0.5, 0.7, 1.0, 1.3, 2.0)
+    on_axes = [r * unit for r in moduli for unit in (1, 1j, -1, -1j)]
+    rng = np.random.default_rng(23)
+    between = rng.uniform(0.5, 2.0, 24) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 24))
+    return np.array(on_axes + list(between), dtype=np.complex128)
+
+
+def _exact_power(z: complex, n: int) -> tuple[Fraction, Fraction]:
+    """z**n as a Gaussian rational, each part of z taken as the binary rational it is."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    d = math.lcm(x.denominator, y.denominator)
+    a, b = int(x * d), int(y * d)
+    re, im = 1, 0
+    for _ in range(n):
+        re, im = re * a - im * b, re * b + im * a
+    return Fraction(re, d**n), Fraction(im, d**n)
+
+
+@pytest.mark.parametrize("n", POWER_EXPONENTS)
+def test_power_by_squaring_is_within_the_product_bound(n):
+    # Each complex product rounds within sqrt(5) u of its exact value (R. Brent, C. Percival,
+    # P. Zimmermann, Error bounds on complex floating-point multiplication, Math. Comp. 76, 2007).
+    # A squaring doubles the relative error it inherits, so an error made at z^(2^j) counts
+    # n / 2^j times in z^n: to first order the coefficients sum to k = n - 1, the products of
+    # z * z * ... * z, whatever the chain.  (1 + sqrt(5) u)^k - 1 <= k sqrt(5) u / (1 - k sqrt(5) u),
+    # and 2u covers the reference's one rounding and |ref| against |exact|.
+    points = _power_points()
+    values = _power(points.copy(), n)  # squares its argument in place
+    k = max(n - 1, 0)
+    bound = k * math.sqrt(5) * U / (1 - k * math.sqrt(5) * U) + 2 * U
+    for z, value in zip(points, values):
+        re, im = _exact_power(complex(z), n)
+        ref = complex(float(re), float(im))
+        assert abs(value - ref) <= bound * abs(ref), (z, n)
+    if n == 0:
+        assert np.all(values == 1) and not np.any(np.signbit(values.imag))
 
 
 def test_quad_gram_range_at_degree_200():
