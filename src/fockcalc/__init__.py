@@ -19,7 +19,6 @@ from .series import (
     exp_linear,
     inner_product,
     kernel_series,
-    orthonormal_basis_element,
 )
 from .operators import (
     AffineMap,
@@ -30,7 +29,6 @@ from .operators import (
     LinearFractionalMap,
     OperatorMatrix,
     PoleProximityError,
-    SeriesWeight,
     UnsupportedMapError,
     WcoSymbol,
     adjoint_matrix,
@@ -41,7 +39,6 @@ from .operators import (
     boundedness_check,
     commutator_residual,
     hermitian_residual,
-    monomial_to_orthonormal,
 )
 from .quadrature import (
     QuadratureGrid,

@@ -34,7 +34,6 @@ from .operators import (
     ExpLinearWeight,
     LinearFractionalMap,
     OperatorMatrix,
-    SeriesWeight,
     UnsupportedMapError,
     WcoSymbol,
     WcoWeight,
@@ -44,6 +43,7 @@ from .operators import (
     boundedness_check,
     commutator_residual,
     hermitian_residual,
+    _exp_weight,
     _set_finite_complex,
 )
 from .report import REPORTED, CheckReport, Rule, format_complex, rules_hold
@@ -402,7 +402,8 @@ def check_selfadjoint_reverse(
     a0 = mp.b
     a1 = mp.a
     model = exp_linear(params.alpha * a0.conjugate(), c, params)
-    coeff_res = weight.materialize(params).max_abs_diff(model)
+    exp_weight = _exp_weight(weight)
+    coeff_res = exp_linear(exp_weight.w, exp_weight.c, params).max_abs_diff(model)
     rule = Rule(at_most=tol)
     return CheckReport(
         check_name="selfadjoint-reverse",
@@ -1006,14 +1007,6 @@ def _kernel_multipliers(offsets: np.ndarray, params: FockParams) -> np.ndarray:
     return toeplitz
 
 
-def _is_constant_weight(weight: WcoWeight) -> bool:
-    if isinstance(weight, ExpLinearWeight):
-        return weight.w == 0
-    if isinstance(weight, SeriesWeight):
-        return bool(np.all(weight.series.coeffs[1:] == 0))
-    return False
-
-
 def check_normality(
     weight: WcoWeight,
     mp: AffineMap,
@@ -1039,7 +1032,7 @@ def check_normality(
     """
     criterion = abs(mp.a - 1.0) <= IDENTITY_TOL or abs(mp.b) <= IDENTITY_TOL
     notes = [f"criterion (slope 1 or offset 0): {criterion}"]
-    if not _is_constant_weight(weight):
+    if not (isinstance(weight, ExpLinearWeight) and weight.w == 0):
         notes.append("non-constant weight: the slope/offset predicate is not expected to govern")
 
     if boundedness_check(mp) is Boundedness.UNBOUNDED:

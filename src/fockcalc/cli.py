@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 
 from .checks import (
@@ -365,6 +366,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _negative_values_attached(argv: list[str]) -> list[str]:
+    """argv with each token that starts with '-' and a digit or '.' joined to the flag before it, as --flag=value.
+
+    argparse takes only a lone negative number for a value, so '--a0 -0.3i' and '--alphas -1,2' would read as
+    unknown options.  No fockcalc option starts so, and every flag but --help takes one value.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if re.match(r"-[0-9.]", token) and flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _config_from_args(args) -> RunConfig:
     """RunConfig from the flags given; the others keep RunConfig's defaults."""
     overrides = {}
@@ -449,7 +466,7 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_negative_values_attached(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

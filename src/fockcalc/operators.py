@@ -41,7 +41,6 @@ __all__ = [
     "LinearFractionalMap",
     "OperatorMatrix",
     "PoleProximityError",
-    "SeriesWeight",
     "UnsupportedMapError",
     "WcoSymbol",
     "WcoWeight",
@@ -53,7 +52,6 @@ __all__ = [
     "boundedness_check",
     "commutator_residual",
     "hermitian_residual",
-    "monomial_to_orthonormal",
 ]
 
 POLE_MARGIN = 1e-6
@@ -170,7 +168,7 @@ MapLike = Union[AffineMap, LinearFractionalMap]
 
 
 class ExpLinearWeight(_Record):
-    """c * e^{w z}; never vanishes, materializes exactly at any order."""
+    """c * e^{w z}; never vanishes, and its series is exact at any order."""
 
     c: complex
     w: complex
@@ -186,26 +184,6 @@ class ExpLinearWeight(_Record):
         if np.ndim(z) == 0:
             return complex(out)
         return out
-
-    def materialize(self, params: FockParams) -> TruncatedSeries:
-        return exp_linear(self.w, self.c, params)
-
-
-class SeriesWeight(_Record):
-    """Weight given directly by a truncated series."""
-
-    series: TruncatedSeries
-
-    def __init__(self, series: TruncatedSeries) -> None:
-        object.__setattr__(self, "series", series)
-
-    def value(self, z):
-        return self.series(z)
-
-    def materialize(self, params: FockParams) -> TruncatedSeries:
-        if params != self.series.params:
-            raise ParamsMismatchError(f"series weight pinned to {self.series.params}, asked for {params}")
-        return self.series
 
 
 class ExpDisplacementWeight(_Record):
@@ -238,11 +216,15 @@ class ExpDisplacementWeight(_Record):
             return complex(out)
         return out
 
-    def materialize(self, params: FockParams) -> TruncatedSeries:
+
+WcoWeight = Union[ExpLinearWeight, ExpDisplacementWeight]
+
+
+def _exp_weight(weight: WcoWeight) -> ExpLinearWeight:
+    """The weight as c * e^{w z}, the only form a series or a section takes."""
+    if not isinstance(weight, ExpLinearWeight):
         raise UnsupportedMapError("displacement weights are pointwise-only, no series form")
-
-
-WcoWeight = Union[ExpLinearWeight, SeriesWeight, ExpDisplacementWeight]
+    return weight
 
 
 class WcoSymbol(_Record):
@@ -265,8 +247,8 @@ def apply_wco(sym: WcoSymbol, f: TruncatedSeries) -> TruncatedSeries:
     """weight * f(map(z)) as a truncated series; affine maps only."""
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("series path requires an affine map; evaluate the weight and map pointwise instead")
-    weight = sym.weight.materialize(f.params)
-    return weight * compose_affine(f, sym.map.a, sym.map.b)
+    weight = _exp_weight(sym.weight)
+    return exp_linear(weight.w, weight.c, f.params) * compose_affine(f, sym.map.a, sym.map.b)
 
 
 def adjoint_on_kernel(sym: WcoSymbol, z: complex, params: FockParams) -> TruncatedSeries:
@@ -277,11 +259,6 @@ def adjoint_on_kernel(sym: WcoSymbol, z: complex, params: FockParams) -> Truncat
 # ---------------------------------------------------------------------------
 # finite sections
 # ---------------------------------------------------------------------------
-
-
-def monomial_to_orthonormal(f: TruncatedSeries) -> np.ndarray:
-    """Coordinates of f against the normalized monomials."""
-    return f.coeffs * f.params.monomial_norms()
 
 
 class OperatorMatrix(_Record, eq=False):
@@ -458,15 +435,16 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     """Finite sections of M symbols in the normalized-monomial basis, as one (M, N+1, N+1) block.
 
     Column n holds the orthonormal coordinates of the image of e_n; column 0
-    is the weight's.  As e_n o map = sqrt(alpha / n) (a z + b) (e_{n-1} o map)
-    and z e_{m-1} = sqrt(m / alpha) e_m, each column follows from the last:
+    is the weight's, c e^{wz}, the only weight with a series form.  As
+    e_n o map = sqrt(alpha / n) (a z + b) (e_{n-1} o map) and
+    z e_{m-1} = sqrt(m / alpha) e_m, each column follows from the last:
     E[m, n] = a sqrt(m / n) E[m-1, n-1] + b sqrt(alpha / n) E[m, n-1].
     Multiplying by a z + b only raises degrees, so entries are exact up to
-    rounding; for an exponential weight no raw coefficient or norm enters.
+    rounding, and no raw coefficient or norm enters.
     The recurrence runs once for all symbols, each entry by the same
     operations as for that symbol alone: the factors sqrt((m+1) / n) come
     from one read-only table per order and width, built once in a process,
-    and column 0 of every exponential weight from one running product.
+    and column 0 of every symbol from one running product.
     With columns, only the leading columns are built, as an (M, N+1,
     columns) block: the same bits as the full build's, since column n reads
     only column n-1.
@@ -478,11 +456,7 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     width = order + 1 if columns is None else columns
     if not 1 <= width <= order + 1:
         raise ValueError(f"columns {width} outside 1..{order + 1}")
-    # coef[n-1, 0, s] = b_s sqrt(alpha / n) on every row, and coef[n-1, 1, s, m] = a_s sqrt((m+1) / n), the
-    # factor from row m to row m+1: one square root, so exactly a_s on the diagonal
-    coef = np.empty((width - 1, 2, len(maps), order + 1), dtype=np.complex128)
-    coef[:, 0] = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / np.arange(1, width))[:, None])[:, :, None]
-    np.multiply(np.array([mp.a for mp in maps])[:, None], _row_ratio_roots(order, width)[:, None, :], out=coef[:, 1])
+    weights = [_exp_weight(sym.weight) for sym in symbols]
     # block[n, s] is column n of symbol s, so each step is one contiguous block
     block = np.zeros((width, len(maps), order + 1), dtype=np.complex128)
     # the two products of a step, each one row down: prod[0, s, m+1] stays in row m, prod[1, s, m+1] moves to
@@ -491,16 +465,16 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     prod[1, :, 0] = complex(-0.0, -0.0)
     # an entry past the double range becomes inf or nan here, which OperatorMatrix reports
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = [sym.weight for sym in symbols]
-        exp_at = [s for s, weight in enumerate(weights) if isinstance(weight, ExpLinearWeight)]
+        # coef[n-1, 0, s] = b_s sqrt(alpha / n) on every row, and coef[n-1, 1, s, m] = a_s sqrt((m+1) / n), the
+        # factor from row m to row m+1: one square root, so exactly a_s on the diagonal
+        coef = np.empty((width - 1, 2, len(maps), order + 1), dtype=np.complex128)
+        coef[:, 0] = (np.array([mp.b for mp in maps]) * np.sqrt(params.alpha / np.arange(1, width))[:, None])[:, :, None]
+        np.multiply(np.array([mp.a for mp in maps])[:, None], _row_ratio_roots(order, width)[:, None, :], out=coef[:, 1])
         # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k), a row per weight of one cumprod; at least three
         # factors, as numpy's cumprod of two rounds apart from the first two of a longer one
-        cw = np.array([(weights[s].c, weights[s].w) for s in exp_at], dtype=np.complex128).reshape(-1, 2)
+        cw = np.array([(weight.c, weight.w) for weight in weights], dtype=np.complex128).reshape(-1, 2)
         steps = cw[:, 1:] / np.sqrt(params.alpha * np.arange(1, max(order, 2) + 1))
-        block[0, exp_at] = np.cumprod(np.concatenate((cw[:, :1], steps), axis=1), axis=1)[:, : order + 1]
-        for s, weight in enumerate(weights):
-            if not isinstance(weight, ExpLinearWeight):
-                block[0, s] = monomial_to_orthonormal(weight.materialize(params))
+        block[0] = np.cumprod(np.concatenate((cw[:, :1], steps), axis=1), axis=1)[:, : order + 1]
         # views taken once: indexing a list is cheaper than slicing the array, once per column
         cols, products, stayed, moved = list(block), prod[:, :, 1:], prod[0, :, 1:], prod[1, :, :-1]
         for n, coef_n in enumerate(coef, start=1):

@@ -30,7 +30,6 @@ __all__ = [
     "inner_product",
     "kernel_coeffs",
     "kernel_series",
-    "orthonormal_basis_element",
     "validate_alpha",
 ]
 
@@ -138,28 +137,6 @@ class TruncatedSeries(_Record, eq=False):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs, self.params.order))
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, coeffs, params: FockParams) -> "TruncatedSeries":
-        """Build a series, zero-padding short coefficient lists up to order."""
-        arr = np.zeros(params.order + 1, dtype=np.complex128)
-        given = np.asarray(coeffs, dtype=np.complex128)
-        if given.shape[0] > params.order + 1:
-            raise ValueError(f"{given.shape[0]} coefficients exceed order {params.order}")
-        arr[: given.shape[0]] = given
-        return cls(arr, params)
-
-    @classmethod
-    def monomial(cls, n: int, params: FockParams, scale: complex = 1.0) -> "TruncatedSeries":
-        if not 0 <= n <= params.order:
-            raise ValueError(f"monomial degree {n} outside 0..{params.order}")
-        arr = np.zeros(params.order + 1, dtype=np.complex128)
-        arr[n] = scale
-        return cls(arr, params)
-
-    # -- algebra -------------------------------------------------------------
 
     def _check_same_params(self, other: "TruncatedSeries") -> None:
         if self.params != other.params:
@@ -283,10 +260,3 @@ def kernel_series(w: complex, params: FockParams) -> TruncatedSeries:
     exactly (up to rounding).
     """
     return TruncatedSeries(kernel_coeffs(complex(w), params), params)
-
-
-def orthonormal_basis_element(n: int, params: FockParams) -> TruncatedSeries:
-    """Normalized monomial e_n = z^n / ||z^n||."""
-    if not 0 <= n <= params.order:
-        raise ValueError(f"basis index {n} outside 0..{params.order}")
-    return TruncatedSeries.monomial(n, params, 1.0 / params.monomial_norms()[n])

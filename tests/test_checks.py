@@ -37,7 +37,6 @@ from fockcalc import (
     commutant_symbols,
     compose_affine,
     disk_selfmap_criterion,
-    exp_linear,
     fixed_point,
     kernel_series,
     reproduce_counterexample,
@@ -362,20 +361,9 @@ class TestFixedPointTransfer:
         assert report.residuals[0][1] <= 1e-13
 
     def test_vanishing_weight_rejected(self):
-        vanishing = exp_linear(1.0, 1.0, FockParams(1.0, 1))  # 1 + z, zero at -1... nonzero on samples
-        # build a weight that actually vanishes on the sample circle |z| = 0.4
-        from fockcalc import SeriesWeight, TruncatedSeries
-
-        params = FockParams(1.0, 4)
-        zero_at_04 = TruncatedSeries.from_coeffs([-0.4, 1.0], params)  # z - 0.4
-        rng_hits = False
-        try:
-            check_fixed_point_transfer(
-                CANONICAL, AffineMap(1.0, 0.0), SeriesWeight(zero_at_04), samples=[0.4]
-            )
-        except ValueError:
-            rng_hits = True
-        assert rng_hits
+        # e^{-2000 z} at the sample 0.4 is e^-800, which underflows to 0
+        with pytest.raises(ValueError, match="companion weight vanishes"):
+            check_fixed_point_transfer(CANONICAL, AffineMap(1.0, 0.0), ExpLinearWeight(1.0, -2000.0), samples=[0.4])
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,45 @@ def test_matrix_and_oracle_take_their_own_flags(capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "selfadjoint-forward", "--a0", "-0.3i"],
+        ["check", "fixed-point", "--a0", "-0.2+0.1i"],
+        ["matrix", "--order", "2", "--map-b", "-0.5"],
+        ["oracle", "--alphas", "-1,2"],
+        ["suite", "--orders", "-3,4"],
+    ],
+    ids=["complex", "complex-sum", "lone-negative", "alphas", "orders"],
+)
+def test_flag_value_starting_with_minus_reads_as_in_the_equals_form(capsys, command):
+    # argparse alone reads only a lone negative number as a value and takes the other tokens here for options
+    *head, flag, value = command
+    code, out, err = run_cli(command, capsys)
+    assert (code, out, err) == run_cli([*head, f"{flag}={value}"], capsys)
+    if flag in ("--alphas", "--orders"):
+        assert code == 2 and out == "" and f"argument {flag}: {flag[2:]} must be" in err
+    else:
+        assert code == 0 and out and "expected one argument" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["matrix", "--map-a", "1e308", "--order", "3"],
+        ["matrix", "--map-b", "1e308", "--alpha", "4", "--order", "3"],
+        ["check", "selfadjoint-forward", "--a1", "1e308"],
+    ],
+    ids=["slope", "offset", "selfadjoint-forward"],
+)
+def test_overflowing_section_is_a_usage_error_without_a_numpy_warning(capsys, command):
+    # the suite's warning filter turns a numpy overflow warning into an exception
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: matrix entries must be finite\n")
+
+
+@pytest.mark.parametrize(
     "command, message",
     [(["matrix", "--map-a", "nan"], "a"), (["check", "selfadjoint-forward", "--c", "nan"], "c")],
     ids=["matrix", "selfadjoint-forward"],

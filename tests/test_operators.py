@@ -19,7 +19,6 @@ from fockcalc import (
     ParamsMismatchError,
     PoleProximityError,
     SelfAdjointSymbolParams,
-    SeriesWeight,
     TruncatedSeries,
     UnsupportedMapError,
     WcoSymbol,
@@ -29,13 +28,12 @@ from fockcalc import (
     assemble_matrix,
     assemble_sections,
     boundedness_check,
+    check_selfadjoint_reverse,
     commutator_residual,
     commutant_symbols,
     exp_linear,
     hermitian_residual,
     kernel_series,
-    monomial_to_orthonormal,
-    orthonormal_basis_element,
 )
 from fockcalc import operators
 from fockcalc.operators import _CSV_BLOCK, _render_csv
@@ -45,6 +43,13 @@ P32 = FockParams(1.0, 32)
 
 CANONICAL = SelfAdjointSymbolParams(1.0, 0.5, 0.25).symbol()
 IDENTITY = WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(1.0, 0.0))
+
+
+def _series(coeffs, params):
+    """The series with the leading coefficients given and zeros above them."""
+    padded = np.zeros(params.order + 1, dtype=np.complex128)
+    padded[: len(coeffs)] = coeffs
+    return TruncatedSeries(padded, params)
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +95,19 @@ def test_zero_weight_rejected():
         ExpLinearWeight(0.0, 1.0)
 
 
-def test_series_weight_params_pinned():
-    w = SeriesWeight(exp_linear(0.5, 1.0, P8))
-    with pytest.raises(ParamsMismatchError):
-        w.materialize(P32)
-
-
 # ---------------------------------------------------------------------------
 # action
 # ---------------------------------------------------------------------------
 
 
 def test_apply_identity_symbol():
-    f = TruncatedSeries.from_coeffs([1, 2, 3j], P8)
+    f = _series([1, 2, 3j], P8)
     out = apply_wco(IDENTITY, f)
     assert np.max(np.abs(out.coeffs - f.coeffs)) == 0.0
 
 
 def test_apply_canonical_to_linear():
-    f = TruncatedSeries.monomial(1, P8)
+    f = _series([0, 1], P8)
     out = apply_wco(CANONICAL, f)
     # e^{z/2} (1/2 + z/4): coefficient of z^0 is 1/2, of z^1 is 1/2*1/2 + 1/4
     assert abs(out.coeffs[0] - 0.5) <= 1e-15
@@ -129,11 +128,11 @@ def test_apply_requires_affine():
     mobius = LinearFractionalMap(1.0, 0.0, 1.0, 1.0)
     sym = WcoSymbol(ExpLinearWeight(1.0, 0.0), mobius)
     with pytest.raises(UnsupportedMapError):
-        apply_wco(sym, TruncatedSeries.monomial(1, P8))
+        apply_wco(sym, _series([0, 1], P8))
 
 
 def test_eval_identity_symbol():
-    f = TruncatedSeries.from_coeffs([1, 2, 3], P8)
+    f = _series([1, 2, 3], P8)
     for z in (0.2, -0.5j):
         sym = IDENTITY
         assert abs(sym.weight.value(z) * f(sym.map(z)) - f(z)) <= 1e-15
@@ -151,7 +150,7 @@ def test_eval_commutant_symbol_at_origin():
 
 def test_eval_degenerate_multiplier_keeps_identity_map():
     psi, g, _ = commutant_symbols(1.0, 2.0 / 3.0)
-    f = TruncatedSeries.from_coeffs([1, 1], P8)
+    f = _series([1, 1], P8)
     z = 0.3
     assert abs(g.value(z) * f(psi(z)) - f(z)) <= 1e-15
 
@@ -240,21 +239,15 @@ def test_selfadjoint_section_hermitian_at_order_512(alpha):
     assert hermitian_residual(mat) <= 1e-12
 
 
-def test_series_weight_section_matches_exponential_weight():
-    params = FockParams(0.5, 64)
-    mp = AffineMap(0.5 - 0.6j, 0.3 + 0.25j)
-    closed = assemble_matrix(WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.3 + 0.2j), mp), params)
-    series = assemble_matrix(WcoSymbol(SeriesWeight(exp_linear(0.3 + 0.2j, 0.8 - 0.3j, params)), mp), params)
-    assert np.max(np.abs(closed.entries - series.entries)) <= 1e-14
-
-
 def test_columns_match_action_on_basis_elements():
     # the one-product section agrees with applying the symbol to each e_n
     params = FockParams(0.5, 64)
     sym = WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.3 + 0.2j), AffineMap(0.5 - 0.6j, 0.3 + 0.25j))
     mat = assemble_matrix(sym, params)
+    norms = params.monomial_norms()
     for n in range(params.order + 1):
-        col = monomial_to_orthonormal(apply_wco(sym, orthonormal_basis_element(n, params)))
+        # e_n = z^n / ||z^n||, and the image's orthonormal coordinates are its raw coefficients times the norms
+        col = apply_wco(sym, _series([0] * n + [1 / norms[n]], params)).coeffs * norms
         assert np.max(np.abs(mat.entries[:, n] - col)) <= 1e-14
 
 
@@ -273,13 +266,9 @@ def _section_by_columns(sym, params):
     shift = sym.map.a * np.sqrt(k / k[:, None])
     stay = sym.map.b * np.sqrt(params.alpha / k)
     columns = np.zeros((params.order + 1, params.order + 1), dtype=np.complex128)
-    weight = sym.weight
-    if isinstance(weight, ExpLinearWeight):
-        # at least three factors, sliced, as the batch forms it
-        factors = weight.w / np.sqrt(params.alpha * np.arange(1, max(params.order, 2) + 1))
-        columns[0] = np.cumprod(np.concatenate(([weight.c], factors)))[: params.order + 1]
-    else:
-        columns[0] = monomial_to_orthonormal(weight.materialize(params))
+    # at least three factors, sliced, as the batch forms it
+    factors = sym.weight.w / np.sqrt(params.alpha * np.arange(1, max(params.order, 2) + 1))
+    columns[0] = np.cumprod(np.concatenate(([sym.weight.c], factors)))[: params.order + 1]
     for n in range(1, params.order + 1):
         prev = columns[n - 1]
         columns[n] = stay[n - 1] * prev
@@ -307,7 +296,7 @@ def test_batched_sections_bit_equal_per_symbol(alpha, order, columns):
     symbols = [WcoSymbol(ExpLinearWeight(disk(1.5) + 0.1, disk(0.8)), AffineMap(disk(1.2), disk(1.0))) for _ in range(6)]
     symbols += [
         WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(-0.3j, 0.0)),
-        WcoSymbol(SeriesWeight(exp_linear(0.3 + 0.2j, 0.8 - 0.3j, params)), AffineMap(0.5 - 0.6j, 0.3 + 0.25j)),
+        WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.3 + 0.2j), AffineMap(0.5 - 0.6j, 0.3 + 0.25j)),
     ]
     block = assemble_sections(symbols, params, columns=columns)
     width = order + 1 if columns is None else columns
@@ -337,7 +326,7 @@ def test_sections_are_leading_blocks_of_the_order_64_section(alpha):
 
 @pytest.mark.parametrize("sequence", [(170, 32, 64, 2, 1), (1, 2, 64, 32, 170)], ids=["170-first", "170-last"])
 def test_mixed_batch_bit_equal_to_one_symbol_builds(sequence):
-    """Exponential weights on both sides of a series weight, in one batch, at orders taken in either call order.
+    """Three exponential weights in one batch, at orders taken in either call order.
 
     The root table of an order and width is built on first use and shared after, so it starts empty here.
     """
@@ -346,7 +335,7 @@ def test_mixed_batch_bit_equal_to_one_symbol_builds(sequence):
         params = FockParams(2.0, order)
         symbols = [
             WcoSymbol(ExpLinearWeight(0.7 - 0.4j, 0.5 + 0.3j), AffineMap(0.6 - 0.2j, 0.3 + 0.1j)),
-            WcoSymbol(SeriesWeight(exp_linear(0.3 + 0.2j, 0.8 - 0.3j, params)), AffineMap(0.5 - 0.6j, 0.3 + 0.25j)),
+            WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.3 + 0.2j), AffineMap(0.5 - 0.6j, 0.3 + 0.25j)),
             WcoSymbol(ExpLinearWeight(1.2, -0.9j), AffineMap(-0.4, 0.2j)),
         ]
         for columns in (None, order // 2 + 1):
@@ -412,9 +401,16 @@ def test_product_matrix_consistency():
 
 
 def test_displacement_weight_has_no_series_form():
+    # paired with an affine map, so the weight alone is what has no series form
     _, g, _ = commutant_symbols(2.0, 2.0 / 3.0)
-    with pytest.raises(UnsupportedMapError):
-        g.materialize(P32)
+    sym = WcoSymbol(g, AffineMap(0.5, 0.25))
+    message = "displacement weights are pointwise-only, no series form"
+    with pytest.raises(UnsupportedMapError, match=message):
+        assemble_matrix(sym, P32)
+    with pytest.raises(UnsupportedMapError, match=message):
+        apply_wco(sym, kernel_series(0.5, P32))
+    with pytest.raises(UnsupportedMapError, match=message):
+        check_selfadjoint_reverse(g, sym.map)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,8 @@ def test_adjoint_matrix_path_converges_to_closed_form():
                 params = FockParams(1.0, order)
                 closed = adjoint_on_kernel(sym, z, params)
                 adjoint = adjoint_matrix(assemble_matrix(sym, params))
-                applied = (adjoint.entries @ monomial_to_orthonormal(kernel_series(z, params))) / params.monomial_norms()
+                norms = params.monomial_norms()
+                applied = (adjoint.entries @ (kernel_series(z, params).coeffs * norms)) / norms
                 half = (order + 1) // 2
                 errs.append(float(np.max(np.abs(applied[:half] - closed.coeffs[:half]))))
             assert errs[-1] <= 1e-8

@@ -11,7 +11,6 @@ from fockcalc import (
     ExpDisplacementWeight,
     ExpLinearWeight,
     FockParams,
-    SeriesWeight,
     TruncatedSeries,
     Verdict,
     WcoSymbol,
@@ -19,7 +18,6 @@ from fockcalc import (
     check_oracle_agreement,
     default_grid,
     inner_product,
-    orthonormal_basis_element,
     quad_gram,
     quad_inner_product,
     quad_matrix_entry,
@@ -35,31 +33,38 @@ import fockcalc.series
 P16 = FockParams(1.0, 16)
 
 
+def _monomial(n, params, normalized=False):
+    """z^n as a series, or e_n = z^n / ||z^n|| when normalized."""
+    coeffs = np.zeros(params.order + 1, dtype=np.complex128)
+    coeffs[n] = 1 / params.monomial_norms()[n] if normalized else 1.0
+    return TruncatedSeries(coeffs, params)
+
+
 def test_total_mass_is_one():
     for alpha in (0.5, 1.0, 2.0):
         params = FockParams(alpha, 16)
-        one = TruncatedSeries.from_coeffs([1.0], params)
+        one = _monomial(0, params)
         value = quad_inner_product(one, one, default_grid(params))
         assert abs(value - 1.0) <= 1e-10
 
 
 def test_angular_orthogonality():
     grid = default_grid(P16)
-    e2 = orthonormal_basis_element(2, P16)
-    e5 = orthonormal_basis_element(5, P16)
+    e2 = _monomial(2, P16, normalized=True)
+    e5 = _monomial(5, P16, normalized=True)
     assert abs(quad_inner_product(e2, e5, grid)) <= 1e-12
 
 
 def test_cubed_monomial_norm():
     grid = default_grid(P16)
-    z3 = TruncatedSeries.monomial(3, P16)
+    z3 = _monomial(3, P16)
     assert abs(quad_inner_product(z3, z3, grid) - 6.0) <= 1e-8
 
 
 def test_grid_too_coarse_rejected():
     params = FockParams(1.0, 40)
     grid = _build_grid(1.0, cutoff_radius(params), 8, 8, 64)  # 64 <= 2 * 40
-    z = TruncatedSeries.monomial(1, params)
+    z = _monomial(1, params)
     with pytest.raises(ValueError, match="too coarse"):
         quad_inner_product(z, z, grid)
 
@@ -104,7 +109,7 @@ def _mixed_series(params):
     rng = np.random.default_rng(3)
     size = params.order + 1
     norms = np.array([math.sqrt(params.alpha**k / math.factorial(k)) for k in range(size)])
-    out = [orthonormal_basis_element(n, params) for n in (0, 3, 7)]
+    out = [_monomial(n, params, normalized=True) for n in (0, 3, 7)]
     for _ in range(3):
         out.append(TruncatedSeries(norms * (rng.normal(size=size) + 1j * rng.normal(size=size)), params))
     return out
@@ -178,11 +183,11 @@ def test_gram_matches_pairwise_rule_at_smallest_angular_count(alpha, order):
 def test_gram_rejects_mixed_params_and_coarse_grid():
     other = FockParams(2.0, 16)
     with pytest.raises(ParamsMismatchError):
-        quad_gram([orthonormal_basis_element(1, P16), orthonormal_basis_element(1, other)], default_grid(P16))
+        quad_gram([_monomial(1, P16, normalized=True), _monomial(1, other, normalized=True)], default_grid(P16))
     params = FockParams(1.0, 40)
     grid = _build_grid(1.0, cutoff_radius(params), 8, 8, 64)
     with pytest.raises(ValueError, match="too coarse"):
-        quad_gram([TruncatedSeries.monomial(n, params) for n in range(3)], grid)
+        quad_gram([_monomial(n, params) for n in range(3)], grid)
 
 
 def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
@@ -224,7 +229,7 @@ def _forbid_exact_path(monkeypatch):
 
 def test_quad_gram_uses_no_exact_path(monkeypatch):
     params = FockParams(1.0, 16)
-    basis = [orthonormal_basis_element(n, params) for n in range(17)]
+    basis = [_monomial(n, params, normalized=True) for n in range(17)]
     expected = quad_gram(basis, default_grid(params))
     _forbid_exact_path(monkeypatch)
     assert np.array_equal(quad_gram(basis, default_grid(params)), expected)
@@ -248,8 +253,7 @@ def _per_alpha_oracle(max_degree, alphas):
     residuals = []
     for alpha in alphas:
         params = FockParams(alpha, max_degree)
-        inv = 1.0 / params.monomial_norms()
-        basis = [TruncatedSeries.monomial(n, params, inv[n]) for n in range(max_degree + 1)]
+        basis = [_monomial(n, params, normalized=True) for n in range(max_degree + 1)]
         dev = float(np.max(np.abs(np.triu(quad_gram(basis, default_grid(params)) - fockcalc.series.gram(basis)))))
         residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
     return CheckReport(
@@ -328,7 +332,7 @@ def test_power_by_squaring_is_within_the_product_bound(n):
 def test_quad_gram_range_at_degree_200():
     # raw powers overflow here: the cutoff radius is about 37 and 37^200 > 1e308
     params = FockParams(0.5, 200)
-    basis = [orthonormal_basis_element(n, params) for n in (0, 100, 200)]
+    basis = [_monomial(n, params, normalized=True) for n in (0, 100, 200)]
     gram = quad_gram(basis, default_grid(params))
     assert np.all(np.isfinite(gram))
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-8
@@ -342,7 +346,7 @@ def test_oracle_agreement_degree_forty():
 
 def test_refinement_never_increases_error():
     params = FockParams(1.0, 12)
-    basis = [TruncatedSeries.monomial(n, params) for n in range(13)]
+    basis = [_monomial(n, params) for n in range(13)]
     norm = [math.sqrt(inner_product(b, b).real) for b in basis]
 
     def suite_error(grid):
@@ -412,11 +416,10 @@ def _bits(values):
     "weight",
     [
         ExpLinearWeight(0.8, -0.3 + 0.2j),
-        SeriesWeight(TruncatedSeries.from_coeffs([0.9, 0.2 - 0.1j, 0.05j], P12)),
         # the map's pole at 30 lies beyond the cutoff radius, about 21 at this order
         ExpDisplacementWeight(1.2, 0.05 + 0.02j, LinearFractionalMap(1.0, 0.0, 1.0, -30.0)),
     ],
-    ids=["exp-linear", "series", "displacement"],
+    ids=["exp-linear", "displacement"],
 )
 def test_entries_sharing_a_grid_match_entries_alone(weight):
     """Entries of symbols A, B, A on one grid, in blocks and interleaved, equal each entry on a fresh grid, bit for bit."""

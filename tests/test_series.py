@@ -15,7 +15,6 @@ from fockcalc import (
     exp_linear,
     inner_product,
     kernel_series,
-    orthonormal_basis_element,
 )
 from fockcalc.series import affine_composition_matrix, exp_linear_coeffs, gram, kernel_coeffs
 
@@ -25,7 +24,10 @@ P32 = FockParams(1.0, 32)
 
 
 def poly(coeffs, params=P8):
-    return TruncatedSeries.from_coeffs(coeffs, params)
+    """The series with the leading coefficients given and zeros above them."""
+    padded = np.zeros(params.order + 1, dtype=np.complex128)
+    padded[: len(coeffs)] = coeffs
+    return TruncatedSeries(padded, params)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +201,7 @@ def test_compose_zero_offset_scales_coefficient_k_by_slope_power():
 
 
 def test_monomial_orthogonality():
-    z1 = TruncatedSeries.monomial(1, P8)
-    z2 = TruncatedSeries.monomial(2, P8)
-    z3 = TruncatedSeries.monomial(3, P8)
+    z1, z2, z3 = poly([0, 1]), poly([0, 0, 1]), poly([0, 0, 0, 1])
     assert inner_product(z1, z1) == 1.0
     assert inner_product(z2, z3) == 0.0
 
@@ -239,7 +239,7 @@ def test_kernel_at_origin_is_one():
 
 
 def test_kernel_reproduces_monomials():
-    z3 = TruncatedSeries.monomial(3, P16)
+    z3 = poly([0, 0, 0, 1], P16)
     for w in (0.4, -0.7j, 0.5 + 0.5j, 1.0):
         assert abs(inner_product(z3, kernel_series(w, P16)) - w**3) <= 1e-13
 
@@ -254,23 +254,10 @@ def test_reproducing_property_random_polynomials():
     for _ in range(25):
         deg = int(rng.integers(0, 17))
         coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        p = TruncatedSeries.from_coeffs(coeffs, P16)
+        p = poly(coeffs, P16)
         w = complex(*rng.uniform(-0.7, 0.7, 2))
         bound = 1e-11 * (1.0 + math.sqrt(np.sum(np.abs(p.coeffs * P16.monomial_norms()) ** 2)))
         assert abs(inner_product(p, kernel_series(w, P16)) - p(w)) <= bound
-
-
-def test_orthonormal_basis_elements():
-    e0 = orthonormal_basis_element(0, P8)
-    assert e0.coeffs[0] == 1.0
-    e1 = orthonormal_basis_element(1, P8)
-    assert e1.coeffs[1] == 1.0
-    p2 = FockParams(2.0, 8)
-    e4 = orthonormal_basis_element(4, p2)
-    assert abs(e4.coeffs[4] - math.sqrt(16.0 / 24.0)) <= 1e-15
-    assert abs(inner_product(e4, e4) - 1.0) <= 1e-14
-    with pytest.raises(ValueError):
-        orthonormal_basis_element(9, P8)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0])
@@ -286,13 +273,13 @@ def test_monomial_norms_against_lgamma(alpha):
 def test_orthonormal_basis_element_raises_past_representable_range():
     # ||z^400|| = sqrt(400!) is about 8e434 at alpha 1
     params = FockParams(1.0, 400)
-    for n in (0, 3, 400):
-        with pytest.raises(OverflowError):
-            orthonormal_basis_element(n, params)
     with pytest.raises(OverflowError):
-        inner_product(TruncatedSeries.from_coeffs([0], params), TruncatedSeries.from_coeffs([0], params))
-    # 300 is the last order at alpha 1 where every norm is a double
-    e = orthonormal_basis_element(300, FockParams(1.0, 300))
+        params.monomial_norms()
+    with pytest.raises(OverflowError):
+        inner_product(poly([0], params), poly([0], params))
+    # 300 is the last order at alpha 1 where every norm is a double: e_300 = z^300 / ||z^300||
+    params = FockParams(1.0, 300)
+    e = poly([0] * 300 + [1 / params.monomial_norms()[300]], params)
     assert abs(e.coeffs[300] * math.exp(0.5 * math.lgamma(301)) - 1.0) <= 1e-12
     assert abs(inner_product(e, e) - 1.0) <= 1e-14
 
@@ -300,7 +287,8 @@ def test_orthonormal_basis_element_raises_past_representable_range():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_orthonormality_all_pairs(alpha):
     params = FockParams(alpha, 16)
-    basis = [orthonormal_basis_element(n, params) for n in range(17)]
+    norms = params.monomial_norms()
+    basis = [poly([0] * n + [1 / norms[n]], params) for n in range(17)]
     gram = np.array([[inner_product(a, b) for b in basis] for a in basis])
     assert np.max(np.abs(gram - np.eye(17))) <= 1e-12
 
