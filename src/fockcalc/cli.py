@@ -21,7 +21,6 @@ import json
 import math
 import numbers
 import os
-import re
 import sys
 
 from .checks import (
@@ -367,15 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _negative_values_attached(argv: list[str]) -> list[str]:
-    """argv with each token that starts with '-' and a digit or '.' joined to the flag before it, as --flag=value.
+    """argv with each token that starts with a single '-', other than -h, joined to the flag before it, as --flag=value.
 
-    argparse takes only a lone negative number for a value, so '--a0 -0.3i' and '--alphas -1,2' would read as
-    unknown options.  No fockcalc option starts so, and every flag but --help takes one value.
+    argparse takes only a lone negative number for a value, so '--a0 -0.3i', '--map-a -i' and '--alphas -inf,1'
+    would read as unknown options.  No fockcalc option but -h starts with a single '-', and every flag but --help
+    takes one value.
     """
     out: list[str] = []
     for token in argv:
         flag = out[-1] if out else ""
-        if re.match(r"-[0-9.]", token) and flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
+        single_dash = token.startswith("-") and not token.startswith("--") and token != "-h"
+        if single_dash and flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
             out[-1] = f"{flag}={token}"
         else:
             out.append(token)

@@ -124,7 +124,7 @@ class LinearFractionalMap(_Record):
     def __call__(self, z):
         z_arr = np.asarray(z, dtype=np.complex128)
         pole = self.pole
-        if pole is not None and np.any(np.abs(z_arr - pole) < POLE_MARGIN):
+        if pole is not None and (np.abs(z_arr - pole) < POLE_MARGIN).any():
             raise PoleProximityError(f"point within {POLE_MARGIN} of pole {pole}")
         value = (self.p * z_arr + self.q) / (self.r * z_arr + self.s)
         if np.ndim(z) == 0:
@@ -155,8 +155,8 @@ class LinearFractionalMap(_Record):
         if denom == 0:
             raise ValueError("cannot compare against the zero tuple")
         lam = np.vdot(other, mine) / denom
-        scale = max(float(np.max(np.abs(mine))), float(np.max(np.abs(lam * other))), 1.0)
-        return float(np.max(np.abs(mine - lam * other))) / scale
+        scale = max(float(np.abs(mine).max()), float(np.abs(lam * other).max()), 1.0)
+        return float(np.abs(mine - lam * other).max()) / scale
 
 
 MapLike = Union[AffineMap, LinearFractionalMap]
@@ -210,7 +210,7 @@ class ExpDisplacementWeight(_Record):
         # an overflow is reported below as an OverflowError, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             out = self.scale * np.exp(self.coeff * (z_arr - self.map(z_arr)))
-        if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+        if not np.isfinite(out).all():
             raise OverflowError("displacement weight overflowed near the map pole")
         if np.ndim(z) == 0:
             return complex(out)
@@ -272,7 +272,7 @@ class OperatorMatrix(_Record, eq=False):
         dim = params.order + 1
         if arr.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} entries, got {arr.shape}")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)

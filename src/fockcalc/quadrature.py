@@ -70,7 +70,7 @@ class QuadratureGrid(_Record, eq=False):
         nodes = np.asarray(radial_nodes, dtype=np.float64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("radial_nodes must be an (n, 2) array of (radius, weight)")
-        if np.any(nodes[:, 1] <= 0):
+        if (nodes[:, 1] <= 0).any():
             raise ValueError("radial weights must be positive")
         if angular_count < 64:
             raise ValueError(f"angular_count must be at least 64, got {angular_count}")
@@ -226,7 +226,7 @@ def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckR
         basis = np.diag(1.0 / params.monomial_norms() + 0j)
         grid = default_grid(params)
         q = _phase_gram(params, grid) if q is None else q
-        dev = float(np.max(np.abs(np.triu(_quad_row_gram(params, grid, basis, q) - _row_gram(params, basis)))))
+        dev = float(np.abs(np.triu(_quad_row_gram(params, grid, basis, q) - _row_gram(params, basis))).max())
         residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
     return CheckReport(
         check_name="oracle-agreement",

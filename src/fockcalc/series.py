@@ -113,7 +113,7 @@ def _as_coeff_array(coeffs, order: int) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.ndim != 1 or arr.shape[0] != order + 1:
         raise ValueError(f"expected {order + 1} coefficients, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValueError("series coefficients must be finite")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -163,7 +163,7 @@ class TruncatedSeries(_Record, eq=False):
 
     def max_abs_diff(self, other: "TruncatedSeries") -> float:
         self._check_same_params(other)
-        return float(np.max(np.abs(self.coeffs - other.coeffs)))
+        return float(np.abs(self.coeffs - other.coeffs).max())
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,7 +235,7 @@ def _row_gram(params: FockParams, coeffs: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = coeffs * norms
         value = scaled @ scaled.conj().T
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise OverflowError("inner product overflowed")
     return value
 

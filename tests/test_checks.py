@@ -463,13 +463,41 @@ class TestMoebiusConjugation:
         report = check_moebius_conjugation_battery(50, seed=seed)
         assert repr(report.max_residual) == repr(worst)
 
+    def test_battery_draws_are_the_family_maps_bit_for_bit(self, monkeypatch):
+        # the battery forms psi's coefficients and pole without a record: over 200 seeds of 50 draws, each must be
+        # _commutant_map's, and each accepted draw must build a valid record (a degenerate one would raise)
+        seen = {}
+        honest_residuals, honest_mask = checks._moebius_residuals, checks.pole_mask
+
+        def residuals(coeffs, b, eta, samples):
+            seen.update(coeffs=coeffs, b=b, eta=eta)
+            return honest_residuals(coeffs, b, eta, samples)
+
+        def mask(points, poles, *rest):
+            seen["poles"] = poles[0][:, 0]  # psi's pole of each row, before h's
+            return honest_mask(points, poles, *rest)
+
+        def bits(z):
+            return complex(z).real.hex(), complex(z).imag.hex()
+
+        monkeypatch.setattr(checks, "_moebius_residuals", residuals)
+        monkeypatch.setattr(checks, "pole_mask", mask)
+        for seed in range(200):
+            check_moebius_conjugation_battery(50, seed=seed)
+            assert len(seen["coeffs"]) == len(seen["poles"]) == 50
+            for row, pole, b, eta in zip(seen["coeffs"], seen["poles"], seen["b"], seen["eta"]):
+                psi = checks._commutant_map(eta, b)
+                assert [bits(v) for v in row] == [bits(getattr(psi, name)) for name in "pqrs"]
+                assert bits(pole) == bits(math.inf if psi.pole is None else psi.pole)
+
     def test_block_filters_each_row_by_its_own_poles(self):
         # each row holds the other row's poles as well as its own; only its own are dropped
         draws = [(2.0, 2.0 / 3.0), (0.7 + 0.2j, 0.5j)]
         psis = [commutant_symbols(eta, b)[0] for eta, b in draws]
         poles = [p for psi, (_, b) in zip(psis, draws) for p in (psi.pole, 1.0 / b.conjugate())]
         samples = np.array([[0.1, -0.2j, *poles], [0.3, 0.25 + 0.1j, *poles]])
-        res, kept = _moebius_residuals(psis, np.array([b for _, b in draws]), np.array([eta for eta, _ in draws]), samples)
+        coeffs = [(psi.p, psi.q, psi.r, psi.s) for psi in psis]
+        res, kept = _moebius_residuals(coeffs, np.array([b for _, b in draws]), np.array([eta for eta, _ in draws]), samples)
         for i, (eta, b) in enumerate(draws):
             single = check_moebius_conjugation(psis[i], b, eta, samples=samples[i])
             assert kept[i] == single.params_echo["samples"] == 4
@@ -813,13 +841,13 @@ def test_commutant_symbols_degeneration_must_be_exact(monkeypatch):
 
 
 def test_moebius_conjugation_fails_on_a_dropped_conjugate(monkeypatch):
-    # psi built for conj(b) instead of b
-    honest = checks._commutant_map
-    monkeypatch.setattr(checks, "_commutant_map", lambda eta, b: honest(eta, complex(b).conjugate()))
+    # psi's coefficients for conj(b) instead of b, in the one helper that the battery and _commutant_map share
+    honest = checks._commutant_coefficients
+    monkeypatch.setattr(checks, "_commutant_coefficients", lambda eta, b: honest(eta, complex(b).conjugate()))
     report = check_moebius_conjugation_battery(50)
     assert report.verdict is Verdict.FAIL
     assert report.residuals[0][1] > 1e-3
-    single = check_moebius_conjugation(honest(2.0, 0.5j), -0.5j, 2.0)
+    single = check_moebius_conjugation(checks._commutant_map(2.0, -0.5j), -0.5j, 2.0)
     assert single.verdict is Verdict.FAIL
 
 

@@ -535,18 +535,25 @@ def test_matrix_and_oracle_take_their_own_flags(capsys):
         ["matrix", "--order", "2", "--map-b", "-0.5"],
         ["oracle", "--alphas", "-1,2"],
         ["suite", "--orders", "-3,4"],
+        ["matrix", "--order", "2", "--map-a", "-i"],
+        ["check", "fixed-point", "--a0", "-inf"],
+        ["oracle", "--alphas", "-inf,1"],
     ],
-    ids=["complex", "complex-sum", "lone-negative", "alphas", "orders"],
+    ids=["complex", "complex-sum", "lone-negative", "alphas", "orders", "minus-i", "minus-inf", "alphas-minus-inf"],
 )
 def test_flag_value_starting_with_minus_reads_as_in_the_equals_form(capsys, command):
     # argparse alone reads only a lone negative number as a value and takes the other tokens here for options
     *head, flag, value = command
     code, out, err = run_cli(command, capsys)
     assert (code, out, err) == run_cli([*head, f"{flag}={value}"], capsys)
+    assert "expected one argument" not in err
     if flag in ("--alphas", "--orders"):
         assert code == 2 and out == "" and f"argument {flag}: {flag[2:]} must be" in err
+    elif value == "-inf":
+        # the value reaches the program, which rejects it as the offset of the map
+        assert (code, out, err) == (2, "", "error: non-finite b (-inf+0j)\n")
     else:
-        assert code == 0 and out and "expected one argument" not in err
+        assert code == 0 and out
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from fockcalc import (
     AffineMap,
     Boundedness,
     DegenerateMapError,
+    ExpDisplacementWeight,
     ExpLinearWeight,
     FockParams,
     LinearFractionalMap,
@@ -617,3 +618,17 @@ def test_csv_of_a_section_across_render_blocks(order):
 def test_operator_matrix_validates_shape():
     with pytest.raises(ValueError):
         OperatorMatrix(np.eye(5), P8)
+
+
+def test_non_finite_entries_and_weight_values_rejected():
+    # nan, inf and -inf in the real part only, in the imaginary part only and in both
+    non_finite = [complex(re, im) for v in (math.nan, math.inf, -math.inf) for re, im in ((v, 0.0), (0.0, v), (v, v))]
+    weight = ExpDisplacementWeight(1.2, 0.05 + 0.02j, LinearFractionalMap(1.0, 0.0, 1.0, -30.0))
+    for value in non_finite:
+        entries = np.eye(9, dtype=np.complex128)
+        entries[2, 5] = value
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
+            OperatorMatrix(entries, P8)
+        for z in (value, np.array([0.1, value])):
+            with pytest.raises(OverflowError, match=r"^displacement weight overflowed near the map pole$"):
+                weight.value(z)

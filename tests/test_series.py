@@ -16,7 +16,7 @@ from fockcalc import (
     inner_product,
     kernel_series,
 )
-from fockcalc.series import affine_composition_matrix, exp_linear_coeffs, gram, kernel_coeffs
+from fockcalc.series import _row_gram, affine_composition_matrix, exp_linear_coeffs, gram, kernel_coeffs
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -63,11 +63,18 @@ def test_params_mismatch_rejected():
         inner_product(poly([1], P8), poly([1], P16))
 
 
+# nan, inf and -inf in the real part only, in the imaginary part only and in both
+NON_FINITE = [complex(re, im) for v in (math.nan, math.inf, -math.inf) for re, im in ((v, 0.0), (0.0, v), (v, v))]
+
+
 def test_non_finite_coefficients_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries(np.array([np.inf] + [0] * 8), P8)
     with pytest.raises(ValueError):
         TruncatedSeries(np.array([np.nan * 1j] + [0] * 8), P8)
+    for value in NON_FINITE:
+        with pytest.raises(ValueError, match=r"^series coefficients must be finite$"):
+            TruncatedSeries(np.array([0.5] * 3 + [value] + [0.0] * 5), P8)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +238,10 @@ def test_gram_rejects_mixed_params_and_overflow():
         gram([poly([1e200]), poly([1.0])])
     with pytest.raises(OverflowError):
         inner_product(poly([1e200]), poly([1.0]))
+    # the Gram check of rows that no series would hold
+    for value in NON_FINITE:
+        with pytest.raises(OverflowError, match=r"^inner product overflowed$"):
+            _row_gram(P8, np.array([[0.5, value] + [0.0] * 7, [1.0] + [0.0] * 8]))
 
 
 def test_kernel_at_origin_is_one():
