@@ -47,7 +47,7 @@ from .operators import (
     _set_finite_complex,
 )
 from .report import REPORTED, CheckReport, Rule, format_complex, rules_hold
-from .sampling import DEFAULT_POLE_MARGIN, circle_rows, disk_pairs, drop_near_poles, pole_mask
+from .sampling import DEFAULT_POLE_MARGIN, UniformStream, circle_rows, disk_pairs, drop_near_poles, pole_mask
 from .series import FockParams, _Record, exp_linear, kernel_coeffs, kernel_series, validate_alpha
 
 __all__ = [
@@ -453,7 +453,7 @@ def check_disk_criterion(draws: int = 200, *, seed: int = DEFAULT_SEED) -> Check
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    rng = np.random.default_rng(seed)
+    rng = UniformStream(seed)
     # one row per draw, in the order Re a0, Im a0, a1
     u = rng.uniform((-0.9, -0.9, -1.2), (0.9, 0.9, 1.2), size=(draws, 3))
     a0, a1 = u[:, 0] + 1j * u[:, 1], u[:, 2]
@@ -835,7 +835,7 @@ def check_moebius_conjugation_battery(
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    rng = np.random.default_rng(seed)
+    rng = UniformStream(seed)
     b = eta = np.empty(0, dtype=np.complex128)
     while b.size < draws:
         # one attempt per row, in the order |b|, arg b, Re eta, Im eta; rejected attempts use up their row
@@ -873,7 +873,7 @@ def check_adjoint_factorization_battery(
     """
     if map_draws < 1:
         raise ValueError(f"draws must be at least 1, got {map_draws}")
-    rng = np.random.default_rng(seed)
+    rng = UniformStream(seed)
     # one row per map, in the order |a|, arg a, |b|, arg b
     u = rng.uniform(0.0, (0.9, 2.0 * np.pi, 0.8, 2.0 * np.pi), size=(map_draws, 4))
     maps = [AffineMap(a, b) for a, b in u[:, 0::2] * np.exp(1j * u[:, 1::2])]

@@ -101,7 +101,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
 
 
 def _validate_seed(seed, source: str = "seed") -> int:
-    """The one test of a seed, as numpy's generators take it: an integer >= 0; an error names the source."""
+    """The one test of a seed, as sampling.UniformStream takes it: an integer >= 0; an error names the source."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"{source} must be an integer >= 0, got {seed!r}")
     return seed

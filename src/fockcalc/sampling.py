@@ -1,16 +1,135 @@
-"""Deterministic sample-point generation for pointwise identity checks."""
+"""Deterministic sample-point generation for pointwise identity checks, from one seeded uniform stream."""
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 
 import numpy as np
 
-__all__ = ["circle_rows", "disk_pairs", "drop_near_poles", "pole_mask"]
+__all__ = ["UniformStream", "circle_rows", "disk_pairs", "drop_near_poles", "pole_mask"]
 
 DEFAULT_POLE_MARGIN = 1e-3
 # seeded rows kept for reuse, process-wide: at 20 complex values a row, about 0.5 MB
 CIRCLE_ROW_CACHE = 1024
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+# draws per vectorized block of a stream
+STREAM_BLOCK = 256
+
+
+class UniformStream:
+    """numpy's default_rng(seed).uniform, bit for bit, without importing numpy.random; calls continue one stream.
+
+    The stream is numpy's: SeedSequence(seed) seeds a PCG64, a 128-bit LCG stepped before each output, whose
+    output is XSL-RR, rotr64(hi ^ lo, state >> 122); a draw is low + (high - low) * ((output >> 11) * 2^-53),
+    in C order over size.  A seed is an integer >= 0, as numpy takes it: a negative one raises ValueError, a
+    float TypeError.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed):
+        self._state, self._inc = _pcg64_seed(seed)
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        n = math.prod(shape)
+        blocks = [np.empty(0)]
+        for start in range(0, n, STREAM_BLOCK):
+            block, self._state = _pcg64_block(self._state, self._inc, min(STREAM_BLOCK, n - start))
+            blocks.append(block)
+        u = np.concatenate(blocks).reshape(shape)
+        low, high = np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64)
+        return low + (high - low) * u
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hash of successive 32-bit words: each call steps the hash constant by its multiplier."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg64_seed(seed) -> tuple[int, int]:
+    """PCG64(SeedSequence(seed)) as numpy seeds it: the 128-bit state before the first step, and the increment."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer, got {seed}")
+    words = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        words.append(seed & _M32)
+    # the entropy pool of 4 words: the first words hashed in, every word mixed into every other, then the rest
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words from the cycled pool, paired low word first
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (out[j] | out[j + 1] << 32 for j in range(0, 8, 2))
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    # numpy's srandom: state 0, one step, add the initial state, one more step
+    return ((inc + (s_hi << 64 | s_lo)) * PCG64_MULTIPLIER + inc) & _M128, inc
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """For k = 1 .. STREAM_BLOCK, M^k and 1 + M + ... + M^(k-1) mod 2^128 (M the PCG64 multiplier) as a (4, 2, k)
+    uint64 block: low words, high words, and the low words' low and high 32-bit halves."""
+    values, mult, jump = [], 1, 0
+    for _ in range(STREAM_BLOCK):
+        jump, mult = (jump + mult) & _M128, mult * PCG64_MULTIPLIER & _M128
+        values += mult, jump
+    lo = np.array([v & _M64 for v in values], dtype=np.uint64).reshape(STREAM_BLOCK, 2).T
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64).reshape(STREAM_BLOCK, 2).T
+    table = np.stack([lo, hi, lo & _M32, lo >> 32])
+    # read-only, as every stream shares it
+    table.setflags(write=False)
+    return table
+
+
+def _pcg64_block(state: int, inc: int, n: int) -> tuple[np.ndarray, int]:
+    """The n doubles in [0, 1) after state, and the state after them.
+
+    State k of the block is M^k state + (1 + ... + M^(k-1)) inc mod 2^128.  Each 128-bit product is formed from
+    64-bit words, the high word of the low words' product from their 32-bit halves.  Every uint64 operation is on
+    arrays, which wrap silently.
+    """
+    lo, hi, a0, a1 = _jump_table()[:, :, :n]
+    v_lo, v_hi, b0, b1 = np.array(
+        [[[w & _M64], [w >> 64], [w & _M32], [w >> 32 & _M32]] for w in (state, inc)], dtype=np.uint64
+    ).swapaxes(0, 1)
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    mid2 = a0 * b1 + (mid & _M32)
+    prod_hi = a1 * b1 + (mid >> 32) + (mid2 >> 32) + hi * v_lo + lo * v_hi
+    prod_lo = lo * v_lo
+    s_lo = prod_lo[0] + prod_lo[1]
+    s_hi = prod_hi[0] + prod_hi[1] + (s_lo < prod_lo[0])
+    # XSL-RR: the two halves xored, rotated right by the top 6 bits of the state
+    x, rot = s_hi ^ s_lo, s_hi >> 58
+    x = x >> rot | x << ((64 - rot) & 63)
+    return (x >> 11) * 2.0**-53, int(s_hi[-1]) << 64 | int(s_lo[-1])
 
 
 def circle_rows(seed: int, rows: int) -> np.ndarray:
@@ -21,14 +140,14 @@ def circle_rows(seed: int, rows: int) -> np.ndarray:
 @functools.lru_cache(maxsize=CIRCLE_ROW_CACHE)
 def _circle_row(seed: int) -> np.ndarray:
     """Row seed, drawn once while it stays cached: one draw of 20 angles; read-only, as every caller shares it."""
-    row = np.repeat((0.4, 0.8), 10) * np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 20))
+    row = np.repeat((0.4, 0.8), 10) * np.exp(1j * UniformStream(seed).uniform(0.0, 2.0 * np.pi, 20))
     row.setflags(write=False)
     return row
 
 
 def disk_pairs(seed: int) -> np.ndarray:
     """20 seeded (z, beta) pairs drawn uniformly from the disk |z| < 0.9, as a (20, 2) array."""
-    rng = np.random.default_rng(seed)
+    rng = UniformStream(seed)
     # one row per pair, in the order radius draw of z, of beta, angle of z, of beta
     u = rng.uniform(0.0, (1.0, 1.0, 2.0 * np.pi, 2.0 * np.pi), size=(20, 4))
     return 0.9 * np.sqrt(u[:, :2]) * np.exp(1j * u[:, 2:])
