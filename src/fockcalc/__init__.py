@@ -44,7 +44,6 @@ from .quadrature import (
     QuadratureGrid,
     check_oracle_agreement,
     default_grid,
-    quad_gram,
     quad_inner_product,
     quad_matrix_entry,
 )

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .series import FockParams, TruncatedSeries, _Record, _row_gram, common_params
+from .series import FockParams, TruncatedSeries, _Record, _row_gram
 from .operators import AffineMap, UnsupportedMapError, WcoSymbol
 from .report import CheckReport, Rule
 
@@ -31,7 +31,6 @@ __all__ = [
     "check_oracle_agreement",
     "cutoff_radius",
     "default_grid",
-    "quad_gram",
     "quad_inner_product",
     "quad_matrix_entry",
 ]
@@ -133,18 +132,8 @@ def _phase_gram(params: FockParams, grid: QuadratureGrid) -> np.ndarray:
 
 
 def _quad_row_gram(params: FockParams, grid: QuadratureGrid, coeffs: np.ndarray, phase_gram: np.ndarray) -> np.ndarray:
-    """quad_gram of the series whose coefficients are the rows of coeffs, given the phase Gram of (params, grid)."""
-    steps = _scale_steps(params)
-    radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
-    radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
-    np.cumprod(radial, axis=0, out=radial)
-    scaled = coeffs.copy()
-    scaled[:, 1:] *= np.cumprod(steps)
-    return scaled @ (phase_gram * ((radial * _point_weights(grid)) @ radial.T)) @ scaled.conj().T
-
-
-def quad_gram(series: list[TruncatedSeries], grid: QuadratureGrid) -> np.ndarray:
-    """Quadrature Gram matrix: G[i, j] is the polar quadrature of <s_i, s_j>.
+    """Quadrature Gram matrix of the series whose coefficients are the rows of coeffs: G[i, j] is the polar
+    quadrature of <s_i, s_j>, given the phase Gram Q of (params, grid).
 
     Series i at point (r, a) is sum_k C[i, k] R[k, r] P[k, a] with scaled coefficients
     C[i, k] = c_ik s_k and radial table R[k, r] = r^k / s_k, so the rule's
@@ -154,13 +143,19 @@ def quad_gram(series: list[TruncatedSeries], grid: QuadratureGrid) -> np.ndarray
     trigonometric polynomials of degree below A and degrees differ by at most N < A;
     it is still computed from the roots, never assumed.  No exact norm is borrowed.
     """
-    params = common_params(series)
-    return _quad_row_gram(params, grid, np.stack([s.coeffs for s in series]), _phase_gram(params, grid))
+    steps = _scale_steps(params)
+    radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
+    radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
+    np.cumprod(radial, axis=0, out=radial)
+    scaled = coeffs.copy()
+    scaled[:, 1:] *= np.cumprod(steps)
+    return scaled @ (phase_gram * ((radial * _point_weights(grid)) @ radial.T)) @ scaled.conj().T
 
 
 def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureGrid) -> complex:
-    """Polar quadrature of the weighted inner product of two series."""
-    return complex(quad_gram([f, g], grid)[0, 1])
+    """Polar quadrature of the weighted inner product of two series: the off-diagonal entry of their quadrature Gram."""
+    f._check_same_params(g)
+    return complex(_quad_row_gram(f.params, grid, np.stack([f.coeffs, g.coeffs]), _phase_gram(f.params, grid))[0, 1])
 
 
 def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, params: FockParams) -> complex:
@@ -169,7 +164,7 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     The image weight(z) map(z)^n / s_n is evaluated pointwise in closed form,
     as (map(z) s_n^{-1/n})^n by _power with log s_n from the oracle's own scale
     steps, and paired with conj(e_m) = r^m / s_m conj(P[m, a]): only row m of
-    the radial table is built, as quad_gram's running product of the quotients
+    the radial table is built, as _quad_row_gram's running product of the quotients
     r / (s_k / s_{k-1}), k = 1..m, and only row m of the phase table.  weight(z)
     and map(z) at the grid points are evaluated once per (symbol, grid) pair and
     shared by its entries.  No series composition and no exact norm is used.

@@ -21,12 +21,9 @@ __all__ = [
     "FockParams",
     "ParamsMismatchError",
     "TruncatedSeries",
-    "affine_composition_matrix",
-    "common_params",
     "compose_affine",
     "exp_linear",
     "exp_linear_coeffs",
-    "gram",
     "inner_product",
     "kernel_coeffs",
     "kernel_series",
@@ -182,27 +179,15 @@ def exp_linear_coeffs(w, scale: complex, order: int) -> np.ndarray:
     series of S exponents form one (order + 1) x S block.
     """
     w = np.asarray(w, dtype=np.complex128)
-    steps = w * _reciprocals(order).reshape((order,) + (1,) * w.ndim)
-    return np.cumprod(np.concatenate((np.full((1,) + w.shape, scale, dtype=np.complex128), steps)), axis=0)
+    # a product that overflows stays inf or nan, which the series constructor rejects as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = w * _reciprocals(order).reshape((order,) + (1,) * w.ndim)
+        return np.cumprod(np.concatenate((np.full((1,) + w.shape, scale, dtype=np.complex128), steps)), axis=0)
 
 
 def exp_linear(w: complex, scale: complex, params: FockParams) -> TruncatedSeries:
     """Series of scale * e^{w z}: coefficient k is scale * w^k / k!."""
     return TruncatedSeries(exp_linear_coeffs(w, scale, params.order), params)
-
-
-def affine_composition_matrix(a: complex, b: complex, order: int) -> np.ndarray:
-    """Column n holds the coefficients of (a z + b)^n: entry (m, n) = binom(n, m) a^m b^(n-m).
-
-    Each power is the previous one times (a z + b), with no factorials; the
-    transpose is filled so that each power is a contiguous row.
-    """
-    powers = np.zeros((order + 1, order + 1), dtype=np.complex128)
-    powers[0, 0] = 1.0
-    for n in range(1, order + 1):
-        powers[n] = b * powers[n - 1]
-        powers[n, 1:] += a * powers[n - 1, :-1]
-    return powers.T
 
 
 def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSeries:
@@ -212,25 +197,19 @@ def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSerie
     coefficient of the truncated input is lost; the result is the true
     degree-<=N part of p(a z + b) for the stored p.
     """
-    return TruncatedSeries(affine_composition_matrix(a, b, p.params.order) @ p.coeffs, p.params)
-
-
-def common_params(series: list[TruncatedSeries]) -> FockParams:
-    """The (alpha, order) that every series in the list shares."""
-    params = series[0].params
-    for s in series[1:]:
-        if s.params != params:
-            raise ParamsMismatchError(f"series params differ: {params} vs {s.params}")
-    return params
-
-
-def gram(series: list[TruncatedSeries]) -> np.ndarray:
-    """Truncated Gram matrix G[i, j] = <s_i, s_j> = sum_k (c_ik ||z^k||) conj(c_jk ||z^k||)."""
-    return _row_gram(common_params(series), np.stack([s.coeffs for s in series]))
+    # row n holds the coefficients binom(n, m) a^m b^(n-m) of (a z + b)^n: the previous row times (a z + b), no factorials
+    order = p.params.order
+    powers = np.zeros((order + 1, order + 1), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    for n in range(1, order + 1):
+        powers[n] = b * powers[n - 1]
+        powers[n, 1:] += a * powers[n - 1, :-1]
+    return TruncatedSeries(powers.T @ p.coeffs, p.params)
 
 
 def _row_gram(params: FockParams, coeffs: np.ndarray) -> np.ndarray:
-    """gram of the series whose raw coefficients are the rows of coeffs: one product of the norm-scaled rows."""
+    """Truncated Gram matrix G[i, j] = <s_i, s_j> = sum_k (c_ik ||z^k||) conj(c_jk ||z^k||) of the series whose
+    raw coefficients c_ik are the rows of coeffs: one product of the norm-scaled rows."""
     norms = params.monomial_norms()
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = coeffs * norms
@@ -242,7 +221,8 @@ def _row_gram(params: FockParams, coeffs: np.ndarray) -> np.ndarray:
 
 def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
     """Truncated weighted inner product <f, g>: the off-diagonal entry of the Gram matrix of f and g."""
-    return complex(gram([f, g])[0, 1])
+    f._check_same_params(g)
+    return complex(_row_gram(f.params, np.stack([f.coeffs, g.coeffs]))[0, 1])
 
 
 def kernel_coeffs(points, params: FockParams) -> np.ndarray:

@@ -48,6 +48,12 @@ def _cases() -> dict[str, tuple[dict[str, str], list[str]]]:
     runs += [({}, ["check", name, *REQUIRED_FLAGS.get(name, [])]) for name in sorted(CHECKERS)]
     runs += [({}, ["matrix"]), ({}, ["oracle"])]
     runs += [({}, ["oracle", "--max-degree", "64", "--alphas", "0.25,1,4"]), ({}, ["oracle", "--max-degree", "250"])]
+    # paths no case above enters: an order list without 32, an imaginary Möbius offset, the affine adjoint cross-check
+    runs += [
+        ({}, ["suite", "--orders", "8,16"]),
+        ({}, ["check", "moebius-conjugation", "--eta", "2", "--b", "0.5i"]),
+        ({}, ["check", "adjoint-factorization", "--map-a", "0.5", "--map-b", "0.25"]),
+    ]
     return {" ".join([*(f"{k}={v}" for k, v in env.items()), *argv]): (env, argv) for env, argv in runs}
 
 

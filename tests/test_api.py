@@ -85,7 +85,6 @@ PUBLIC_NAMES = [
     "hermitian_residual",
     "inner_product",
     "kernel_series",
-    "quad_gram",
     "quad_inner_product",
     "quad_matrix_entry",
     "reproduce_counterexample",

@@ -574,6 +574,19 @@ def test_overflowing_section_is_a_usage_error_without_a_numpy_warning(capsys, co
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [["--map-b", "1e300"], ["--map-b", "0.5", "--weight-w", "1e300"], ["--map-b", "0.5", "--alpha", "1e300"]],
+    ids=["offset", "weight-exponent", "alpha"],
+)
+def test_overflowing_kernel_is_a_usage_error_without_a_numpy_warning(capsys, flags):
+    # the kernel's running product overflows; the suite's warning filter turns a numpy warning into an exception
+    code, out, err = run_cli(["check", "selfadjoint-reverse", "--map-a", "0.25", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: series coefficients must be finite\n"
+
+
+@pytest.mark.parametrize(
     "command, message",
     [(["matrix", "--map-a", "nan"], "a"), (["check", "selfadjoint-forward", "--c", "nan"], "c")],
     ids=["matrix", "selfadjoint-forward"],

@@ -18,11 +18,10 @@ from fockcalc import (
     check_oracle_agreement,
     default_grid,
     inner_product,
-    quad_gram,
     quad_inner_product,
     quad_matrix_entry,
 )
-from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _phase_gram, _power, cutoff_radius
+from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _phase_gram, _power, _quad_row_gram, cutoff_radius
 from fockcalc.report import CheckReport, Rule
 from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
@@ -38,6 +37,17 @@ def _monomial(n, params, normalized=False):
     coeffs = np.zeros(params.order + 1, dtype=np.complex128)
     coeffs[n] = 1 / params.monomial_norms()[n] if normalized else 1.0
     return TruncatedSeries(coeffs, params)
+
+
+def _rows(series):
+    """The coefficient rows of series that share one params."""
+    return np.stack([s.coeffs for s in series])
+
+
+def _quad_gram(series, grid):
+    """The quadrature Gram of the series: the row core with its own phase Gram, as quad_inner_product runs it."""
+    params = series[0].params
+    return _quad_row_gram(params, grid, _rows(series), _phase_gram(params, grid))
 
 
 def test_total_mass_is_one():
@@ -117,15 +127,15 @@ def _mixed_series(params):
 
 def test_gram_is_hermitian():
     series = _mixed_series(P16)
-    gram = quad_gram(series, default_grid(P16))
+    gram = _quad_gram(series, default_grid(P16))
     scale = np.max(np.abs(gram))
     assert np.max(np.abs(gram - gram.conj().T)) <= 1e-14 * scale
     assert np.all(np.diag(gram).real > 0)
 
 
 def _assert_matches_pairwise_rule(series, grid):
-    """quad_gram against each pair's integrand, with every series evaluated by Horner on every point."""
-    gram = quad_gram(series, grid)
+    """The quadrature Gram against each pair's integrand, with every series evaluated by Horner on every point."""
+    gram = _quad_gram(series, grid)
     pts = grid.radial_nodes[:, 0][:, None] * grid.roots()[None, :]
     for i, f in enumerate(series):
         for j, g in enumerate(series):
@@ -182,12 +192,27 @@ def test_gram_matches_pairwise_rule_at_smallest_angular_count(alpha, order):
 
 def test_gram_rejects_mixed_params_and_coarse_grid():
     other = FockParams(2.0, 16)
-    with pytest.raises(ParamsMismatchError):
-        quad_gram([_monomial(1, P16, normalized=True), _monomial(1, other, normalized=True)], default_grid(P16))
+    with pytest.raises(ParamsMismatchError, match=r"^series params differ: "):
+        quad_inner_product(_monomial(1, P16, normalized=True), _monomial(1, other, normalized=True), default_grid(P16))
     params = FockParams(1.0, 40)
     grid = _build_grid(1.0, cutoff_radius(params), 8, 8, 64)
     with pytest.raises(ValueError, match="too coarse"):
-        quad_gram([_monomial(n, params) for n in range(3)], grid)
+        quad_inner_product(_monomial(0, params), _monomial(2, params), grid)
+    with pytest.raises(ValueError, match="too coarse"):
+        _quad_gram([_monomial(n, params) for n in range(3)], grid)
+    # mixed params are named before the grid is judged
+    with pytest.raises(ParamsMismatchError):
+        quad_inner_product(_monomial(1, params), _monomial(1, P16), grid)
+
+
+def test_pairwise_entry_points_are_their_row_cores():
+    # each pairwise product is entry [0, 1] of its row core on the two stacked rows, bit for bit
+    rng = np.random.default_rng(5)
+    grid = default_grid(P16)
+    for _ in range(5):
+        f, g = (TruncatedSeries(rng.normal(size=17) + 1j * rng.normal(size=17), P16) for _ in range(2))
+        assert inner_product(f, g) == complex(fockcalc.series._row_gram(P16, _rows([f, g]))[0, 1])
+        assert quad_inner_product(f, g, grid) == complex(_quad_gram([f, g], grid)[0, 1])
 
 
 def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
@@ -207,7 +232,7 @@ def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
 
 
 def test_oracle_fails_on_a_nan_residual(monkeypatch):
-    # a nan deviation of one alpha must fail, not drop out of the worst; the exact side is gram's core on the basis rows
+    # a nan deviation of one alpha must fail, not drop out of the worst; the exact side is the row core on the basis rows
     monkeypatch.setattr(fockcalc.quadrature, "_row_gram", lambda params, rows: np.full((len(rows), len(rows)), np.nan))
     report = check_oracle_agreement(4, (1.0,))
     assert math.isnan(report.residuals[0][1])
@@ -222,7 +247,7 @@ def _forbid_exact_path(monkeypatch):
 
     monkeypatch.setattr(FockParams, "monomial_norms", forbidden)
     for module in (fockcalc.series, fockcalc.quadrature, fockcalc.operators):
-        for name in ("inner_product", "gram", "_row_gram", "compose_affine", "assemble_matrix", "assemble_sections"):
+        for name in ("inner_product", "_row_gram", "compose_affine", "assemble_matrix", "assemble_sections"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
 
@@ -230,9 +255,11 @@ def _forbid_exact_path(monkeypatch):
 def test_quad_gram_uses_no_exact_path(monkeypatch):
     params = FockParams(1.0, 16)
     basis = [_monomial(n, params, normalized=True) for n in range(17)]
-    expected = quad_gram(basis, default_grid(params))
+    expected = _quad_gram(basis, default_grid(params))
+    pair = quad_inner_product(basis[3], basis[5], default_grid(params))
     _forbid_exact_path(monkeypatch)
-    assert np.array_equal(quad_gram(basis, default_grid(params)), expected)
+    assert np.array_equal(_quad_gram(basis, default_grid(params)), expected)
+    assert quad_inner_product(basis[3], basis[5], default_grid(params)) == pair
 
 
 def test_quad_matrix_entry_uses_no_exact_path(monkeypatch):
@@ -249,12 +276,12 @@ def test_quad_matrix_entry_uses_no_exact_path(monkeypatch):
 
 
 def _per_alpha_oracle(max_degree, alphas):
-    """check_oracle_agreement as a loop over alphas of monomial series through quad_gram and gram."""
+    """check_oracle_agreement as a loop over alphas of monomial series, each with its own phase Gram, on the row cores."""
     residuals = []
     for alpha in alphas:
         params = FockParams(alpha, max_degree)
         basis = [_monomial(n, params, normalized=True) for n in range(max_degree + 1)]
-        dev = float(np.max(np.abs(np.triu(quad_gram(basis, default_grid(params)) - fockcalc.series.gram(basis)))))
+        dev = float(np.max(np.abs(np.triu(_quad_gram(basis, default_grid(params)) - fockcalc.series._row_gram(params, _rows(basis))))))
         residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
     return CheckReport(
         check_name="oracle-agreement",
@@ -333,7 +360,7 @@ def test_quad_gram_range_at_degree_200():
     # raw powers overflow here: the cutoff radius is about 37 and 37^200 > 1e308
     params = FockParams(0.5, 200)
     basis = [_monomial(n, params, normalized=True) for n in (0, 100, 200)]
-    gram = quad_gram(basis, default_grid(params))
+    gram = _quad_gram(basis, default_grid(params))
     assert np.all(np.isfinite(gram))
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-8
 

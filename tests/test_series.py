@@ -16,7 +16,7 @@ from fockcalc import (
     inner_product,
     kernel_series,
 )
-from fockcalc.series import _row_gram, affine_composition_matrix, exp_linear_coeffs, gram, kernel_coeffs
+from fockcalc.series import _row_gram, exp_linear_coeffs, kernel_coeffs
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -189,7 +189,9 @@ def test_compose_matrix_columns_are_binomial_expansions(a, b):
     for n in range(n_max + 1):
         for m in range(n + 1):
             expected[m, n] = math.comb(n, m) * a**m * b ** (n - m)
-    np.testing.assert_allclose(affine_composition_matrix(a, b, n_max), expected, rtol=1e-13, atol=0)
+    # column n is the composition of the unit series z^n
+    columns = [compose_affine(poly([0] * n + [1], P32), a, b).coeffs for n in range(n_max + 1)]
+    np.testing.assert_allclose(np.column_stack(columns), expected, rtol=1e-13, atol=0)
 
 
 def test_compose_zero_offset_scales_coefficient_k_by_slope_power():
@@ -222,20 +224,20 @@ def test_inner_product_exponentials():
 def test_gram_holds_every_pairwise_inner_product():
     rng = np.random.default_rng(11)
     series = [poly(rng.normal(size=9) + 1j * rng.normal(size=9)) for _ in range(4)] + [exp_linear(0.5, 1.0, P8)]
-    g = gram(series)
+    g = _row_gram(P8, np.stack([s.coeffs for s in series]))
     assert np.array_equal(g, g.conj().T)
     for i, f in enumerate(series):
         for j, h in enumerate(series):
             expected = np.sum(f.coeffs * P8.monomial_norms() ** 2 * np.conj(h.coeffs))
             assert abs(g[i, j] - expected) <= 1e-14 * math.sqrt(abs(g[i, i] * g[j, j]))
-            assert inner_product(f, h) == complex(gram([f, h])[0, 1])
+            assert inner_product(f, h) == complex(_row_gram(P8, np.stack([f.coeffs, h.coeffs]))[0, 1])
 
 
 def test_gram_rejects_mixed_params_and_overflow():
-    with pytest.raises(ParamsMismatchError):
-        gram([poly([1.0], P8), poly([1.0], P8), poly([1.0], P16)])
+    with pytest.raises(ParamsMismatchError, match=r"^series params differ: FockParams\(alpha=1.0, order=8\) vs FockParams\(alpha=1.0, order=16\)$"):
+        inner_product(poly([1.0], P8), poly([1.0], P16))
     with pytest.raises(OverflowError):
-        gram([poly([1e200]), poly([1.0])])
+        _row_gram(P8, np.stack([poly([1e200]).coeffs, poly([1.0]).coeffs]))
     with pytest.raises(OverflowError):
         inner_product(poly([1e200]), poly([1.0]))
     # the Gram check of rows that no series would hold
