@@ -1052,9 +1052,13 @@ def check_normality(
         blocks = [max(1, n // 2) for n in orders]
         mats = _sections_at(WcoSymbol(weight, mp), alpha, orders)
         values = [commutator_residual(adjoint_matrix(mat), mat, block) for block, mat in zip(blocks, mats)]
+        # a non-finite residual fails every rule; it says nothing of the predicate
+        finite = all(map(math.isfinite, values))
+        if not finite:
+            notes.append("non-finite residual: the commutator overflows float64")
         if criterion:
             rules = [Rule(at_most=tol)] * len(values)
-            if not rules_hold(values, rules):
+            if finite and not rules_hold(values, rules):
                 notes.append("measured commutator contradicts the predicate (operator is not normal)")
         else:
             floor = NONNORMAL_FACTOR * tol
@@ -1067,9 +1071,9 @@ def check_normality(
             u = np.finfo(np.float64).eps / 2
             slack = [(k * k + 2) * u / (1.0 - (k * k + 2) * u) for k in blocks]
             rules = [Rule(at_least=floor, slack=s) for s in slack]
-            if not rules_hold(values, [Rule(at_least=floor)] * len(values)):
+            if finite and not rules_hold(values, [Rule(at_least=floor)] * len(values)):
                 notes.append("measured commutator is small although the predicate declares non-normal")
-            elif not rules_hold(values, rules):
+            elif finite and not rules_hold(values, rules):
                 notes.append("non-normal residual not non-decreasing across orders")
         residuals = list(zip(orders, values, rules))
     return CheckReport(

@@ -49,11 +49,13 @@ REPORTED = Rule()
 
 
 def rules_hold(values, rules) -> bool:
-    """Whether every value meets its rule: REPORTED always holds, and nan fails every other rule."""
+    """Whether every value meets its rule: REPORTED always holds, and a non-finite value (inf or nan) fails every
+    other rule."""
     steps = [(v, rule.slack) for v, rule in zip(values, rules) if rule.slack is not None]
-    return all(rule is REPORTED or rule.at_least <= v <= rule.at_most for v, rule in zip(values, rules)) and all(
-        b * (1.0 + sb) >= a * (1.0 - sa) for (a, sa), (b, sb) in zip(steps, steps[1:])
+    bounded = all(
+        rule is REPORTED or math.isfinite(v) and rule.at_least <= v <= rule.at_most for v, rule in zip(values, rules)
     )
+    return bounded and all(b * (1.0 + sb) >= a * (1.0 - sa) for (a, sa), (b, sb) in zip(steps, steps[1:]))
 
 
 class CheckReport(_Record):

@@ -16,8 +16,6 @@ CIRCLE_ROW_CACHE = 1024
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-# draws per vectorized block of a stream
-STREAM_BLOCK = 256
 
 
 class UniformStream:
@@ -36,12 +34,20 @@ class UniformStream:
 
     def uniform(self, low, high, size) -> np.ndarray:
         shape = (size,) if isinstance(size, int) else tuple(size)
-        n = math.prod(shape)
-        blocks = [np.empty(0)]
-        for start in range(0, n, STREAM_BLOCK):
-            block, self._state = _pcg64_block(self._state, self._inc, min(STREAM_BLOCK, n - start))
-            blocks.append(block)
-        u = np.concatenate(blocks).reshape(shape)
+        # one 128-bit LCG step per draw on Python ints, each state kept as its high and low 64-bit words
+        state, inc, mult, m64, m128 = self._state, self._inc, PCG64_MULTIPLIER, _M64, _M128
+        words = []
+        append = words.append
+        for _ in range(math.prod(shape)):
+            state = (state * mult + inc) & m128
+            append(state >> 64)
+            append(state & m64)
+        self._state = state
+        s_hi, s_lo = np.array(words, dtype=np.uint64).reshape(-1, 2).T
+        # XSL-RR: the two halves xored, rotated right by the top 6 bits of the state
+        x, rot = s_hi ^ s_lo, s_hi >> 58
+        x = x >> rot | x << ((64 - rot) & 63)
+        u = ((x >> 11) * 2.0**-53).reshape(shape)
         low, high = np.asarray(low, dtype=np.float64), np.asarray(high, dtype=np.float64)
         return low + (high - low) * u
 
@@ -90,46 +96,6 @@ def _pcg64_seed(seed) -> tuple[int, int]:
 def _mix(x: int, y: int) -> int:
     value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
     return value ^ value >> 16
-
-
-@functools.cache
-def _jump_table() -> np.ndarray:
-    """For k = 1 .. STREAM_BLOCK, M^k and 1 + M + ... + M^(k-1) mod 2^128 (M the PCG64 multiplier) as a (4, 2, k)
-    uint64 block: low words, high words, and the low words' low and high 32-bit halves."""
-    values, mult, jump = [], 1, 0
-    for _ in range(STREAM_BLOCK):
-        jump, mult = (jump + mult) & _M128, mult * PCG64_MULTIPLIER & _M128
-        values += mult, jump
-    lo = np.array([v & _M64 for v in values], dtype=np.uint64).reshape(STREAM_BLOCK, 2).T
-    hi = np.array([v >> 64 for v in values], dtype=np.uint64).reshape(STREAM_BLOCK, 2).T
-    table = np.stack([lo, hi, lo & _M32, lo >> 32])
-    # read-only, as every stream shares it
-    table.setflags(write=False)
-    return table
-
-
-def _pcg64_block(state: int, inc: int, n: int) -> tuple[np.ndarray, int]:
-    """The n doubles in [0, 1) after state, and the state after them.
-
-    State k of the block is M^k state + (1 + ... + M^(k-1)) inc mod 2^128.  Each 128-bit product is formed from
-    64-bit words, the high word of the low words' product from their 32-bit halves.  Every uint64 operation is on
-    arrays, which wrap silently.
-    """
-    lo, hi, a0, a1 = _jump_table()[:, :, :n]
-    v_lo, v_hi, b0, b1 = np.array(
-        [[[w & _M64], [w >> 64], [w & _M32], [w >> 32 & _M32]] for w in (state, inc)], dtype=np.uint64
-    ).swapaxes(0, 1)
-    low = a0 * b0
-    mid = a1 * b0 + (low >> 32)
-    mid2 = a0 * b1 + (mid & _M32)
-    prod_hi = a1 * b1 + (mid >> 32) + (mid2 >> 32) + hi * v_lo + lo * v_hi
-    prod_lo = lo * v_lo
-    s_lo = prod_lo[0] + prod_lo[1]
-    s_hi = prod_hi[0] + prod_hi[1] + (s_lo < prod_lo[0])
-    # XSL-RR: the two halves xored, rotated right by the top 6 bits of the state
-    x, rot = s_hi ^ s_lo, s_hi >> 58
-    x = x >> rot | x << ((64 - rot) & 63)
-    return (x >> 11) * 2.0**-53, int(s_hi[-1]) << 64 | int(s_lo[-1])
 
 
 def circle_rows(seed: int, rows: int) -> np.ndarray:

@@ -737,6 +737,19 @@ class TestNormality:
         assert report.verdict is Verdict.FAIL
         assert report.max_residual >= 1e-3
 
+    @pytest.mark.parametrize(
+        "weight, mp, alpha",
+        [(ExpLinearWeight(1.0, 0.0), AffineMap(0.5, 2 / 3), 1e6), (ExpLinearWeight(1e300, 0.0), AffineMap(0.5, 0.0), 1.0)],
+        ids=["inf-predicate-non-normal", "nan-predicate-normal"],
+    )
+    def test_non_finite_residual_fails_and_is_named(self, weight, mp, alpha):
+        # inf at N = 64 once passed the non-normal lower bound; nan once read as a contradiction of the predicate
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_normality(weight, mp, alpha=alpha)
+        assert not all(map(math.isfinite, (v for _, v in report.residuals)))
+        assert report.verdict is Verdict.FAIL
+        assert report.notes.endswith("; non-finite residual: the commutator overflows float64")
+
     def test_unbounded_map_is_criterion_only(self):
         report = check_normality(ExpLinearWeight(1.0, 0.0), AffineMap(1.0, 0.1))
         assert report.verdict is Verdict.INFORMATIONAL

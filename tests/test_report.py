@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -25,7 +28,8 @@ def report(*entries):
         ([(0, 5e-324, Rule(at_most=0.0))], Verdict.FAIL),
         ([(0, 1e-6, Rule(at_least=math.nextafter(1e-6, math.inf)))], Verdict.FAIL),
         ([(0, math.nextafter(1e-6, math.inf), Rule(at_least=math.nextafter(1e-6, math.inf)))], Verdict.PASS),
-        ([(0, math.inf, Rule(at_least=1.0))], Verdict.PASS),
+        ([(0, sys.float_info.max, Rule(at_least=1.0))], Verdict.PASS),
+        ([(0, math.inf, Rule(at_least=1.0))], Verdict.FAIL),
     ],
 )
 def test_verdict_from_rules(entries, verdict):
@@ -36,6 +40,33 @@ def test_verdict_from_rules(entries, verdict):
 def test_nan_fails_every_rule(rule):
     assert not rules_hold([math.nan], [rule])
     assert report((0, math.nan, rule)).verdict is Verdict.FAIL
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("rule", [Rule(at_most=1.0), Rule(at_least=0.0), Rule(at_least=-math.inf), Rule(slack=0.0), Rule()])
+def test_infinity_fails_every_rule(value, rule):
+    assert not rules_hold([value], [rule])
+    assert report((0, value, rule)).verdict is Verdict.FAIL
+
+
+def test_non_finite_breaks_a_non_decreasing_sequence_and_is_still_reported():
+    steps = [Rule(slack=0.0)] * 2
+    assert rules_hold([1.0, sys.float_info.max], steps)
+    assert not rules_hold([1.0, math.inf], steps)
+    assert rules_hold([math.inf, math.nan, -math.inf], [REPORTED] * 3)
+
+
+def test_normality_overflowing_to_infinity_fails():
+    # the commutator norm at alpha 1e6 reads 1.1e77 at N = 16, 2.0e145 at 32 and overflows at 64
+    cmd = [sys.executable, "-m", "fockcalc", "check", "normality", "--alpha", "1e6", "--format", "text"]
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stdout.startswith("[Fail] normality\n")
+    assert "N=64: residual inf" in out.stdout
+    assert "non-finite residual" in out.stdout
 
 
 def test_non_decrease_is_up_to_each_residuals_slack():

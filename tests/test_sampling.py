@@ -70,20 +70,29 @@ def test_stream_is_numpys_bit_for_bit(low, high, size):
 @pytest.mark.parametrize(
     "low, high, size",
     [
-        # no draw, and one, whose uint64 products must stay arrays, since a numpy scalar product that wraps warns
+        # no draw, and one, whose 64-bit words must still form arrays for the output transform
         (0.0, 1.0, 0),
         (0.0, (1.0, 2.0), (0, 2)),
         (0.0, 1.0, 1),
         (0.0, 1.0, (1, 1)),
-        # longer than one block, as check disk-criterion --draws 1000 draws
+        # long draws, as check disk-criterion --draws 1000 draws
         ((-0.9, -0.9, -1.2), (0.9, 0.9, 1.2), (1000, 3)),
-        (0.0, 1.0, 2 * sampling.STREAM_BLOCK),
-        (0.0, 1.0, 2 * sampling.STREAM_BLOCK + 1),
+        (0.0, 1.0, 512),
+        (0.0, 1.0, 513),
     ],
 )
 def test_stream_is_numpys_at_every_length(low, high, size):
     for seed in (0, 42, 2**63 - 1, 10**30, np.int64(7)):
         _same_stream(seed, low, high, size)
+
+
+def test_stream_continues_over_calls_of_mixed_sizes():
+    # each call starts from the state the last one left, whatever the sizes before it
+    sizes = [0, 1, 600, 20, 513, (50, 4)]
+    for seed in STREAM_SEEDS:
+        ours, numpys = sampling.UniformStream(seed), np.random.default_rng(seed)
+        for size in sizes:
+            assert ours.uniform(0.0, 1.0, size).tobytes() == numpys.uniform(0.0, 1.0, size).tobytes()
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError), (np.float64(3.0), TypeError)])
