@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -44,6 +45,7 @@ from .operators import (
     commutator_residual,
     hermitian_residual,
     _exp_weight,
+    _finite_copy,
     _set_finite_complex,
 )
 from .report import REPORTED, CheckReport, Rule, format_complex, rules_hold
@@ -281,8 +283,7 @@ def disk_boundary_oracle(a0, a1):
     may be arrays of draws; scalar inputs give a bool.
     """
     a0, a1 = np.broadcast_arrays(np.asarray(a0, dtype=np.complex128), np.asarray(a1, dtype=np.float64))
-    circle = np.exp(1j * (2.0 * np.pi * np.arange(BOUNDARY_POINTS) / BOUNDARY_POINTS))
-    table = np.stack((circle.real, circle.imag))
+    circle, table = _boundary_circle()
     flat0, flat1 = a0.ravel(), a1.ravel()
     rows = np.stack((flat0.real, flat0.imag), axis=1)
     rows[flat1 < 0] *= -1.0
@@ -300,6 +301,17 @@ def disk_boundary_oracle(a0, a1):
     for i in np.flatnonzero(~(np.abs(squared - bound * bound) > 32 * 2.0**-53 * scale * scale)):
         inside[i] = np.abs(flat0[i] + complex(flat1[i]) * circle).max() <= bound
     return bool(inside[0]) if a0.ndim == 0 else inside.reshape(a0.shape)
+
+
+@functools.cache
+def _boundary_circle() -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's BOUNDARY_POINTS unit-circle points and their (cos, sin) table, built once; read-only, as every
+    call shares them."""
+    circle = np.exp(1j * (2.0 * np.pi * np.arange(BOUNDARY_POINTS) / BOUNDARY_POINTS))
+    table = np.stack((circle.real, circle.imag))
+    circle.setflags(write=False)
+    table.setflags(write=False)
+    return circle, table
 
 
 def _sample_rows(samples, seed: int, rows: int = 1) -> np.ndarray:
@@ -331,10 +343,12 @@ def _sections_at(sym: WcoSymbol, alpha: float, orders) -> list[OperatorMatrix]:
     """The section of sym at each order, read as a leading block of the one at the largest.
 
     Column n reads only earlier columns and rows up to its own, so a leading block is the smaller
-    section bit for bit.
+    section bit for bit.  The largest is copied and validated once, and each section is a read-only
+    view of that copy.
     """
-    top = assemble_sections([sym], FockParams(alpha, max(orders)))[0]
-    return [OperatorMatrix(top[: n + 1, : n + 1], FockParams(alpha, n)) for n in orders]
+    top_params = FockParams(alpha, max(orders))
+    top = OperatorMatrix(assemble_sections([sym], top_params)[0], top_params)
+    return [OperatorMatrix._of(top.entries[: n + 1, : n + 1], FockParams(alpha, n)) for n in orders]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +371,9 @@ def check_selfadjoint_forward(
         weight(z) * e^{alpha * map(z) * conj(beta)}   and
         conj(weight(beta)) * e^{alpha * conj(map(beta)) * z}
     must agree.  Both hold exactly when c and a1 are real; perturbing
-    either imaginary part, or the weight exponent, breaks both.
+    either imaginary part, or the weight exponent, breaks both.  A norm or
+    kernel image past the double range gives a non-finite residual, which
+    fails, and a note says so.
     """
     sym = params.symbol()
     notes = []
@@ -371,14 +387,22 @@ def check_selfadjoint_forward(
     mp = sym.map
     pairs = disk_pairs(seed)
     # c e^{wz} at every z and beta: the exponentials as arrays, each times c as a Python complex, as in weight.value(z)
-    at_z, at_beta = ([weight.c * e for e in np.exp(weight.w * points).tolist()] for points in pairs.T)
-    kernel_diffs = []
-    for (z, beta), weight_z, weight_beta in zip(pairs.tolist(), at_z, at_beta):
-        lhs = weight_z * cmath.exp(params.alpha * mp(z) * beta.conjugate())
-        rhs = weight_beta.conjugate() * cmath.exp(params.alpha * complex(mp(beta)).conjugate() * z)
-        kernel_diffs.append(abs(lhs - rhs))
-    # np.max, not max: a nan difference must reach the residual
-    residuals.append((0, float(np.max(kernel_diffs)), Rule(at_most=SELFADJOINT_KERNEL_TOL)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_z, at_beta = ([weight.c * e for e in np.exp(weight.w * points).tolist()] for points in pairs.T)
+    try:
+        kernel_diffs = []
+        for (z, beta), weight_z, weight_beta in zip(pairs.tolist(), at_z, at_beta):
+            lhs = weight_z * cmath.exp(params.alpha * mp(z) * beta.conjugate())
+            rhs = weight_beta.conjugate() * cmath.exp(params.alpha * complex(mp(beta)).conjugate() * z)
+            kernel_diffs.append(abs(lhs - rhs))
+        # np.max, not max: a nan difference must reach the residual
+        kernel_res = float(np.max(kernel_diffs))
+    except OverflowError:
+        # cmath.exp or abs past the double range: an image, or the difference, is infinite
+        kernel_res = math.inf
+    residuals.append((0, kernel_res, Rule(at_most=SELFADJOINT_KERNEL_TOL)))
+    if not all(math.isfinite(v) for _, v, _ in residuals):
+        notes.append("non-finite residual: a section norm or a kernel image overflows float64")
 
     return CheckReport(
         check_name="selfadjoint-forward",
@@ -911,7 +935,9 @@ def check_degenerate_commutant(
     g_const = math.exp(-f_params.alpha * abs(b) ** 2 / 2.0)
     identity_map = AffineMap(1.0, 0.0)
     sym_g = WcoSymbol(ExpLinearWeight(g_const, 0.0), identity_map)
-    mat_g, mat_f = (OperatorMatrix(section, params) for section in assemble_sections([sym_g, f_params.symbol()], params))
+    # one validated copy of both sections, each a read-only view of it
+    sections = _finite_copy(assemble_sections([sym_g, f_params.symbol()], params))
+    mat_g, mat_f = (OperatorMatrix._of(section, params) for section in sections)
 
     scalar_res = float(np.abs(mat_g.entries - g_const * np.eye(params.order + 1)).max())
     half = max(1, order // 2)
@@ -1011,10 +1037,21 @@ def _adjoint_factorization_residuals(
 
 def _kernel_multipliers(offsets: np.ndarray, params: FockParams) -> np.ndarray:
     """Multiplication by K_b on coefficients of degree <= N: one lower-triangular Toeplitz matrix per offset b."""
-    lag = np.subtract.outer(np.arange(params.order + 1), np.arange(params.order + 1))
-    toeplitz = kernel_coeffs(offsets, params).T[:, np.maximum(lag, 0)]
-    toeplitz[:, lag < 0] = 0.0
+    index, above = _toeplitz_index(params.order)
+    toeplitz = kernel_coeffs(offsets, params).T[:, index]
+    toeplitz[:, above] = 0.0
     return toeplitz
+
+
+@functools.lru_cache(maxsize=16)
+def _toeplitz_index(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient index max(m - n, 0) at [m, n] of an order's Toeplitz matrix, and the mask of n > m above
+    the diagonal; built once per order, read-only, as every call shares them."""
+    lag = np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
+    index, above = np.maximum(lag, 0), lag < 0
+    index.setflags(write=False)
+    above.setflags(write=False)
+    return index, above
 
 
 def check_normality(

@@ -54,7 +54,7 @@ from .operators import (
     boundedness_check,
 )
 from .quadrature import check_oracle_agreement
-from .report import TOOL_VERSION, CheckReport, _json_text, _jsonable, render_reports
+from .report import TOOL_VERSION, CheckReport, _json_text, render_reports
 from .series import FockParams, _Record, validate_alpha
 
 __all__ = ["RunConfig", "build_parser", "main", "parse_complex", "run_check", "run_suite", "suite_grid"]
@@ -305,7 +305,7 @@ def suite_grid(alpha: float) -> list[tuple[str, dict]]:
 def run_suite(cfg: RunConfig) -> list[CheckReport]:
     """Every row of the default grid through ``run_check``, as ``check`` runs it."""
     reports = [run_check(name, flags, cfg) for name, flags in suite_grid(cfg.alpha)]
-    reports.sort(key=lambda r: (r.check_name, json.dumps(_jsonable(r.params_echo), sort_keys=True)))
+    reports.sort(key=lambda r: (r.check_name, json.dumps(r.params_json, sort_keys=True)))
     return reports
 
 

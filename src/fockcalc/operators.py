@@ -272,12 +272,17 @@ class OperatorMatrix(_Record, eq=False):
         dim = params.order + 1
         if arr.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} entries, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _finite_copy(arr))
         object.__setattr__(self, "params", params)
+
+    @classmethod
+    def _of(cls, entries: np.ndarray, params: FockParams) -> "OperatorMatrix":
+        """A record of entries that are already read-only, finite and (N+1) x (N+1), such as a view of a
+        validated copy: neither copied nor scanned.  Entries from outside go through the constructor."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "entries", entries)
+        object.__setattr__(mat, "params", params)
+        return mat
 
     @property
     def dim(self) -> int:
@@ -287,6 +292,15 @@ class OperatorMatrix(_Record, eq=False):
         """Row-major CSV with each entry as a "re,im" pair, 17 significant digits."""
         # a complex128 row viewed as float64 is its re, im, re, im, ... sequence
         return _render_csv(self.entries.view(np.float64))
+
+
+def _finite_copy(entries: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered copy of complex section entries, which must all be finite."""
+    if not np.isfinite(entries).all():
+        raise ValueError("matrix entries must be finite")
+    entries = entries.copy()
+    entries.setflags(write=False)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +492,9 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
         # views taken once: indexing a list is cheaper than slicing the array, once per column
         cols, products, stayed, moved = list(block), prod[:, :, 1:], prod[0, :, 1:], prod[1, :, :-1]
         for n, coef_n in enumerate(coef, start=1):
-            np.multiply(coef_n, cols[n - 1], out=products)
-            np.add(stayed, moved, out=cols[n])
+            # outputs passed positionally, which numpy parses faster than the keyword
+            np.multiply(coef_n, cols[n - 1], products)
+            np.add(stayed, moved, cols[n])
     return block.transpose(1, 2, 0)
 
 
@@ -489,13 +504,17 @@ def assemble_matrix(sym: WcoSymbol, params: FockParams) -> OperatorMatrix:
 
 
 def adjoint_matrix(mat: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(mat.entries.conj().T, mat.params)
+    """The conjugate transpose, one read-only C-ordered array: finite and square, as mat's entries are."""
+    adjoint = np.conjugate(mat.entries.T, np.empty(mat.entries.shape, dtype=np.complex128))
+    adjoint.setflags(write=False)
+    return OperatorMatrix._of(adjoint, mat.params)
 
 
 def hermitian_residual(mat: OperatorMatrix) -> float:
-    """|| M - M* ||_F / max(||M||_F, 1)."""
-    norm = float(np.linalg.norm(mat.entries))
-    return float(np.linalg.norm(mat.entries - mat.entries.conj().T)) / max(norm, 1.0)
+    """|| M - M* ||_F / max(||M||_F, 1); inf or nan where a norm overflows, a value that fails every bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(mat.entries))
+        return float(np.linalg.norm(mat.entries - mat.entries.conj().T)) / max(norm, 1.0)
 
 
 def commutator_residual(m1: OperatorMatrix, m2: OperatorMatrix, block: int) -> float:
@@ -503,7 +522,8 @@ def commutator_residual(m1: OperatorMatrix, m2: OperatorMatrix, block: int) -> f
 
     The leading-block restriction keeps truncation contamination near the
     section edge out of the measurement; block may not exceed half the order.
-    Only that block of each product is formed.
+    Only that block of each product is formed; a product or norm past the
+    double range gives an inf or nan residual, which fails every bound.
     """
     if m1.params != m2.params:
         raise ParamsMismatchError(f"matrix params differ: {m1.params} vs {m2.params}")
@@ -511,7 +531,8 @@ def commutator_residual(m1: OperatorMatrix, m2: OperatorMatrix, block: int) -> f
     if not 1 <= block <= block_max:
         raise ValueError(f"block {block} outside 1..{block_max}")
     a, b = m1.entries, m2.entries
-    return float(np.linalg.norm(a[:block] @ b[:, :block] - b[:block] @ a[:, :block]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(a[:block] @ b[:, :block] - b[:block] @ a[:, :block]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -63,6 +64,7 @@ class CheckReport(_Record):
 
     residuals is given as (N, value, rule) triples and kept as (N, value) pairs, the rules apart in
     ``rules``.  The verdict is Informational when every rule is REPORTED, else Pass iff every rule holds.
+    ``params_json`` is params_echo in plain JSON types, converted once: a derived value, not a field.
     """
 
     check_name: str
@@ -87,6 +89,7 @@ class CheckReport(_Record):
         object.__setattr__(self, "notes", notes)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "params_json", _jsonable(params_echo))
 
     @property
     def passed(self) -> bool:
@@ -98,9 +101,10 @@ class CheckReport(_Record):
         return max((v for _, v in self.residuals), key=lambda v: (math.isnan(v), v))
 
     def to_dict(self) -> dict[str, Any]:
+        """The report's JSON document; its "params" is the report's own params_json, shared by every call."""
         return {
             "check": self.check_name,
-            "params": _jsonable(self.params_echo),
+            "params": self.params_json,
             "residuals": [{"N": n, "value": v} for n, v in self.residuals],
             "verdict": self.verdict.value,
             "notes": self.notes,
@@ -132,28 +136,50 @@ def format_complex(z: complex) -> str:
 
 def _json_text(value: Any, newline: str = "\n") -> str:
     """json.dumps(value, indent=2) without the pure-Python encoder json runs to indent, for str-keyed dicts, lists,
-    tuples, str, int, float, bool and None; newline is the break and indent before the value's closing bracket."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
-    inner = newline + "  "
+    tuples, str, int, float, bool and None; newline is the break and indent before the value's closing bracket.
+
+    A member of exactly type str, float, int or bool, or None, is written inside the loop over its container; any
+    other member, a container or a subclass of those types, takes a call of its own, as a top-level value does.
+    """
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = (encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
+        opening, closing, members = "{", "}", zip([encode_basestring_ascii(k) + ": " for k in value], value.values())
+    elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        opening, closing, members = "[", "]", zip(itertools.repeat(""), value)
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    elif value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    elif isinstance(value, float):
+        if value != value:
+            return "NaN"
+        return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = newline + "  "
+    parts = []
+    for prefix, v in members:
+        cls = type(v)
+        if cls is str:
+            text = encode_basestring_ascii(v)
+        elif cls is float:
+            # v - v is 0.0 exactly when v is finite
+            text = float.__repr__(v) if v - v == 0.0 else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+        elif cls is int:
+            text = int.__repr__(v)
+        elif cls is bool:
+            text = "true" if v else "false"
+        elif v is None:
+            text = "null"
+        else:
+            text = _json_text(v, inner)
+        parts.append(prefix + text)
+    return opening + inner + ("," + inner).join(parts) + newline + closing
 
 
 def render_reports(reports: list[CheckReport], fmt: str) -> str:

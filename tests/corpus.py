@@ -35,6 +35,14 @@ REQUIRED_FLAGS = {
     "counterexample": ["--eta", "2"],
 }
 
+# checks whose residuals overflow float64: each must print its Fail row, with no numpy warning on the way
+OVERFLOWING_CHECKS = [
+    ["selfadjoint-forward", "--alpha", "1e6"],
+    ["selfadjoint-forward", "--c", "1e300"],
+    ["normality", "--alpha", "1e6"],
+    ["normality", "--weight-c", "1e300"],
+]
+
 
 def _cases() -> dict[str, tuple[dict[str, str], list[str]]]:
     """Case name -> (environment, argv); the name is the command line as a shell would take it."""
@@ -54,6 +62,7 @@ def _cases() -> dict[str, tuple[dict[str, str], list[str]]]:
         ({}, ["check", "moebius-conjugation", "--eta", "2", "--b", "0.5i"]),
         ({}, ["check", "adjoint-factorization", "--map-a", "0.5", "--map-b", "0.25"]),
     ]
+    runs += [({}, ["check", *flags]) for flags in OVERFLOWING_CHECKS]
     return {" ".join([*(f"{k}={v}" for k, v in env.items()), *argv]): (env, argv) for env, argv in runs}
 
 

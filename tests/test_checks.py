@@ -879,6 +879,22 @@ def test_counterexample_fails_when_the_orders_barely_differ():
     assert report.verdict is Verdict.FAIL
 
 
+@pytest.mark.parametrize("alpha", CONTROL_ALPHAS)
+def test_sections_at_each_order_are_read_only_views_of_one_copy(alpha):
+    """Each section and its adjoint is read-only and bit for bit the section built at its own order."""
+    sym = SelfAdjointSymbolParams(0.9 + 0.1j, 0.3 - 0.2j, -0.4, alpha).symbol()
+    orders = (1, 5, 16, 32, 64)
+    mats = checks._sections_at(sym, alpha, orders)
+    for n, mat in zip(orders, mats):
+        assert mat.params == FockParams(alpha, n)
+        assert np.shares_memory(mat.entries, mats[-1].entries)
+        own = assemble_matrix(sym, FockParams(alpha, n)).entries
+        for entries, expected in ((mat.entries, own), (adjoint_matrix(mat).entries, own.conj().T)):
+            assert np.array_equal(np.ascontiguousarray(entries).view(np.uint64), expected.copy().view(np.uint64))
+            with pytest.raises(ValueError, match="read-only"):
+                entries[0, 0] = 0.0
+
+
 def _perturb_sections(monkeypatch, entry, delta):
     """Make every batch of finite sections the checks build off by delta at one entry."""
     honest = checks.assemble_sections

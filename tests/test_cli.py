@@ -23,7 +23,7 @@ from fockcalc import AffineMap, ExpLinearWeight, FockParams, SelfAdjointSymbolPa
 from fockcalc.cli import CHECKERS, UNTOLERANCED, main, parse_complex, parse_orders, RunConfig, run_check, run_suite, suite_grid
 from fockcalc.report import format_complex
 
-from corpus import REQUIRED_FLAGS, same_build
+from corpus import OVERFLOWING_CHECKS, REQUIRED_FLAGS, same_build
 
 
 def run_cli(args, capsys):
@@ -586,6 +586,21 @@ def test_overflowing_kernel_is_a_usage_error_without_a_numpy_warning(capsys, fla
     assert err == "error: series coefficients must be finite\n"
 
 
+@pytest.mark.parametrize("flags", OVERFLOWING_CHECKS, ids=" ".join)
+def test_overflowing_residual_fails_under_warnings_as_errors(flags):
+    # a child process, so that -W error holds from the start, as a user would run it
+    cmd = [sys.executable, "-W", "error", "-m", "fockcalc", "check", *flags]
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stderr) == (1, "")
+    report = json.loads(out.stdout)
+    assert report["verdict"] == "Fail"
+    assert not all(math.isfinite(r["value"]) for r in report["residuals"])
+    assert "non-finite residual" in report["notes"]
+
+
 @pytest.mark.parametrize(
     "command, message",
     [(["matrix", "--map-a", "nan"], "a"), (["check", "selfadjoint-forward", "--c", "nan"], "c")],
@@ -758,14 +773,18 @@ def test_suite_bytes_equal_the_per_order_and_per_row_paths(monkeypatch):
 
 
 def test_repeated_suite_draws_no_sample_row_again():
-    """A suite draws each distinct sample row once, and a second run at the same seed draws none."""
+    """A suite draws each distinct sample row and pair set once, and a second run at the same seed draws none."""
     sampling._circle_row.cache_clear()
+    sampling.disk_pairs.cache_clear()
     cfg = RunConfig()
     first = [r.to_dict() for r in run_suite(cfg)]
     # rows seed .. seed + 49 of moebius-conjugation; the other checks read rows among them
     assert sampling._circle_row.cache_info().misses == 50
+    # one pair set, read by both selfadjoint-forward rows
+    assert sampling.disk_pairs.cache_info()[:2] == (1, 1)
     assert [r.to_dict() for r in run_suite(cfg)] == first
     assert sampling._circle_row.cache_info().misses == 50
+    assert sampling.disk_pairs.cache_info().misses == 1
 
 
 def test_suite_applies_tolerance_override(capsys):

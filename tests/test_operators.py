@@ -378,6 +378,39 @@ def test_adjoint_of_real_diagonal():
     assert np.array_equal(adjoint_matrix(mat).entries, mat.entries)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 20.0])
+def test_adjoint_is_one_read_only_array_bit_equal_to_the_conjugate_transpose(alpha):
+    sym = WcoSymbol(ExpLinearWeight(0.8 - 0.3j, 0.35 + 0.2j), AffineMap(0.6 + 0.25j, -0.4 + 0.3j))
+    mat = assemble_matrix(sym, FockParams(alpha, 32))
+    # a leading-block view, as checks read smaller orders, and the whole section
+    for entries in (mat.entries[:9, :9], mat.entries):
+        adjoint = adjoint_matrix(OperatorMatrix._of(entries, FockParams(alpha, entries.shape[0] - 1)))
+        assert adjoint.entries.flags.c_contiguous and not adjoint.entries.flags.writeable
+        assert not np.shares_memory(adjoint.entries, mat.entries)
+        assert np.array_equal(_bits(adjoint.entries), _bits(entries.conj().T))
+        with pytest.raises(ValueError, match="read-only"):
+            adjoint.entries[0, 0] = 0.0
+
+
+def test_operator_matrix_copies_and_checks_what_it_is_given():
+    """The public constructor keeps its own read-only copy, of a writable array and of a read-only view of one,
+    and still checks the shape and finiteness of each."""
+    writable, base = np.eye(9, dtype=np.complex128), np.eye(12, dtype=np.complex128)
+    view = base[:9, :9]
+    view.setflags(write=False)
+    records = [OperatorMatrix(writable, P8), OperatorMatrix(view, P8)]
+    writable[:] = 7.0
+    base[:] = 7.0
+    for mat in records:
+        assert not mat.entries.flags.writeable
+        assert np.array_equal(mat.entries, np.eye(9))
+    with pytest.raises(ValueError, match="expected 9x9 entries"):
+        OperatorMatrix(view[:8, :8], P8)
+    base[2, 5] = math.nan
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        OperatorMatrix(view, P8)
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcalc import cli, report as report_module
 from fockcalc.cli import main
@@ -119,6 +121,23 @@ TEXTS = ['say "hi"', "back\\slash", "tab\t line\n cr\r nul\x00 bell\x07 del\x7f"
     ],
 )
 def test_json_writer_prints_the_bytes_of_json_dumps_indent_2(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+# text of ASCII, quotes, backslashes, control characters, non-ASCII and astral characters and a lone surrogate
+# (a fixed alphabet: st.characters() costs several times the whole test); floats with their edge values
+JSON_TEXT = st.text(st.sampled_from('ab /"\\\x00\x07\x1f\x7f\x80\n\t\u00e9\u4e2d\u2028\ud800\U0001d53d'))
+JSON_FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324])
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | JSON_TEXT,
+    lambda members: st.lists(members) | st.lists(members).map(tuple) | st.dictionaries(JSON_TEXT, members),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(JSON_DOCS)
+def test_json_writer_prints_the_bytes_of_json_dumps_indent_2_for_any_document(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 

@@ -42,6 +42,15 @@ def test_cached_row_is_read_only():
         row[0] = 0.0
 
 
+def test_disk_pairs_are_read_only_and_drawn_once():
+    sampling.disk_pairs.cache_clear()
+    pairs = sampling.disk_pairs(42)
+    assert pairs.shape == (20, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        pairs[0, 0] = 0.0
+    assert sampling.disk_pairs(42) is pairs
+
+
 # the five draw sites' bounds and shapes: circle rows, disk pairs, the disk criterion, the Moebius and the adjoint battery
 DRAW_SITES = [
     (0.0, 2.0 * np.pi, 20),
