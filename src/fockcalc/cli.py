@@ -54,7 +54,7 @@ from .operators import (
     boundedness_check,
 )
 from .quadrature import check_oracle_agreement
-from .report import TOOL_VERSION, CheckReport, _json_text, render_reports
+from .report import TOOL_VERSION, CheckReport, render_reports
 from .series import FockParams, _Record, validate_alpha
 
 __all__ = ["RunConfig", "build_parser", "main", "parse_complex", "run_check", "run_suite", "suite_grid"]
@@ -444,7 +444,7 @@ def cmd_suite(cfg: RunConfig) -> int:
             "all_passed": all_passed,
             "tool_version": TOOL_VERSION,
         }
-        sys.stdout.write(_json_text(doc) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         sys.stdout.write(render_reports(reports, cfg.output_format))
         sys.stdout.write(f"all_passed: {all_passed}\n")

@@ -11,10 +11,9 @@ identical bytes.
 
 from __future__ import annotations
 
-import itertools
+import json
 import math
 from enum import Enum
-from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .series import _Record
@@ -120,8 +119,6 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(v) for v in value]
     if isinstance(value, complex):
         return format_complex(value)
-    if isinstance(value, Enum):
-        return value.value
     if hasattr(value, "item"):
         return _jsonable(value.item())
     return value
@@ -134,59 +131,11 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _json_text(value: Any, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2) without the pure-Python encoder json runs to indent, for str-keyed dicts, lists,
-    tuples, str, int, float, bool and None; newline is the break and indent before the value's closing bracket.
-
-    A member of exactly type str, float, int or bool, or None, is written inside the loop over its container; any
-    other member, a container or a subclass of those types, takes a call of its own, as a top-level value does.
-    """
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        opening, closing, members = "{", "}", zip([encode_basestring_ascii(k) + ": " for k in value], value.values())
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        opening, closing, members = "[", "]", zip(itertools.repeat(""), value)
-    elif isinstance(value, str):
-        return encode_basestring_ascii(value)
-    elif value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    elif isinstance(value, int):
-        return int.__repr__(value)
-    elif isinstance(value, float):
-        if value != value:
-            return "NaN"
-        return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    inner = newline + "  "
-    parts = []
-    for prefix, v in members:
-        cls = type(v)
-        if cls is str:
-            text = encode_basestring_ascii(v)
-        elif cls is float:
-            # v - v is 0.0 exactly when v is finite
-            text = float.__repr__(v) if v - v == 0.0 else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-        elif cls is int:
-            text = int.__repr__(v)
-        elif cls is bool:
-            text = "true" if v else "false"
-        elif v is None:
-            text = "null"
-        else:
-            text = _json_text(v, inner)
-        parts.append(prefix + text)
-    return opening + inner + ("," + inner).join(parts) + newline + closing
-
-
 def render_reports(reports: list[CheckReport], fmt: str) -> str:
     if fmt == "json":
         docs = [r.to_dict() for r in reports]
         payload: Any = docs[0] if len(docs) == 1 else docs
-        return _json_text(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         lines = ["check,N,residual,verdict"]
         for r in reports:

@@ -139,12 +139,10 @@ class TruncatedSeries(_Record, eq=False):
         if self.params != other.params:
             raise ParamsMismatchError(f"series params differ: {self.params} vs {other.params}")
 
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_same_params(other)
-            full = np.convolve(self.coeffs, other.coeffs)
-            return TruncatedSeries(full[: self.params.order + 1], self.params)
-        return TruncatedSeries(self.coeffs * other, self.params)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check_same_params(other)
+        full = np.convolve(self.coeffs, other.coeffs)
+        return TruncatedSeries(full[: self.params.order + 1], self.params)
 
     def __rmul__(self, scalar) -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs * scalar, self.params)

@@ -586,6 +586,27 @@ def test_overflowing_kernel_is_a_usage_error_without_a_numpy_warning(capsys, fla
     assert err == "error: series coefficients must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        (["eigen-identity", "--alpha", "1e6"], 2),
+        (["eigen-identity", "--alpha", "1e300"], 2),
+        (["commutant-symbols", "--eta", "2", "--alpha", "1e6"], 0),
+        (["commutant-symbols", "--eta", "2", "--alpha", "1e300"], 0),
+        (["adjoint-factorization", "--alpha", "1e300"], 2),
+        (["adjoint-factorization", "--alpha", "1e300", "--map-a", "0.5", "--map-b", "0.25"], 2),
+        (["adjoint-factorization", "--map-a", "1e-300", "--map-b", "1e200"], 1),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit {value}",
+)
+def test_overflow_inside_a_check_ends_without_a_numpy_warning(capsys, flags, expected):
+    # the suite's warning filter turns a numpy overflow or invalid-value warning into an exception
+    code, out, err = run_cli(["check", *flags], capsys)
+    assert code == expected
+    assert (out == "") == (expected == 2)
+    assert err.startswith("error: ") if expected == 2 else err == ""
+
+
 @pytest.mark.parametrize("flags", OVERFLOWING_CHECKS, ids=" ".join)
 def test_overflowing_residual_fails_under_warnings_as_errors(flags):
     # a child process, so that -W error holds from the start, as a user would run it
