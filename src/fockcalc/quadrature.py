@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .series import FockParams, TruncatedSeries, _Record, _row_gram
-from .operators import AffineMap, UnsupportedMapError, WcoSymbol
+from .operators import AffineMap, ExpLinearWeight, UnsupportedMapError, WcoSymbol, _exp_weight
 from .report import CheckReport, Rule
 
 __all__ = [
@@ -57,15 +57,21 @@ class QuadratureGrid(_Record, eq=False):
 
     Radial weights already include the e^{-alpha r^2} r factor, so an
     integral against the planar Gaussian measure reduces to
-    2*alpha * sum_i w_i * (angular mean at r_i).
+    2*alpha * sum_i w_i * (angular mean at r_i).  The panel layout names
+    node p K + k as panel_centres[p] + panel_offsets[k], within eps * cutoff:
+    the panels' centres and one shared row of K offsets.
     """
 
     radial_nodes: np.ndarray
     angular_count: int
     cutoff: float
     alpha: float
+    panel_centres: np.ndarray
+    panel_offsets: np.ndarray
 
-    def __init__(self, radial_nodes, angular_count: int, cutoff: float, alpha: float) -> None:
+    def __init__(
+        self, radial_nodes, angular_count: int, cutoff: float, alpha: float, panel_centres, panel_offsets
+    ) -> None:
         nodes = np.asarray(radial_nodes, dtype=np.float64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("radial_nodes must be an (n, 2) array of (radius, weight)")
@@ -73,12 +79,22 @@ class QuadratureGrid(_Record, eq=False):
             raise ValueError("radial weights must be positive")
         if angular_count < 64:
             raise ValueError(f"angular_count must be at least 64, got {angular_count}")
+        centres = np.array(panel_centres, dtype=np.float64)
+        offsets = np.array(panel_offsets, dtype=np.float64)
+        if centres.ndim != 1 or offsets.ndim != 1 or centres.size * offsets.size != nodes.shape[0]:
+            raise ValueError("panel layout must be a row of centres and a row of offsets, one pair per radial node")
+        shift = np.maximum.reduce(np.abs(np.add.outer(centres, offsets).ravel() - nodes[:, 0]), initial=0.0)
+        if not shift <= 2.0**-52 * cutoff:  # eps * cutoff
+            raise ValueError(f"panel layout strays {shift!r} from the radial nodes, more than eps * cutoff")
         nodes = nodes.copy()
-        nodes.setflags(write=False)
+        for arr in (nodes, centres, offsets):
+            arr.setflags(write=False)
         object.__setattr__(self, "radial_nodes", nodes)
         object.__setattr__(self, "angular_count", angular_count)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "panel_centres", centres)
+        object.__setattr__(self, "panel_offsets", offsets)
 
     def roots(self) -> np.ndarray:
         """The angular_count-th roots of unity e^{2 pi i a / A}, a = 0..A-1: the angles of every ring."""
@@ -99,7 +115,8 @@ def _build_grid(alpha: float, radius: float, panels: int, per_panel: int, angula
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     r = (mid + half * base_x).ravel()
     w = (half * base_w).ravel() * np.exp(-alpha * r**2) * r
-    return QuadratureGrid(np.column_stack([r, w]), angular, radius, alpha)
+    # the panels' half-widths agree to rounding, so the first one's offsets serve every panel
+    return QuadratureGrid(np.column_stack([r, w]), angular, radius, alpha, mid[:, 0], half[0] * base_x)
 
 
 def default_grid(params: FockParams) -> QuadratureGrid:
@@ -118,7 +135,12 @@ def _scale_steps(params: FockParams) -> np.ndarray:
 
 
 def _phase_rows(params: FockParams, grid: QuadratureGrid, degrees) -> np.ndarray:
-    """Phase rows P[k, a] = e^{2 pi i k a / A} for k in degrees, indexing the roots by k a mod A (no angle grows)."""
+    """Phase rows P[k, a] = e^{2 pi i k a / A} for k in degrees, indexing the roots by k a mod A (no angle grows).
+
+    Refuses a grid built for another alpha, whose point weights carry that alpha's measure, and one with too few angles.
+    """
+    if grid.alpha != params.alpha:
+        raise ValueError(f"grid built for alpha {grid.alpha!r}, but the params have alpha {params.alpha!r}")
     count = grid.angular_count
     if count <= 2 * params.order:
         raise ValueError(f"grid too coarse: angular_count {count} must exceed 2*order = {2 * params.order}")
@@ -167,15 +189,18 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     the radial table is built, as _quad_row_gram's running product of the quotients
     r / (s_k / s_{k-1}), k = 1..m, and only row m of the phase table.  weight(z)
     and map(z) at the grid points are evaluated once per (symbol, grid) pair and
-    shared by its entries.  No series composition and no exact norm is used.
+    shared by its entries.  The weight must be c e^{wz}, as for a section; a
+    displacement weight raises UnsupportedMapError.  No series composition and no
+    exact norm is used.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix entries require an affine map")
     for idx in (n, m):
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
+    weight = _exp_weight(sym.weight)
     steps, phase = _scale_steps(params), _phase_rows(params, grid, m)
-    weight_values, map_values = _symbol_values(sym, grid)
+    weight_values, map_values = _symbol_values(weight, sym.map, grid)
     root = math.exp(-np.sum(np.log(steps[:n])) / max(n, 1))  # s_n^{-1/n}
     image = _power(map_values * root, n)
     # weight first: a complex product rounds by operand order, which numpy may swap in weight * temporary
@@ -196,10 +221,19 @@ def _power(base: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _symbol_values(sym: WcoSymbol, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """weight(z) and map(z) at every grid point z = r_i * root_a, read-only; kept for one (symbol, grid) pair."""
-    pts = grid.radial_nodes[:, 0][:, None] * grid.roots()[None, :]
-    values = (sym.weight.value(pts), sym.map(pts))
+def _symbol_values(weight: ExpLinearWeight, map_: AffineMap, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """weight(z) and map(z) at every grid point z = r_i * root_a, read-only; kept for one (weight, map, grid).
+
+    Node p K + k is centre_p + offset_k, within eps * cutoff, so the weight factors as
+    c e^{w r root_a} = (c e^{w centre_p root_a}) e^{w offset_k root_a}: two exponential tables
+    of P x A and K x A entries and one broadcast product, not an exponential at each of the P K A points.
+    """
+    roots = grid.roots()
+    w_roots = weight.w * roots
+    centre = weight.c * np.exp(np.multiply.outer(grid.panel_centres, w_roots))
+    offset = np.exp(np.multiply.outer(grid.panel_offsets, w_roots))
+    weights = (centre[:, None, :] * offset[None, :, :]).reshape(-1, grid.angular_count)
+    values = (weights, map_(grid.radial_nodes[:, 0][:, None] * roots[None, :]))
     for v in values:
         v.setflags(write=False)
     return values

@@ -1,19 +1,26 @@
-"""Paired in-process timing of two source trees' `suite` op: an opt-in measurement, not collected by pytest.
+"""Paired in-process timing of two source trees' `suite` or `oracle` op: an opt-in measurement, not collected by pytest.
 
 Both trees' ``fockcalc`` are loaded into this one process: each tree's
-``src`` is imported in turn, and its ``fockcalc*`` entries are moved out of
+``src`` is imported in turn, with the benchmark's ``perfbench/workloads.py``
+loaded against it, and its ``fockcalc*`` entries are moved out of
 ``sys.modules`` before the next import, so that each tree's modules keep
-their own references.  The op is ``cli.cmd_suite`` on the items of the
-benchmark's ``suite`` workload (``perfbench/workloads.py``: alpha 0.5 to 4,
-orders 16,32,64, two sample seeds drawn from ``--seed``), with stdout caught.
-One untimed pass runs every item in both trees, and nothing is timed if the
-trees print different bytes or exit codes for any item.  Each round then
-times one pass of every item in each tree, the tree that goes first
-alternating round by round, so that load on the machine falls on both alike.
-It prints each tree's median ms per op with quartiles, the median paired
-change/parent ratio, and in how many rounds the change was faster.
+their own references.  The ``suite`` op is ``cli.cmd_suite`` on the items of
+the benchmark's ``suite`` workload (alpha 0.5 to 4, orders 16,32,64, two
+sample seeds drawn from ``--seed``), with stdout caught; the ``oracle`` op
+is the ``Oracle`` workload's own ``run`` (the oracle agreement report, a
+section and four quadrature entries of it) on that workload's items.  One
+untimed pass runs every item in both trees, and nothing is timed if they
+disagree on any item: for ``suite``, if the trees print different bytes or
+exit codes; for ``oracle``, if the reports' ``to_dict()`` differ or an entry
+of either tree is farther than the workload's ``ORACLE_TOL`` from the exact
+one (entries may move in their last bits, so their bytes are not compared).
+Each round then times one pass of every item in each tree, the tree that
+goes first alternating round by round, so that load on the machine falls on
+both alike.  It prints each tree's median ms per op with quartiles, the
+median paired change/parent ratio, and in how many rounds the change was
+faster.
 
-    python tests/paired.py PARENT_TREE CHANGE_TREE [--seed 105] [--rounds 30]
+    python tests/paired.py PARENT_TREE CHANGE_TREE [--workload suite|oracle] [--seed 105] [--rounds 30]
 
 A tree is a directory holding ``src/fockcalc``, such as a fresh
 ``git archive`` extract.  numpy runs with one BLAS thread, as the benchmark
@@ -40,9 +47,9 @@ os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def _load(tree: Path, seed: int | None = None):
-    """The tree's fockcalc.cli, its modules moved out of sys.modules; given a seed, also the suite workload's items
-    and orders at that seed, read while the tree's fockcalc is the one importable."""
+def _load(tree: Path):
+    """The tree's fockcalc.cli and the benchmark's workloads module bound to that tree's fockcalc, its modules
+    moved out of sys.modules."""
     src = str(tree / "src")
     sys.path.insert(0, src)
     try:
@@ -50,32 +57,57 @@ def _load(tree: Path, seed: int | None = None):
 
         if Path(cli.__file__).resolve().parent != (tree / "src" / "fockcalc").resolve():
             raise SystemExit(f"{tree}: imported fockcalc from {cli.__file__}, not from the tree")
-        workload = None
-        if seed is not None:
-            spec = importlib.util.spec_from_file_location("_paired_workloads", WORKLOADS)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            workload = module.Suite(seed).items, module.SUITE_ORDERS
+        spec = importlib.util.spec_from_file_location("_paired_workloads", WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     finally:
         sys.path.remove(src)
         for name in [name for name in sys.modules if name == "fockcalc" or name.startswith("fockcalc.")]:
             del sys.modules[name]
-    return cli, workload
+    return cli, module
 
 
-def _run(cli, item, orders) -> tuple[int, str]:
-    alpha, seed = item
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.cmd_suite(cli.RunConfig(alpha=alpha, orders=orders, seed=seed))
-    return code, buf.getvalue()
+def _suite(cli, module, seed: int):
+    """The suite workload's items at seed, and the op: cmd_suite's exit code and stdout for one item."""
+
+    def run(item) -> tuple[int, str]:
+        alpha, sample_seed = item
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.cmd_suite(cli.RunConfig(alpha=alpha, orders=module.SUITE_ORDERS, seed=sample_seed))
+        return code, buf.getvalue()
+
+    return module.Suite(seed).items, run
 
 
-def _pass(cli, items, orders) -> float:
+def _suite_agrees(module, outputs) -> bool:
+    return outputs[0] == outputs[1]
+
+
+def _oracle(cli, module, seed: int):
+    """The oracle workload's items at seed, built from this tree's records, and its run."""
+    workload = module.Oracle(seed)
+    return workload.items, workload.run
+
+
+def _oracle_agrees(module, outputs) -> bool:
+    (report, _, _), (other, _, _) = outputs
+    entries_hold = all(abs(q - e) <= module.ORACLE_TOL for _, exact, quad in outputs for q, e in zip(quad, exact))
+    return report.to_dict() == other.to_dict() and entries_hold
+
+
+# workload -> (items and op of one tree, whether two trees' outputs of one item agree, what disagreeing means)
+OPS = {
+    "suite": (_suite, _suite_agrees, "print different bytes or exit codes"),
+    "oracle": (_oracle, _oracle_agrees, "give different reports, or an entry off the exact one by more than ORACLE_TOL"),
+}
+
+
+def _pass(run, items) -> float:
     """Seconds per op over one pass of every item."""
     start = time.perf_counter()
     for item in items:
-        _run(cli, item, orders)
+        run(item)
     return (time.perf_counter() - start) / len(items)
 
 
@@ -88,28 +120,33 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the parent source tree, holding src/fockcalc")
     parser.add_argument("change", type=Path, help="the change source tree, holding src/fockcalc")
-    parser.add_argument("--seed", type=int, default=105, help="the suite workload's seed (default 105)")
+    parser.add_argument("--workload", choices=sorted(OPS), default="suite", help="the op to time (default suite)")
+    parser.add_argument("--seed", type=int, default=105, help="the workload's seed (default 105)")
     parser.add_argument("--rounds", type=int, default=30, help="timed rounds, one pass of every item per tree each")
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("give at least 2 rounds")
-    parent, (items, orders) = _load(args.parent.resolve(), args.seed)
-    change, _ = _load(args.change.resolve())
-    trees = (parent, change)
+    ops, agrees, disagreement = OPS[args.workload]
+    loaded = [_load(tree.resolve()) for tree in (args.parent, args.change)]
+    module = loaded[0][1]
+    trees = [ops(cli, tree_module, args.seed) for cli, tree_module in loaded]
+    count = len(trees[0][0])
 
-    for item in items:
-        outputs = [_run(cli, item, orders) for cli in trees]
-        if outputs[0] != outputs[1]:
-            raise SystemExit(f"the trees print different bytes or exit codes for (alpha, seed) = {item}; nothing timed")
+    for index in range(count):
+        outputs = [run(items[index]) for items, run in trees]
+        if not agrees(module, outputs):
+            raise SystemExit(f"the trees {disagreement} for item {trees[0][0][index]}; nothing timed")
 
     times = ([], [])
     for round_ in range(args.rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)
         for side in order:
-            times[side].append(_pass(trees[side], items, orders))
+            items, run = trees[side]
+            times[side].append(_pass(run, items))
     ratios = [c / p for p, c in zip(*times)]
     wins = sum(r < 1.0 for r in ratios)
-    print(f"{len(items)} suite items at seed {args.seed}, orders {','.join(map(str, orders))}, {args.rounds} rounds")
+    orders = ",".join(map(str, module.SUITE_ORDERS if args.workload == "suite" else module.ORACLE_ORDERS))
+    print(f"{count} {args.workload} items at seed {args.seed}, orders {orders}, {args.rounds} rounds")
     for name, out in zip(("parent", "change"), times):
         print(f"{name}: {_spread(out, 1e3, ' ms')} per op")
     print(f"change/parent per round: {_spread(ratios)}; change faster in {wins} of {args.rounds} rounds")

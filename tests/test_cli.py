@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,16 @@ def test_check_degenerate_parameters_usage_error(capsys):
     # |b|^2 eta == 1 raises a parameter error, mapped to exit 2
     assert code == 2
     assert "eta" in err or "close to 1" in err
+
+
+def test_readme_schema_example_is_the_output_of_the_command_it_names(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Report schema"):]
+    assert "`fockcalc check selfadjoint-forward`" in section[: section.index("```json")]
+    example = section[section.index("```json\n") + len("```json\n"):section.index("```\n", section.index("```json") + 1)]
+    code, out, _ = run_cli(["check", "selfadjoint-forward"], capsys)
+    assert code == 0
+    assert out == example
 
 
 def test_check_text_format(capsys):

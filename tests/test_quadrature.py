@@ -103,9 +103,26 @@ def test_grid_equals_panel_loop(alpha, order):
 
 def test_grid_validation():
     with pytest.raises(ValueError, match="positive"):
-        QuadratureGrid(np.array([[1.0, -1.0]]), 64, 5.0, 1.0)
+        QuadratureGrid(np.array([[1.0, -1.0]]), 64, 5.0, 1.0, [1.0], [0.0])
     with pytest.raises(ValueError, match="at least 64"):
-        QuadratureGrid(np.array([[1.0, 1.0]]), 32, 5.0, 1.0)
+        QuadratureGrid(np.array([[1.0, 1.0]]), 32, 5.0, 1.0, [1.0], [0.0])
+
+
+def test_grid_refuses_a_layout_that_strays_from_its_nodes():
+    grid = default_grid(P16)
+    args = (grid.radial_nodes, grid.angular_count, grid.cutoff, grid.alpha)
+    centres, offsets = grid.panel_centres, grid.panel_offsets
+    assert (centres.shape, offsets.shape) == ((16,), (16,))
+    # any split whose outer sum is on the nodes is a layout: here one centre at 0 and the nodes as offsets
+    QuadratureGrid(*args, [0.0], grid.radial_nodes[:, 0])
+    # 4 eps * cutoff off: at least 2.5 eps * cutoff after the layout's own eps * cutoff and the sum's rounding
+    with pytest.raises(ValueError, match="strays"):
+        QuadratureGrid(*args, centres, offsets + 4 * np.finfo(float).eps * grid.cutoff)
+    with pytest.raises(ValueError, match="strays"):
+        QuadratureGrid(*args, centres[::-1], offsets)
+    for bad in ((centres[1:], offsets), (np.add.outer(centres, offsets), [0.0]), (centres, offsets[:, None])):
+        with pytest.raises(ValueError, match="one pair per radial node"):
+            QuadratureGrid(*args, *bad)
 
 
 def test_oracle_agreement_suite():
@@ -188,6 +205,13 @@ def test_gram_matches_pairwise_rule_at_smallest_angular_count(alpha, order):
     # the phase Gram cancels over the fewest roots of unity
     params = FockParams(alpha, order)
     _assert_matches_pairwise_rule(_mixed_series(params), _build_grid(alpha, cutoff_radius(params), 16, 16, 2 * order + 1))
+
+
+def test_inner_product_refuses_a_grid_built_for_another_alpha():
+    # the point weights carry the grid's measure and the radial scale the params': z^2 with itself read 0.5, not 2
+    z2 = _monomial(2, P16)
+    with pytest.raises(ValueError, match=r"^grid built for alpha 2\.0, but the params have alpha 1\.0$"):
+        quad_inner_product(z2, z2, default_grid(FockParams(2.0, 16)))
 
 
 def test_gram_rejects_mixed_params_and_coarse_grid():
@@ -439,15 +463,7 @@ def _bits(values):
     return [(z.real.hex(), z.imag.hex()) for z in values]
 
 
-@pytest.mark.parametrize(
-    "weight",
-    [
-        ExpLinearWeight(0.8, -0.3 + 0.2j),
-        # the map's pole at 30 lies beyond the cutoff radius, about 21 at this order
-        ExpDisplacementWeight(1.2, 0.05 + 0.02j, LinearFractionalMap(1.0, 0.0, 1.0, -30.0)),
-    ],
-    ids=["exp-linear", "displacement"],
-)
+@pytest.mark.parametrize("weight", [ExpLinearWeight(0.8, -0.3 + 0.2j)], ids=["exp-linear"])
 def test_entries_sharing_a_grid_match_entries_alone(weight):
     """Entries of symbols A, B, A on one grid, in blocks and interleaved, equal each entry on a fresh grid, bit for bit."""
     a = WcoSymbol(weight, AffineMap(0.4j, 0.3))
@@ -462,20 +478,64 @@ def test_entries_sharing_a_grid_match_entries_alone(weight):
 
 
 def test_entries_of_one_symbol_on_one_grid_evaluate_the_weight_once(monkeypatch):
-    """Four entries on one grid evaluate the weight once, and a fresh grid evaluates it once more."""
-    evaluated = []
-    value = ExpLinearWeight.value
-    monkeypatch.setattr(ExpLinearWeight, "value", lambda self, z: evaluated.append(np.shape(z)) or value(self, z))
+    """Four entries on one grid build the weight's two factor tables once, and a fresh grid builds them once more."""
+    tables = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        # the grid's weights and roots are 1-D exponentials; the weight's factor tables are the only 2-D ones
+        if np.ndim(x) == 2:
+            tables.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(ExpLinearWeight, "value", lambda self, z: pytest.fail("the weight was evaluated pointwise"))
     sym = WcoSymbol(ExpLinearWeight(0.8, -0.3 + 0.2j), AffineMap(0.4j, 0.3))
     fockcalc.quadrature._symbol_values.cache_clear()
     grid = default_grid(P12)
     for n, m in ENTRY_INDICES:
         quad_matrix_entry(sym, n, m, grid, P12)
-    assert evaluated == [(256, grid.angular_count)]
+    assert tables == [(16, grid.angular_count), (16, grid.angular_count)]
     # every entry reads the same arrays, so none may write to them
-    assert not any(v.flags.writeable for v in fockcalc.quadrature._symbol_values(sym, grid))
+    assert not any(v.flags.writeable for v in fockcalc.quadrature._symbol_values(sym.weight, sym.map, grid))
     quad_matrix_entry(sym, 0, 0, default_grid(P12), P12)
-    assert len(evaluated) == 2
+    assert len(tables) == 4
+
+
+WEIGHT_ALPHAS = (0.05, 0.5, 1.0, 2.0, 8.0, 20.0)
+WEIGHT_ORDERS = (1, 16, 32, 64, 200)
+
+
+@pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
+def test_weight_table_is_the_weight_at_every_node_within_its_rounding_bound(alpha):
+    # The table's entry at node r and root z is c e^{w centre z} e^{w offset z}; the reference is
+    # ExpLinearWeight.value(r z) = c e^{w (r z)}, both from the same computed root z (|z| <= 1 + u).
+    # Relative difference, first order in u = 2^-53, with R the cutoff radius:
+    # - exponent arguments: fl(r z) then w * that rounds within (1 + sqrt(5)) u |w| R on the
+    #   reference side, fl(w z) then centre * and offset * that within (1 + sqrt(5)) u |w| R together
+    #   (centre + |offset| <= R); the exact centre + offset is within 3 u R of r (eps R checked by
+    #   QuadratureGrid, u R for the sum's rounding).  So the arguments differ by (5 + 2 sqrt(5)) u |w| R,
+    #   and e^d - 1 is d to first order;
+    # - three complex exponentials, each e^x cos y and e^x sin y from libm's exp and cos or sin, each
+    #   within 1 ulp (2u), and one rounded product: 5u per component, so 5u in modulus, 15u in all;
+    # - three complex products, c e on one side, (c E) F on the other: sqrt(5) u each (Brent, Percival,
+    #   Zimmermann, Math. Comp. 76, 2007).
+    # Every first-order term is below 3e-13 (|w| R <= 2 * 118.4), so their products are below 1e-24:
+    # the factor 1 + 1e-6 covers them.
+    rng = np.random.default_rng(31)
+    for order in WEIGHT_ORDERS:
+        grid = default_grid(FockParams(alpha, order))
+        pts = grid.radial_nodes[:, 0][:, None] * grid.roots()[None, :]
+        # |w| = 2 on both real axes (the largest moduli) and at two seeded angles, and one seeded |w| < 2
+        ws = [2.0, -2.0, *(2.0 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2)))]
+        ws.append(2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        for w in ws:
+            weight = ExpLinearWeight(rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), w)
+            table, _ = fockcalc.quadrature._symbol_values(weight, AffineMap(1.0, 0.0), grid)
+            reference = weight.value(pts)
+            bound = ((5 + 2 * math.sqrt(5)) * abs(weight.w) * grid.cutoff + 15 + 3 * math.sqrt(5)) * U * (1 + 1e-6)
+            assert table.shape == reference.shape
+            assert (np.abs(table - reference) <= bound * np.abs(reference)).all(), (alpha, order, w)
 
 
 def test_grids_compare_by_identity():
@@ -491,3 +551,20 @@ def test_matrix_entry_requires_affine():
     sym = WcoSymbol(ExpLinearWeight(1.0, 0.0), mobius)
     with pytest.raises(UnsupportedMapError):
         quad_matrix_entry(sym, 0, 0, default_grid(P16), P16)
+
+
+def test_matrix_entry_refuses_a_displacement_weight():
+    # a displacement weight has no section for the oracle to check: both refuse it alike
+    weight = ExpDisplacementWeight(1.2, 0.05 + 0.02j, LinearFractionalMap(1.0, 0.0, 1.0, -30.0))
+    sym = WcoSymbol(weight, AffineMap(0.4j, 0.3))
+    with pytest.raises(UnsupportedMapError, match="^displacement weights are pointwise-only, no series form$"):
+        quad_matrix_entry(sym, 0, 0, default_grid(P12), P12)
+    with pytest.raises(UnsupportedMapError, match="^displacement weights are pointwise-only, no series form$"):
+        assemble_matrix(sym, P12)
+
+
+def test_matrix_entry_refuses_a_grid_built_for_another_alpha():
+    # the point weights carry the grid's measure and the radial scale the params': entry (2, 2) of the identity read 0.25
+    identity = WcoSymbol(ExpLinearWeight(1.0, 0.0), AffineMap(1.0, 0.0))
+    with pytest.raises(ValueError, match=r"^grid built for alpha 2\.0, but the params have alpha 1\.0$"):
+        quad_matrix_entry(identity, 2, 2, default_grid(FockParams(2.0, 16)), P16)
