@@ -87,7 +87,8 @@ class QuadratureGrid(_Record, eq=False):
         if not shift <= 2.0**-52 * cutoff:  # eps * cutoff
             raise ValueError(f"panel layout strays {shift!r} from the radial nodes, more than eps * cutoff")
         nodes = nodes.copy()
-        for arr in (nodes, centres, offsets):
+        roots = np.exp(1j * (2.0 * np.pi * np.arange(angular_count) / angular_count))
+        for arr in (nodes, centres, offsets, roots):
             arr.setflags(write=False)
         object.__setattr__(self, "radial_nodes", nodes)
         object.__setattr__(self, "angular_count", angular_count)
@@ -95,10 +96,11 @@ class QuadratureGrid(_Record, eq=False):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "panel_centres", centres)
         object.__setattr__(self, "panel_offsets", offsets)
+        object.__setattr__(self, "_roots", roots)
 
     def roots(self) -> np.ndarray:
-        """The angular_count-th roots of unity e^{2 pi i a / A}, a = 0..A-1: the angles of every ring."""
-        return np.exp(1j * (2.0 * np.pi * np.arange(self.angular_count) / self.angular_count))
+        """The angular_count-th roots of unity e^{2 pi i a / A}, a = 0..A-1: the angles of every ring, formed once, read-only."""
+        return self._roots
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,13 +185,16 @@ def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureG
 def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, params: FockParams) -> complex:
     """Quadrature evaluation of the finite-section entry <W e_n, e_m>.
 
-    The image weight(z) map(z)^n / s_n is evaluated pointwise in closed form,
-    as (map(z) s_n^{-1/n})^n by _power with log s_n from the oracle's own scale
-    steps, and paired with conj(e_m) = r^m / s_m conj(P[m, a]): only row m of
-    the radial table is built, as _quad_row_gram's running product of the quotients
-    r / (s_k / s_{k-1}), k = 1..m, and only row m of the phase table.  weight(z)
-    and map(z) at the grid points are evaluated once per (symbol, grid) pair and
-    shared by its entries.  The weight must be c e^{wz}, as for a section; a
+    The image weight(z) map(z)^n / s_n is evaluated in closed form at every grid
+    point, as weight(z) B(z)^n 2^{e n} / s_n with B = map 2^-e, |B| <= 1, from the
+    pair's tables (_symbol_values): the weight times the ladder levels B^(2^k) of
+    n's set bits (_image).  It is paired with conj(e_m) = r^m / s_m conj(P[m, a]):
+    only row m of the radial table is built, as _quad_row_gram's running product of
+    the quotients r / (s_k / s_{k-1}), k = 1..m, and only row m of the phase table.
+    The scalar 2^{e n} / s_n is applied after the sums: s_n, the product of the
+    oracle's own scale steps, is formed as mantissa * 2^shift, and the sum is divided
+    by the mantissa and scaled by an exact ldexp by e n - shift, so no intermediate
+    over- or underflows.  The weight must be c e^{wz}, as for a section; a
     displacement weight raises UnsupportedMapError.  No series composition and no
     exact norm is used.
     """
@@ -200,43 +205,81 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
     weight = _exp_weight(sym.weight)
     steps, phase = _scale_steps(params), _phase_rows(params, grid, m)
-    weight_values, map_values = _symbol_values(weight, sym.map, grid)
-    root = math.exp(-np.sum(np.log(steps[:n])) / max(n, 1))  # s_n^{-1/n}
-    image = _power(map_values * root, n)
-    # weight first: a complex product rounds by operand order, which numpy may swap in weight * temporary
-    np.multiply(weight_values, image, out=image)
+    weights, exponent, ladder, spare = _symbol_values(weight, sym.map, grid, params.order)
+    image = _image(weights, ladder, spare, n)
     radial = np.prod(grid.radial_nodes[:, 0] / steps[:m, None], axis=0)  # r^m / s_m
-    return complex((_point_weights(grid) * radial) @ (image @ phase.conj()))
+    total = complex((_point_weights(grid) * radial) @ (image @ phase.conj()))
+    # s_n = mantissa 2^shift: the steps' binary exponents summed, their fractions multiplied 1000 at a time (>= 2^-1000)
+    fractions, powers = np.frexp(steps[:n])
+    mantissa, shift = 1.0, int(powers.sum())
+    for start in range(0, n, 1000):
+        mantissa, power = math.frexp(mantissa * float(np.prod(fractions[start : start + 1000])))
+        shift += power
+    total /= mantissa
+    return complex(np.ldexp(total.real, exponent * n - shift), np.ldexp(total.imag, exponent * n - shift))
 
 
-def _power(base: np.ndarray, n: int) -> np.ndarray:
-    """base**n by squaring base in place: floor(log2 n) squarings, popcount(n) - 1 products; base**0 is ones."""
-    image = np.ones_like(base) if n == 0 else None
+def _image(weights: np.ndarray, ladder: list[np.ndarray], spare: np.ndarray, n: int) -> np.ndarray:
+    """weight * B^n: the weight table times the ladder levels B^(2^k) of n's set bits, popcount(n) products
+    into the scratch table spare[0], weight first (a complex product rounds by operand order); n = 0 gives
+    the weight table itself.
+
+    ladder holds the levels filled so far, B first, read-only; a missing level k is the square of level
+    k - 1, written to spare[1 + k] and appended, so the entries of one pair square each level once.
+    """
+    for k in range(len(ladder), n.bit_length()):
+        level = np.multiply(ladder[-1], ladder[-1], out=spare[1 + k])
+        level.setflags(write=False)
+        ladder.append(level)
+    image = weights
     for k in range(n.bit_length()):
-        if k:  # in place, unless image holds base: at most two arrays are live, as with numpy's pointwise **
-            base = base * base if base is image else np.multiply(base, base, out=base)
         if n >> k & 1:
-            image = base if image is None else np.multiply(image, base, out=image)
+            image = np.multiply(image, ladder[k], out=spare[0])
     return image
 
 
-@functools.lru_cache(maxsize=1)
-def _symbol_values(weight: ExpLinearWeight, map_: AffineMap, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """weight(z) and map(z) at every grid point z = r_i * root_a, read-only; kept for one (weight, map, grid).
+# every full-grid table of the live (symbol, grid) pair, overwritten by the next pair: grown, never shrunk
+_workspace = np.empty(0, dtype=np.complex128)
 
-    Node p K + k is centre_p + offset_k, within eps * cutoff, so the weight factors as
-    c e^{w r root_a} = (c e^{w centre_p root_a}) e^{w offset_k root_a}: two exponential tables
-    of P x A and K x A entries and one broadcast product, not an exponential at each of the P K A points.
+
+@functools.lru_cache(maxsize=1)
+def _symbol_values(
+    weight: ExpLinearWeight, map_: AffineMap, grid: QuadratureGrid, order: int
+) -> tuple[np.ndarray, int, list[np.ndarray], np.ndarray]:
+    """The tables of one (weight, map, grid) pair for entries up to degree order, kept for the last pair only.
+
+    Returns the weight table weight(z) at every grid point z = r_i * root_a, the exponent e, the ladder
+    [B] and the spare tables.  Node p K + k is centre_p + offset_k, within eps * cutoff, so the weight
+    factors as c e^{w r root_a} = (c e^{w centre_p root_a}) e^{w offset_k root_a}: two exponential tables
+    of P x A and K x A entries and one broadcast product.  B = map(z) 2^-e with e the binary exponent of
+    |a| cutoff + |b|, so |B| <= 1 up to rounding, and B^n rounds as map^n does, since the scale is a power
+    of two: B is (a' r_i) root_a + b', with a' = a 2^-e and b' = b 2^-e, one product and one sum a point
+    and no complex grid point.  (The layout split of B, (a' centre_p root_a + b') + a' offset_k root_a,
+    shifts each node by up to eps * cutoff, an error that B^n multiplies by n.)  All of them are views of
+    the module's one workspace, bit_length(order) + 2 full-grid tables: the weight table, the scratch
+    table and the levels B^(2^k), k < bit_length(order), which _image squares as entries ask for them.
+    The weight table and the levels are read-only; the next pair overwrites them.
     """
-    roots = grid.roots()
+    global _workspace
+    _symbol_values.cache_clear()  # the workspace is about to change: a fill that raises must leave no pair cached
+    roots, count = grid.roots(), grid.angular_count
+    shape = (order.bit_length() + 2, grid.radial_nodes.shape[0], count)
+    if _workspace.size < math.prod(shape):
+        _workspace = np.empty(math.prod(shape), dtype=np.complex128)
+    tables = _workspace[: math.prod(shape)].reshape(shape)
+    panels = (grid.panel_centres.size, grid.panel_offsets.size, count)
     w_roots = weight.w * roots
     centre = weight.c * np.exp(np.multiply.outer(grid.panel_centres, w_roots))
     offset = np.exp(np.multiply.outer(grid.panel_offsets, w_roots))
-    weights = (centre[:, None, :] * offset[None, :, :]).reshape(-1, grid.angular_count)
-    values = (weights, map_(grid.radial_nodes[:, 0][:, None] * roots[None, :]))
-    for v in values:
+    np.multiply(centre[:, None, :], offset[None, :, :], out=tables[0].reshape(panels))
+    exponent = math.frexp(abs(map_.a) * grid.cutoff + abs(map_.b))[1]
+    a, b = (complex(math.ldexp(v.real, -exponent), math.ldexp(v.imag, -exponent)) for v in (map_.a, map_.b))
+    np.multiply.outer(a * grid.radial_nodes[:, 0], roots, out=tables[2])
+    tables[2] += b
+    weights, base = tables[0], tables[2]
+    for v in (weights, base):
         v.setflags(write=False)
-    return values
+    return weights, exponent, [base], tables[1:]
 
 
 def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckReport:

@@ -20,6 +20,15 @@ both alike.  It prints each tree's median ms per op with quartiles, the
 median paired change/parent ratio, and in how many rounds the change was
 faster.
 
+The pairing shares one heap between the trees, so it cannot see allocator
+effects: glibc raises its mmap threshold when a block that came from mmap is
+freed, so what one tree frees decides where the other's next large arrays
+come from, and whether touching them faults.  So each tree's minor page
+faults per warm op are also counted, with ``resource.getrusage``, in a fresh
+subprocess of its own: one untimed pass of every item, then
+``FAULT_PASSES`` passes counted.  Judge an allocation change by those counts
+and by the benchmark, not by the paired times alone.
+
     python tests/paired.py PARENT_TREE CHANGE_TREE [--workload suite|oracle] [--seed 105] [--rounds 30]
 
 A tree is a directory holding ``src/fockcalc``, such as a fresh
@@ -34,7 +43,9 @@ import contextlib
 import importlib.util
 import io
 import os
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -44,7 +55,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BL
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")  # fmt: skip
 os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+TESTS = Path(__file__).resolve().parent
+WORKLOADS = TESTS.parent / "perfbench" / "workloads.py"
+FAULT_PASSES = 5  # passes of every item whose minor page faults are counted, after one warm-up pass
 
 
 def _load(tree: Path):
@@ -103,6 +116,27 @@ OPS = {
 }
 
 
+def _count_faults(tree: str, workload: str, seed: int) -> None:
+    """Print the minor page faults per warm op of the tree's workload op, counted in this process."""
+    cli, module = _load(Path(tree))
+    items, run = OPS[workload][0](cli, module, seed)
+    for item in items:
+        run(item)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(FAULT_PASSES):
+        for item in items:
+            run(item)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (FAULT_PASSES * len(items)))
+
+
+def _faults_per_op(tree: Path, workload: str, seed: int) -> float:
+    """Minor page faults per warm op of the tree, from a fresh subprocess: a heap of its own, as a benchmark worker has."""
+    code = f"import paired; paired._count_faults({str(tree)!r}, {workload!r}, {seed})"
+    env = {**os.environ, "PYTHONPATH": str(TESTS)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return float(out)
+
+
 def _pass(run, items) -> float:
     """Seconds per op over one pass of every item."""
     start = time.perf_counter()
@@ -150,6 +184,9 @@ def main() -> None:
     for name, out in zip(("parent", "change"), times):
         print(f"{name}: {_spread(out, 1e3, ' ms')} per op")
     print(f"change/parent per round: {_spread(ratios)}; change faster in {wins} of {args.rounds} rounds")
+    for name, tree in (("parent", args.parent), ("change", args.change)):
+        faults = _faults_per_op(tree.resolve(), args.workload, args.seed)
+        print(f"{name}: {faults:.2f} minor page faults per warm op, {FAULT_PASSES} passes in a fresh process")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ ORACLE = "pinned by perfbench: the oracle workload's entries, until ROADMAP item
 UNENTERED = {
     "operators.OperatorMatrix.dim": "pinned by perfbench: spans._count_entries reads it, until ROADMAP item 4",
     "operators.adjoint_on_kernel": WRAPPED,
-    "quadrature._power": ORACLE,
+    "quadrature._image": ORACLE,
     "quadrature._symbol_values": ORACLE,
     "quadrature.quad_inner_product": WRAPPED,
     "quadrature.quad_matrix_entry": ORACLE,

@@ -1,6 +1,7 @@
 """Quadrature oracle against the exact inner-product path."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from fockcalc import (
     quad_inner_product,
     quad_matrix_entry,
 )
-from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _phase_gram, _power, _quad_row_gram, cutoff_radius
+from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _image, _phase_gram, _quad_row_gram, cutoff_radius
 from fockcalc.report import CheckReport, Rule
 from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
@@ -360,6 +361,14 @@ def _exact_power(z: complex, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(re, d**n), Fraction(im, d**n)
 
 
+def _ladder_power(points: np.ndarray, n: int) -> np.ndarray:
+    """points**n as the entries take it: a weight of ones times the ladder levels of n's set bits (1 * z is z exactly)."""
+    ladder = [points[None, :].copy()]
+    ladder[0].setflags(write=False)
+    spare = np.empty((n.bit_length() + 1, 1, points.size), dtype=np.complex128)
+    return _image(np.ones((1, points.size), dtype=np.complex128), ladder, spare, n)[0]
+
+
 @pytest.mark.parametrize("n", POWER_EXPONENTS)
 def test_power_by_squaring_is_within_the_product_bound(n):
     # Each complex product rounds within sqrt(5) u of its exact value (R. Brent, C. Percival,
@@ -369,7 +378,7 @@ def test_power_by_squaring_is_within_the_product_bound(n):
     # z * z * ... * z, whatever the chain.  (1 + sqrt(5) u)^k - 1 <= k sqrt(5) u / (1 - k sqrt(5) u),
     # and 2u covers the reference's one rounding and |ref| against |exact|.
     points = _power_points()
-    values = _power(points.copy(), n)  # squares its argument in place
+    values = _ladder_power(points, n)
     k = max(n - 1, 0)
     bound = k * math.sqrt(5) * U / (1 - k * math.sqrt(5) * U) + 2 * U
     for z, value in zip(points, values):
@@ -441,15 +450,17 @@ def test_matrix_entries_cross_validate_assembly():
         assert abs(quad - mat.entries[m, n]) <= 1e-8 * max(1.0, abs(mat.entries[m, n]))
 
 
-@pytest.mark.parametrize("alpha,order", [(0.5, 200), (1.0, 320)])
+@pytest.mark.parametrize("alpha,order", [(0.5, 200), (1.0, 320), (0.05, 200), (0.05, 320)])
 def test_matrix_entries_at_high_order(alpha, order):
     # raw powers overflow at (0.5, 200): the cutoff radius is about 37 and
-    # 37^200 > 1e308; at (1, 320) the exact norms ||z^k|| do from k = 301
+    # 37^200 > 1e308; at (1, 320) the exact norms ||z^k|| do from k = 301.
+    # At (0.05, 320) the cutoff is about 118, so 2^{e n} is 2^1920 and s_n about
+    # 2^1795: the scale 2^{e n} / s_n is applied without forming either
     sym = WcoSymbol(ExpLinearWeight(0.8, -0.3 + 0.2j), AffineMap(0.4j, 0.3))
     params = FockParams(alpha, order)
     grid = default_grid(params)
     mat = assemble_matrix(sym, params)
-    for m, n in ((order, order), (order, 0), (0, order), (order // 3, order // 2), (7, 5)):
+    for m, n in ((0, 0), (order, order), (order, 0), (0, order), (order // 3, order // 2), (7, 5)):
         quad = quad_matrix_entry(sym, n, m, grid, params)
         assert np.isfinite(quad)
         assert abs(quad - mat.entries[m, n]) <= 1e-8 * max(1.0, abs(mat.entries[m, n]))
@@ -496,8 +507,10 @@ def test_entries_of_one_symbol_on_one_grid_evaluate_the_weight_once(monkeypatch)
     for n, m in ENTRY_INDICES:
         quad_matrix_entry(sym, n, m, grid, P12)
     assert tables == [(16, grid.angular_count), (16, grid.angular_count)]
-    # every entry reads the same arrays, so none may write to them
-    assert not any(v.flags.writeable for v in fockcalc.quadrature._symbol_values(sym.weight, sym.map, grid))
+    # every entry reads the same weight table and ladder levels, so none may write to them
+    weights, _, ladder, _ = fockcalc.quadrature._symbol_values(sym.weight, sym.map, grid, P12.order)
+    assert len(ladder) == max(n for n, _ in ENTRY_INDICES).bit_length()
+    assert not any(v.flags.writeable for v in (weights, *ladder))
     quad_matrix_entry(sym, 0, 0, default_grid(P12), P12)
     assert len(tables) == 4
 
@@ -531,11 +544,69 @@ def test_weight_table_is_the_weight_at_every_node_within_its_rounding_bound(alph
         ws.append(2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         for w in ws:
             weight = ExpLinearWeight(rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), w)
-            table, _ = fockcalc.quadrature._symbol_values(weight, AffineMap(1.0, 0.0), grid)
+            table = fockcalc.quadrature._symbol_values(weight, AffineMap(1.0, 0.0), grid, order)[0]
             reference = weight.value(pts)
             bound = ((5 + 2 * math.sqrt(5)) * abs(weight.w) * grid.cutoff + 15 + 3 * math.sqrt(5)) * U * (1 + 1e-6)
             assert table.shape == reference.shape
             assert (np.abs(table - reference) <= bound * np.abs(reference)).all(), (alpha, order, w)
+
+
+@pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
+def test_map_table_is_the_scaled_map_at_every_node_within_its_rounding_bound(alpha):
+    # The table's entry at node r and root z is B = (a' r) z + b', with a' = a 2^-e and b' = b 2^-e exact;
+    # the reference is AffineMap(a, b)(r z) = a (r z) + b, from the same computed root z.  Absolute
+    # difference after scaling back by 2^e, first order in u, with R the cutoff and M = |a| R + |b|:
+    # on each side a real-times-complex product within u |a| r, a complex product within sqrt(5) u |a| r
+    # (Brent, Percival, Zimmermann), and the sum within u |map| <= u M.  So ((2 + 2 sqrt(5)) |a| R + 2 M) u,
+    # times 1 + 1e-6 for second-order terms.
+    rng = np.random.default_rng(37)
+    for order in WEIGHT_ORDERS:
+        grid = default_grid(FockParams(alpha, order))
+        pts = grid.radial_nodes[:, 0][:, None] * grid.roots()[None, :]
+        # on both real axes, at a seeded angle, a constant map, a map through 0, and one far from the unit disk
+        maps = [AffineMap(0.9, 0.5), AffineMap(-0.9, -0.5j), AffineMap(*(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))))]
+        maps += [AffineMap(0.0, 0.3 - 0.4j), AffineMap(0.5j, 0.0), AffineMap(-1e3 + 2e3j, 1e5)]
+        for map_ in maps:
+            _, exponent, (base,), _ = fockcalc.quadrature._symbol_values(ExpLinearWeight(1.0, 0.0), map_, grid, order)
+            bound_m = abs(map_.a) * grid.cutoff + abs(map_.b)
+            assert 2.0 ** (exponent - 1) <= bound_m < 2.0**exponent
+            assert (np.abs(base) <= 1 + 16 * U).all()
+            bound = ((2 + 2 * math.sqrt(5)) * abs(map_.a) * grid.cutoff + 2 * bound_m) * U * (1 + 1e-6)
+            assert (np.abs(base * 2.0**exponent - map_(pts)) <= bound).all(), (alpha, order, map_)
+
+
+def test_entries_reuse_one_workspace_and_allocate_no_full_grid_table():
+    """Pairs take turns in one workspace without changing an entry's bits.  A pair that fits the workspace is built
+    in it, and entries after the pair's first put the ladder's levels and the image into tables the pair holds:
+    neither allocates a full-grid table."""
+    s1 = WcoSymbol(ExpLinearWeight(0.8, -0.3 + 0.2j), AffineMap(0.4j, 0.3))
+    s2 = WcoSymbol(ExpLinearWeight(1.1, 0.2), AffineMap(-0.5, 0.1j))
+    p32, p16 = FockParams(1.0, 32), FockParams(1.0, 16)
+    g32, g16 = default_grid(p32), default_grid(p16)
+    indices = ((3, 3), (32, 32), (5, 17), (31, 2), (0, 0))
+    first = [quad_matrix_entry(s1, n, m, g32, p32) for n, m in indices]
+    for n, m in ((16, 3), (7, 7)):
+        quad_matrix_entry(s2, n, m, g16, p16)
+    assert _bits(quad_matrix_entry(s1, n, m, g32, p32) for n, m in indices) == _bits(first)
+    # e^{w r} overflows only in the product of its finite factor tables, after the fill has begun
+    # to overwrite s1's tables: no pair may stay cached on them
+    overflowing = WcoSymbol(ExpLinearWeight(1.0, 720.0 / g32.cutoff), s1.map)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        quad_matrix_entry(overflowing, 1, 1, g32, p32)
+    # the workspace already fits s1's tables, so the pair is built in it; numpy's iterator buffers (8192 values
+    # an operand) are the largest allocation of that first entry
+    tracemalloc.start()
+    try:
+        again = [quad_matrix_entry(s1, *indices[0], g32, p32)]
+        held, fill = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        again += [quad_matrix_entry(s1, n, m, g32, p32) for n, m in indices[1:]]
+        entries = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert _bits(again) == _bits(first)
+    table = g32.radial_nodes.shape[0] * g32.angular_count * 16
+    assert fill < table and entries < table
 
 
 def test_grids_compare_by_identity():
