@@ -555,17 +555,15 @@ def check_fixed_point_transfer(
     Measures |psi(b) - b|.  When the two maps commute pointwise on the
     sample set the transfer is asserted; otherwise the report is purely
     informational (commutation is the hypothesis, not a conclusion).
+    The companion weight g enters no residual: the notes report its least
+    modulus on the samples, which reads 0 once the exponential underflows.
     """
     mp = f_params.map()
     b = fixed_point(mp)
     # psi(map(z)) also needs map(z) away from the psi pole
     pts = _sample_points(samples, seed, [psi.pole], mapped_by=mp)
 
-    # only a zero breaks the hypothesis: exponential weights reach 1e-18 at alpha 8
     g_min = float(np.abs(g.value(pts)).min())
-    if g_min == 0 or not math.isfinite(g_min):
-        raise ValueError("companion weight vanishes or is not finite on the sample set")
-
     transfer_res = abs(complex(psi(b)) - b)
     commute_res = float(np.abs(mp(psi(pts)) - psi(mp(pts))).max())
     if commute_res <= COMMUTE_GATE:
@@ -908,7 +906,6 @@ def check_adjoint_factorization_battery(
 
 
 def check_degenerate_commutant(
-    b: complex,
     f_params: SelfAdjointSymbolParams,
     *,
     order: int = KERNEL_PARAMS.order,
@@ -916,15 +913,12 @@ def check_degenerate_commutant(
 ) -> CheckReport:
     """The bounded degeneration of the commutant family: a scalar operator.
 
-    With the identity map and the constant weight e^{-alpha |b|^2 / 2}, the
-    finite section must be exactly that scalar times the identity, commute
-    with the self-adjoint partner and be normal.  The notes name the identity
-    map's boundedness class, which is always bounded unitary.
+    With the identity map and the constant weight e^{-alpha |b|^2 / 2} at the
+    partner map's fixed point b, the finite section must be exactly that
+    scalar times the identity, commute with the self-adjoint partner and be
+    normal.  The notes name its boundedness class, always bounded unitary.
     """
-    b = complex(b)
-    mp = f_params.map()
-    if abs(mp(b) - b) > 1e-12:
-        raise ValueError(f"{b} is not a fixed point of the partner map")
+    b = fixed_point(f_params.map())
     params = FockParams(f_params.alpha, order)
     g_const = math.exp(-f_params.alpha * abs(b) ** 2 / 2.0)
     identity_map = AffineMap(1.0, 0.0)

@@ -152,7 +152,7 @@ def test_criterion_06_commutant_generator():
 
 
 def test_criterion_07_degenerate_commutant():
-    report = check_degenerate_commutant(2.0 / 3.0, CANONICAL, order=32)
+    report = check_degenerate_commutant(CANONICAL, order=32)
     scalar, comm, normal = (v for _, v in report.residuals)
     ok = scalar <= 1e-14 and comm <= 1e-12 and normal <= 1e-14 and report.verdict is Verdict.PASS
     record(
