@@ -528,16 +528,23 @@ def check_eigen_identity(
             rhs = eig * factor**j * (env_pts * h_pts**j if j else env_pts)
             per_j.append(float(np.abs(lhs - rhs).max()))
 
-        k_b = kernel_series(b, FockParams(alpha, EIGEN_KERNEL_ORDER))
-        kernel_res = apply_wco(params.symbol(), k_b).max_abs_diff(eig * k_b)
+        try:
+            k_b = kernel_series(b, FockParams(alpha, EIGEN_KERNEL_ORDER))
+            kernel_res = apply_wco(params.symbol(), k_b).max_abs_diff(eig * k_b)
+        except ValueError:
+            # a kernel, its image or eig * K_b past the double range: the series constructor refuses inf or nan
+            kernel_res = math.inf
     kernel = (EIGEN_KERNEL_ORDER, kernel_res, Rule(at_most=EIGEN_KERNEL_TOL))
+    notes = [f"j={j}: {rj:.2e}" for j, rj in enumerate(per_j)]
+    if not math.isfinite(kernel_res):
+        notes.append("non-finite residual: the kernel eigenvector relation overflows float64")
 
     return CheckReport(
         check_name="eigen-identity",
         params_echo={**vars(params), "j_max": j_max, "b": b, "samples": int(pts.size)},
         # np.max, not max: a nan residual of one j must reach the worst
         residuals=((0, float(np.max(per_j)), Rule(at_most=tol)), kernel),
-        notes="; ".join(f"j={j}: {rj:.2e}" for j, rj in enumerate(per_j)),
+        notes="; ".join(notes),
     )
 
 

@@ -12,6 +12,8 @@ carrying the e^{-alpha r^2} r measure factor.
 The rule's sum over grid points is reassociated exactly: scaled powers
 z^k / s_k split into radial and phase tables, and the angular sums of all
 degree pairs form one phase Gram per call, so no series is evaluated pointwise.
+check_oracle_agreement takes all its alphas through the row core in one
+stacked pass.
 The oracle computes its scale s_k itself and never borrows the exact norms.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -41,11 +44,14 @@ ORACLE_TOL = 1e-8
 
 
 def cutoff_radius(params: FockParams) -> float:
-    """Radius beyond which the Gaussian tail is negligible at this order.
+    """Radius beyond which the Gaussian tail of monomial pairs is negligible at this order.
 
-    Chosen so that e^{-alpha R^2} R^{2N} is far below double precision
-    relative to the integrand scale, capped where e^{-alpha R^2} itself
-    stays representable in float64 (the capped tail is smaller still).
+    Chosen so that e^{-alpha R^2} R^{2N}, the tail of z^k conj(z^l) for
+    k, l <= N, is far below double precision relative to the integrand
+    scale, capped where e^{-alpha R^2} itself stays representable in float64
+    (the capped tail is smaller still).  It bounds that tail only: a matrix
+    entry's integrand also carries the weight's |c| e^{|w| R} and the map's
+    |map|^n, which the radius does not count, so an entry's tail can be larger.
     """
     heuristic = math.sqrt(16.0 * params.order * math.log(10.0) / params.alpha)
     representable = math.sqrt(700.0 / params.alpha)
@@ -131,9 +137,10 @@ def _point_weights(grid: QuadratureGrid) -> np.ndarray:
     return 2.0 * grid.alpha * grid.radial_nodes[:, 1] / grid.angular_count
 
 
-def _scale_steps(params: FockParams) -> np.ndarray:
-    """Steps sqrt(k / alpha), k = 1..N, of the oracle's own scale s_k = sqrt(k! / alpha^k) (37^200 would overflow)."""
-    return np.sqrt(np.arange(1, params.order + 1) / params.alpha)
+def _scale_steps(order: int, alpha) -> np.ndarray:
+    """Steps sqrt(k / alpha), k = 1..order, of the oracle's own scale s_k = sqrt(k! / alpha^k) (37^200 would overflow);
+    a column of M alphas gives M rows of steps."""
+    return np.sqrt(np.arange(1, order + 1) / alpha)
 
 
 def _phase_rows(params: FockParams, grid: QuadratureGrid, degrees) -> np.ndarray:
@@ -155,9 +162,11 @@ def _phase_gram(params: FockParams, grid: QuadratureGrid) -> np.ndarray:
     return phases @ phases.conj().T
 
 
-def _quad_row_gram(params: FockParams, grid: QuadratureGrid, coeffs: np.ndarray, phase_gram: np.ndarray) -> np.ndarray:
-    """Quadrature Gram matrix of the series whose coefficients are the rows of coeffs: G[i, j] is the polar
-    quadrature of <s_i, s_j>, given the phase Gram Q of (params, grid).
+def _quad_row_gram(
+    params: Sequence[FockParams], grids: Sequence[QuadratureGrid], coeffs: np.ndarray, phase_gram: np.ndarray
+) -> np.ndarray:
+    """Quadrature Gram matrices of a stack of M row sets: G[s, i, j] is the polar quadrature of <s_i, s_j> for the
+    series whose coefficients are the rows of coeffs[s], under params[s] on grids[s], given the phase Gram Q.
 
     Series i at point (r, a) is sum_k C[i, k] R[k, r] P[k, a] with scaled coefficients
     C[i, k] = c_ik s_k and radial table R[k, r] = r^k / s_k, so the rule's
@@ -166,20 +175,34 @@ def _quad_row_gram(params: FockParams, grid: QuadratureGrid, coeffs: np.ndarray,
     exactly.  Q is A I up to rounding, since the trapezoid rule is exact for
     trigonometric polynomials of degree below A and degrees differ by at most N < A;
     it is still computed from the roots, never assumed.  No exact norm is borrowed.
+
+    The M entries share one order, one radial node count and Q's angular count, as the default grids of one
+    order do.  Their radial tables are one (N+1, M, R) running product of the quotients r / (s_k / s_{k-1}),
+    built a degree at a time by one multiply over a contiguous M x R row (the sequential products of a
+    cumprod along the degrees, bit for bit, at a fraction of its cost); the radial Grams, the scaled rows and
+    the Gram matrices are then one stacked product each, entry s the same sums as a stack of one.
     """
-    steps = _scale_steps(params)
-    radial = np.ones((params.order + 1, grid.radial_nodes.shape[0]))
-    radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
-    np.cumprod(radial, axis=0, out=radial)
+    steps = _scale_steps(params[0].order, np.array([[p.alpha] for p in params]))
+    nodes = np.stack([grid.radial_nodes[:, 0] for grid in grids])
+    radial = np.empty((params[0].order + 1,) + nodes.shape)
+    radial[0] = 1.0
+    np.divide(nodes, steps.T[:, :, None], out=radial[1:])
+    for prev, row in zip(radial[1:-1], radial[2:]):
+        row *= prev
+    radial = radial.transpose(1, 0, 2)
+    weights = np.stack([_point_weights(grid) for grid in grids])
     scaled = coeffs.copy()
-    scaled[:, 1:] *= np.cumprod(steps)
-    return scaled @ (phase_gram * ((radial * _point_weights(grid)) @ radial.T)) @ scaled.conj().T
+    scaled[..., 1:] *= np.cumprod(steps, axis=1)[:, None, :]
+    gram = (radial * weights[:, None, :]) @ radial.swapaxes(1, 2)
+    return scaled @ (phase_gram * gram) @ scaled.conj().swapaxes(1, 2)
 
 
 def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureGrid) -> complex:
-    """Polar quadrature of the weighted inner product of two series: the off-diagonal entry of their quadrature Gram."""
+    """Polar quadrature of the weighted inner product of two series: the off-diagonal entry of their quadrature
+    Gram, the row core's stack of one."""
     f._check_same_params(g)
-    return complex(_quad_row_gram(f.params, grid, np.stack([f.coeffs, g.coeffs]), _phase_gram(f.params, grid))[0, 1])
+    rows = np.stack([f.coeffs, g.coeffs])[None]
+    return complex(_quad_row_gram((f.params,), (grid,), rows, _phase_gram(f.params, grid))[0, 0, 1])
 
 
 def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, params: FockParams) -> complex:
@@ -204,7 +227,7 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
     weight = _exp_weight(sym.weight)
-    steps, phase = _scale_steps(params), _phase_rows(params, grid, m)
+    steps, phase = _scale_steps(params.order, params.alpha), _phase_rows(params, grid, m)
     weights, exponent, ladder, spare = _symbol_values(weight, sym.map, grid, params.order)
     image = _image(weights, ladder, spare, n)
     radial = np.prod(grid.radial_nodes[:, 0] / steps[:m, None], axis=0)  # r^m / s_m
@@ -291,15 +314,25 @@ def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckR
     at alpha = 0.5, degree 16) and the angular cancellation of off-diagonal
     pairs is only exact relative to that integrand scale, so no double
     precision quadrature can reach a fixed absolute tolerance on them.
+
+    The alphas' matrices diag(1 / ||z^k||) form one stack, which goes through the
+    quadrature row core (the oracle's own scale, one phase Gram for the call) and
+    the exact row core (each alpha's monomial norms) once each; each alpha's
+    residual is the largest deviation over the upper triangle of its Gram.
     """
-    residuals, q = [], None
+    params, norms, grids = [], [], []
     for alpha in alphas:
-        params = FockParams(alpha, max_degree)
-        basis = np.diag(1.0 / params.monomial_norms() + 0j)
-        grid = default_grid(params)
-        q = _phase_gram(params, grid) if q is None else q
-        dev = float(np.abs(np.triu(_quad_row_gram(params, grid, basis, q) - _row_gram(params, basis))).max())
-        residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
+        # per alpha in the order given, so the first alpha whose norms overflow is the one named
+        params.append(FockParams(alpha, max_degree))
+        norms.append(params[-1].monomial_norms())
+        grids.append(default_grid(params[-1]))
+    norms = np.stack(norms)
+    basis = np.zeros((len(params), max_degree + 1, max_degree + 1), dtype=np.complex128)
+    degrees = np.arange(max_degree + 1)
+    basis[:, degrees, degrees] = 1.0 / norms
+    quad = _quad_row_gram(params, grids, basis, _phase_gram(params[0], grids[0]))
+    devs = np.abs(np.triu(quad - _row_gram(norms, basis))).max(axis=(1, 2))
+    residuals = [(max_degree, dev, Rule(at_most=ORACLE_TOL)) for dev in devs.tolist()]
     return CheckReport(
         check_name="oracle-agreement",
         params_echo={"max_degree": max_degree, "alphas": list(alphas)},

@@ -205,13 +205,14 @@ def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSerie
     return TruncatedSeries(powers.T @ p.coeffs, p.params)
 
 
-def _row_gram(params: FockParams, coeffs: np.ndarray) -> np.ndarray:
+def _row_gram(norms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Truncated Gram matrix G[i, j] = <s_i, s_j> = sum_k (c_ik ||z^k||) conj(c_jk ||z^k||) of the series whose
-    raw coefficients c_ik are the rows of coeffs: one product of the norm-scaled rows."""
-    norms = params.monomial_norms()
+    raw coefficients c_ik are the rows of coeffs, given their params' monomial norms: one product of the
+    norm-scaled rows.  A leading stack axis, norms (M, N+1) and coeffs (M, S, N+1), gives M Gram matrices in one
+    stacked product, each the same sums as its own call."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = coeffs * norms
-        value = scaled @ scaled.conj().T
+        scaled = coeffs * norms[..., None, :]
+        value = scaled @ scaled.conj().swapaxes(-1, -2)
     if not np.isfinite(value).all():
         raise OverflowError("inner product overflowed")
     return value
@@ -220,7 +221,7 @@ def _row_gram(params: FockParams, coeffs: np.ndarray) -> np.ndarray:
 def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
     """Truncated weighted inner product <f, g>: the off-diagonal entry of the Gram matrix of f and g."""
     f._check_same_params(g)
-    return complex(_row_gram(f.params, np.stack([f.coeffs, g.coeffs]))[0, 1])
+    return complex(_row_gram(f.params.monomial_norms(), np.stack([f.coeffs, g.coeffs]))[0, 1])
 
 
 def kernel_coeffs(points, params: FockParams) -> np.ndarray:

@@ -41,6 +41,7 @@ OVERFLOWING_CHECKS = [
     ["selfadjoint-forward", "--c", "1e300"],
     ["normality", "--alpha", "1e6"],
     ["normality", "--weight-c", "1e300"],
+    ["eigen-identity", "--alpha", "1e6"],
 ]
 
 

@@ -1,4 +1,4 @@
-"""Paired in-process timing of two source trees' `suite` or `oracle` op: an opt-in measurement, not collected by pytest.
+"""Paired in-process timing of two source trees' `suite`, `sections` or `oracle` op: an opt-in measurement, not collected by pytest.
 
 Both trees' ``fockcalc`` are loaded into this one process: each tree's
 ``src`` is imported in turn, with the benchmark's ``perfbench/workloads.py``
@@ -6,14 +6,17 @@ loaded against it, and its ``fockcalc*`` entries are moved out of
 ``sys.modules`` before the next import, so that each tree's modules keep
 their own references.  The ``suite`` op is ``cli.cmd_suite`` on the items of
 the benchmark's ``suite`` workload (alpha 0.5 to 4, orders 16,32,64, two
-sample seeds drawn from ``--seed``), with stdout caught; the ``oracle`` op
-is the ``Oracle`` workload's own ``run`` (the oracle agreement report, a
+sample seeds drawn from ``--seed``), with stdout caught; the ``sections``
+op is the ``Sections`` workload's own ``run`` (a section at N 64, 128 or 170,
+its two residuals and its CSV text) on that workload's items; the ``oracle``
+op is the ``Oracle`` workload's own ``run`` (the oracle agreement report, a
 section and four quadrature entries of it) on that workload's items.  One
 untimed pass runs every item in both trees, and nothing is timed if they
 disagree on any item: for ``suite``, if the trees print different bytes or
-exit codes; for ``oracle``, if the reports' ``to_dict()`` differ or an entry
-of either tree is farther than the workload's ``ORACLE_TOL`` from the exact
-one (entries may move in their last bits, so their bytes are not compared).
+exit codes; for ``sections``, if the sections' entry bytes or CSV texts
+differ; for ``oracle``, if the reports' ``to_dict()`` differ or an entry of
+either tree is farther than the workload's ``ORACLE_TOL`` from the exact one
+(entries may move in their last bits, so their bytes are not compared).
 Each round then times one pass of every item in each tree, the tree that
 goes first alternating round by round, so that load on the machine falls on
 both alike.  It prints each tree's median ms per op with quartiles, the
@@ -29,7 +32,7 @@ subprocess of its own: one untimed pass of every item, then
 ``FAULT_PASSES`` passes counted.  Judge an allocation change by those counts
 and by the benchmark, not by the paired times alone.
 
-    python tests/paired.py PARENT_TREE CHANGE_TREE [--workload suite|oracle] [--seed 105] [--rounds 30]
+    python tests/paired.py PARENT_TREE CHANGE_TREE [--workload suite|sections|oracle] [--seed 105] [--rounds 30]
 
 A tree is a directory holding ``src/fockcalc``, such as a fresh
 ``git archive`` extract.  numpy runs with one BLAS thread, as the benchmark
@@ -97,10 +100,19 @@ def _suite_agrees(module, outputs) -> bool:
     return outputs[0] == outputs[1]
 
 
-def _oracle(cli, module, seed: int):
-    """The oracle workload's items at seed, built from this tree's records, and its run."""
-    workload = module.Oracle(seed)
-    return workload.items, workload.run
+def _own_run(name: str):
+    """The op of the benchmark's workload name: its items at seed, built from this tree's records, and its own run."""
+
+    def items_and_run(cli, module, seed: int):
+        workload = module.WORKLOADS[name](seed)
+        return workload.items, workload.run
+
+    return items_and_run
+
+
+def _sections_agrees(module, outputs) -> bool:
+    (mat, _, _, csv), (other, _, _, other_csv) = outputs
+    return mat.entries.tobytes() == other.entries.tobytes() and csv == other_csv
 
 
 def _oracle_agrees(module, outputs) -> bool:
@@ -109,11 +121,16 @@ def _oracle_agrees(module, outputs) -> bool:
     return report.to_dict() == other.to_dict() and entries_hold
 
 
-# workload -> (items and op of one tree, whether two trees' outputs of one item agree, what disagreeing means)
+# workload -> (items and op of one tree, whether two trees' outputs of one item agree, what disagreeing means,
+#              the workloads module's name of its orders)
 OPS = {
-    "suite": (_suite, _suite_agrees, "print different bytes or exit codes"),
-    "oracle": (_oracle, _oracle_agrees, "give different reports, or an entry off the exact one by more than ORACLE_TOL"),
-}
+    "suite": (_suite, _suite_agrees, "print different bytes or exit codes", "SUITE_ORDERS"),
+    "sections": (_own_run("sections"), _sections_agrees, "give different section bytes or CSV texts", "SECTION_ORDERS"),
+    "oracle": (
+        _own_run("oracle"), _oracle_agrees,
+        "give different reports, or an entry off the exact one by more than ORACLE_TOL", "ORACLE_ORDERS",
+    ),
+}  # fmt: skip
 
 
 def _count_faults(tree: str, workload: str, seed: int) -> None:
@@ -160,7 +177,7 @@ def main() -> None:
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("give at least 2 rounds")
-    ops, agrees, disagreement = OPS[args.workload]
+    ops, agrees, disagreement, orders = OPS[args.workload]
     loaded = [_load(tree.resolve()) for tree in (args.parent, args.change)]
     module = loaded[0][1]
     trees = [ops(cli, tree_module, args.seed) for cli, tree_module in loaded]
@@ -179,8 +196,8 @@ def main() -> None:
             times[side].append(_pass(run, items))
     ratios = [c / p for p, c in zip(*times)]
     wins = sum(r < 1.0 for r in ratios)
-    orders = ",".join(map(str, module.SUITE_ORDERS if args.workload == "suite" else module.ORACLE_ORDERS))
-    print(f"{count} {args.workload} items at seed {args.seed}, orders {orders}, {args.rounds} rounds")
+    print(f"{count} {args.workload} items at seed {args.seed}, orders {','.join(map(str, getattr(module, orders)))}, "
+          f"{args.rounds} rounds")
     for name, out in zip(("parent", "change"), times):
         print(f"{name}: {_spread(out, 1e3, ' ms')} per op")
     print(f"change/parent per round: {_spread(ratios)}; change faster in {wins} of {args.rounds} rounds")

@@ -308,6 +308,15 @@ class TestEigenIdentity:
         assert math.isnan(report.residuals[0][1])
         assert report.verdict is Verdict.FAIL
 
+    @pytest.mark.parametrize("alpha", [1700.0, 1e300])
+    def test_overflowing_kernel_relation_fails_with_a_note(self, alpha):
+        # from alpha 1698.93 eig * K_b leaves float64 (at larger alpha the kernel or its image too): the kernel
+        # residual reads inf and the row fails with a note, with no numpy warning
+        report = check_eigen_identity(SelfAdjointSymbolParams(1.0, 0.5, 0.25, alpha), j_max=5)
+        assert report.residuals[-1] == (checks.EIGEN_KERNEL_ORDER, math.inf)
+        assert report.notes.endswith("; non-finite residual: the kernel eigenvector relation overflows float64")
+        assert report.verdict is Verdict.FAIL
+
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 8.0])
     @pytest.mark.parametrize("seed", [42, 7, 3])
     def test_residuals_match_per_j_evaluation(self, seed, alpha):

@@ -600,8 +600,9 @@ def test_overflowing_kernel_is_a_usage_error_without_a_numpy_warning(capsys, fla
 @pytest.mark.parametrize(
     "flags,expected",
     [
-        (["eigen-identity", "--alpha", "1e6"], 2),
-        (["eigen-identity", "--alpha", "1e300"], 2),
+        # the kernel relation overflows: its residual reads inf and the row fails
+        (["eigen-identity", "--alpha", "1e6"], 1),
+        (["eigen-identity", "--alpha", "1e300"], 1),
         (["commutant-symbols", "--eta", "2", "--alpha", "1e6"], 0),
         (["commutant-symbols", "--eta", "2", "--alpha", "1e300"], 0),
         (["adjoint-factorization", "--alpha", "1e300"], 2),
@@ -758,6 +759,8 @@ def test_matrix_order_170_small_alpha_is_finite(capsys):
 # the underflow of fixed-point-transfer's companion weight is reported in its note, not raised
 @example(150.0, [16, 32, 64])
 @example(1500.0, [1, 512])
+# eigen-identity's kernel relation overflows from alpha 1698.93: its row fails with inf, and the suite goes on
+@example(1700.0, [16, 32, 64])
 @given(
     st.floats(0.05, 1500.0),
     st.lists(st.integers(1, 512), min_size=1, max_size=3, unique=True).map(sorted),
@@ -946,6 +949,14 @@ def test_oracle_at_degree_250(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [(row[0], row[1], row[3]) for row in rows] == [("oracle-agreement", "250", "Pass")] * 3
     assert all(float(row[2]) <= 1e-13 for row in rows)
+
+
+@pytest.mark.parametrize("alphas", ["0.5,1e-300,2", "0.5,1e-300,1e-200", "1e-300,1e-200"])
+def test_oracle_names_the_first_alpha_whose_norms_overflow(capsys, alphas):
+    # the alphas are taken in the order given, so with two overflowing alphas the first one is named
+    code, out, err = run_cli(["oracle", "--max-degree", "16", "--alphas", alphas], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: monomial norms ||z^k|| overflow float64 at order 16, alpha 1e-300\n"
 
 
 def test_entry_point_subprocess_determinism():

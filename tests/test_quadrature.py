@@ -46,9 +46,9 @@ def _rows(series):
 
 
 def _quad_gram(series, grid):
-    """The quadrature Gram of the series: the row core with its own phase Gram, as quad_inner_product runs it."""
+    """The quadrature Gram of the series: the row core's stack of one with its own phase Gram, as quad_inner_product runs it."""
     params = series[0].params
-    return _quad_row_gram(params, grid, _rows(series), _phase_gram(params, grid))
+    return _quad_row_gram((params,), (grid,), _rows(series)[None], _phase_gram(params, grid))[0]
 
 
 def test_total_mass_is_one():
@@ -236,7 +236,7 @@ def test_pairwise_entry_points_are_their_row_cores():
     grid = default_grid(P16)
     for _ in range(5):
         f, g = (TruncatedSeries(rng.normal(size=17) + 1j * rng.normal(size=17), P16) for _ in range(2))
-        assert inner_product(f, g) == complex(fockcalc.series._row_gram(P16, _rows([f, g]))[0, 1])
+        assert inner_product(f, g) == complex(fockcalc.series._row_gram(P16.monomial_norms(), _rows([f, g]))[0, 1])
         assert quad_inner_product(f, g, grid) == complex(_quad_gram([f, g], grid)[0, 1])
 
 
@@ -257,10 +257,20 @@ def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
 
 
 def test_oracle_fails_on_a_nan_residual(monkeypatch):
-    # a nan deviation of one alpha must fail, not drop out of the worst; the exact side is the row core on the basis rows
-    monkeypatch.setattr(fockcalc.quadrature, "_row_gram", lambda params, rows: np.full((len(rows), len(rows)), np.nan))
-    report = check_oracle_agreement(4, (1.0,))
-    assert math.isnan(report.residuals[0][1])
+    # a nan deviation of one alpha of three must fail, not drop out of the worst; the exact side is the row core on the
+    # stacked basis rows, and the nan goes into the middle alpha's Gram only
+    honest = fockcalc.quadrature._row_gram
+
+    def one_nan(norms, rows):
+        gram = honest(norms, rows)
+        gram[1, 0, 2] = np.nan
+        return gram
+
+    monkeypatch.setattr(fockcalc.quadrature, "_row_gram", one_nan)
+    report = check_oracle_agreement(4, (0.5, 1.0, 2.0))
+    values = [value for _, value in report.residuals]
+    assert math.isnan(values[1])
+    assert values[0] <= ORACLE_TOL and values[2] <= ORACLE_TOL
     assert report.verdict is Verdict.FAIL
 
 
@@ -306,7 +316,8 @@ def _per_alpha_oracle(max_degree, alphas):
     for alpha in alphas:
         params = FockParams(alpha, max_degree)
         basis = [_monomial(n, params, normalized=True) for n in range(max_degree + 1)]
-        dev = float(np.max(np.abs(np.triu(_quad_gram(basis, default_grid(params)) - fockcalc.series._row_gram(params, _rows(basis))))))
+        exact = fockcalc.series._row_gram(params.monomial_norms(), _rows(basis))
+        dev = float(np.max(np.abs(np.triu(_quad_gram(basis, default_grid(params)) - exact))))
         residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
     return CheckReport(
         check_name="oracle-agreement",
@@ -324,6 +335,27 @@ def test_oracle_agreement_equals_the_per_alpha_series_path(max_degree, alphas):
     reference = _per_alpha_oracle(max_degree, alphas)
     assert report.to_dict() == reference.to_dict()
     assert [r[1].hex() for r in report.residuals] == [r[1].hex() for r in reference.residuals]
+
+
+@pytest.mark.parametrize("order", [1, 16, 64])
+def test_stacked_quad_gram_is_each_alphas_cumprod_gram(order):
+    # the row core's stacked pass against each alpha's closed form with its radial table by np.cumprod along the
+    # degrees: the row loop forms the same sequential products, so every entry keeps its bits
+    params = [FockParams(alpha, order) for alpha in (0.5, 1.0, 2.0, 1.0)]
+    grids = [default_grid(p) for p in params]
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(4, 3, order + 1)) + 1j * rng.normal(size=(4, 3, order + 1))
+    q = _phase_gram(params[0], grids[0])
+    stacked = _quad_row_gram(params, grids, rows, q)
+    for s, (p, grid) in enumerate(zip(params, grids)):
+        steps = np.sqrt(np.arange(1, order + 1) / p.alpha)
+        radial = np.ones((order + 1, grid.radial_nodes.shape[0]))
+        radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
+        radial = np.cumprod(radial, axis=0)
+        weights = 2.0 * p.alpha * grid.radial_nodes[:, 1] / grid.angular_count
+        scaled = rows[s].copy()
+        scaled[:, 1:] *= np.cumprod(steps)
+        assert np.array_equal(stacked[s], scaled @ (q * ((radial * weights) @ radial.T)) @ scaled.conj().T)
 
 
 def test_oracle_agreement_forms_the_phase_gram_once_per_call(monkeypatch):
