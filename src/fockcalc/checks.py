@@ -49,7 +49,7 @@ from .operators import (
 )
 from .report import REPORTED, CheckReport, Rule, format_complex, rules_hold
 from .sampling import DEFAULT_POLE_MARGIN, UniformStream, circle_rows, disk_pairs, drop_near_poles, pole_mask
-from .series import FockParams, _Record, exp_linear, kernel_coeffs, kernel_series, validate_alpha
+from .series import FockParams, _Record, exp_linear_coeffs, kernel_coeffs, kernel_series, validate_alpha
 
 __all__ = [
     "CommutantParams",
@@ -412,22 +412,27 @@ def check_selfadjoint_reverse(
 
     Reads c = weight(0), a0 = offset, a1 = slope, then requires c and a1
     real and the weight to match c * e^{alpha * conj(a0) * z}
-    coefficientwise at the working order.
+    coefficientwise at the working order.  Coefficients past the double
+    range give a non-finite residual, which fails, and a note says so.
     """
     if not isinstance(mp, AffineMap):
         raise UnsupportedMapError("the reverse check requires an affine map")
     c = complex(weight.value(0.0))
     a0 = mp.b
     a1 = mp.a
-    model = exp_linear(params.alpha * a0.conjugate(), c, params)
+    model = exp_linear_coeffs(params.alpha * a0.conjugate(), c, params.order)
     exp_weight = _exp_weight(weight)
-    coeff_res = exp_linear(exp_weight.w, exp_weight.c, params).max_abs_diff(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff_res = float(np.abs(exp_linear_coeffs(exp_weight.w, exp_weight.c, params.order) - model).max())
     rule = Rule(at_most=tol)
+    notes = f"fitted c={format_complex(c)}, a0={format_complex(a0)}, a1={format_complex(a1)}"
+    if not math.isfinite(coeff_res):
+        notes += "; non-finite residual: the weight's or the model's coefficients overflow float64"
     return CheckReport(
         check_name="selfadjoint-reverse",
         params_echo={"c": c, "a0": a0, "a1": a1, "alpha": params.alpha, "order": params.order},
         residuals=((0, abs(c.imag), rule), (0, abs(a1.imag), rule), (params.order, coeff_res, rule)),
-        notes=f"fitted c={format_complex(c)}, a0={format_complex(a0)}, a1={format_complex(a1)}",
+        notes=notes,
     )
 
 
@@ -551,7 +556,6 @@ def check_eigen_identity(
 def check_fixed_point_transfer(
     f_params: SelfAdjointSymbolParams,
     psi,
-    g: WcoWeight,
     samples=None,
     *,
     tol: float = TRANSFER_TOL,
@@ -562,15 +566,11 @@ def check_fixed_point_transfer(
     Measures |psi(b) - b|.  When the two maps commute pointwise on the
     sample set the transfer is asserted; otherwise the report is purely
     informational (commutation is the hypothesis, not a conclusion).
-    The companion weight g enters no residual: the notes report its least
-    modulus on the samples, which reads 0 once the exponential underflows.
     """
     mp = f_params.map()
     b = fixed_point(mp)
     # psi(map(z)) also needs map(z) away from the psi pole
     pts = _sample_points(samples, seed, [psi.pole], mapped_by=mp)
-
-    g_min = float(np.abs(g.value(pts)).min())
     transfer_res = abs(complex(psi(b)) - b)
     commute_res = float(np.abs(mp(psi(pts)) - psi(mp(pts))).max())
     if commute_res <= COMMUTE_GATE:
@@ -581,7 +581,7 @@ def check_fixed_point_transfer(
         check_name="fixed-point-transfer",
         params_echo={**vars(f_params), "b": b, "samples": int(pts.size)},
         residuals=((0, transfer_res, transfer_rule), (0, commute_res, REPORTED)),
-        notes=note + f"; min |g| on samples {g_min:.3g}",
+        notes=note,
     )
 
 

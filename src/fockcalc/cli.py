@@ -41,9 +41,9 @@ from .checks import (
     check_normality,
     check_selfadjoint_forward,
     check_selfadjoint_reverse,
-    commutant_symbols,
     fixed_point,
     reproduce_counterexample,
+    _commutant_map,
 )
 from .operators import (
     AffineMap,
@@ -187,12 +187,12 @@ CHECKERS = {
         ({**_FAMILY, "j_max": 5, "seed": RUN}, lambda f, tol: check_eigen_identity(_family(f), f.j_max, seed=f.seed, **tol)),
     ],
     "fixed-point-transfer": [
-        # the companion is the linear map gamma z, or with --eta the commutant pair
+        # the companion is the linear map gamma z, or with --eta the commutant map psi
         ({**_FAMILY, "gamma": 1.0, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
-            _family(f), AffineMap(f.gamma, 0.0), ExpLinearWeight(1.0, 0.0), seed=f.seed, **tol
+            _family(f), AffineMap(f.gamma, 0.0), seed=f.seed, **tol
         )),
         ({**_FAMILY, "eta": None, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
-            _family(f), *commutant_symbols(f.eta, fixed_point(_family(f).map()), alpha=f.alpha)[:2], seed=f.seed, **tol
+            _family(f), _commutant_map(f.eta, fixed_point(_family(f).map())), seed=f.seed, **tol
         )),
     ],
     "commutant-symbols": [
@@ -204,7 +204,7 @@ CHECKERS = {
         ({"draws": 50, "seed": RUN}, lambda f, tol: check_moebius_conjugation_battery(f.draws, seed=f.seed, **tol)),
         # psi does not depend on alpha
         ({"eta": None, "b": 2.0 / 3.0, "seed": RUN}, lambda f, tol: check_moebius_conjugation(
-            commutant_symbols(f.eta, f.b)[0], f.b, f.eta, seed=f.seed, **tol
+            _commutant_map(f.eta, f.b), f.b, f.eta, seed=f.seed, **tol
         )),
     ],
     "counterexample": [({"eta": None}, lambda f, tol: reproduce_counterexample(f.eta, **tol))],

@@ -6,7 +6,8 @@ list are stored in corpus_digests.json, together with the numpy version and
 machine that produced them.
 
 Regenerate the digests after a change that moves output bytes on purpose, and
-name each moved digest in CHANGES.md:
+name each moved digest in CHANGES.md; the script prints each case whose exit
+code, verdicts or digest moved against the file it replaces, and the count:
 
     PYTHONPATH=src python tests/corpus.py
 """
@@ -42,6 +43,7 @@ OVERFLOWING_CHECKS = [
     ["normality", "--alpha", "1e6"],
     ["normality", "--weight-c", "1e300"],
     ["eigen-identity", "--alpha", "1e6"],
+    ["selfadjoint-reverse", "--map-a", "0.25", "--map-b", "0.5", "--alpha", "1e300"],
 ]
 
 
@@ -64,8 +66,10 @@ def _cases() -> dict[str, tuple[dict[str, str], list[str]]]:
         ({}, ["check", "adjoint-factorization", "--map-a", "0.5", "--map-b", "0.25"]),
     ]
     runs += [({}, ["check", *flags]) for flags in OVERFLOWING_CHECKS]
-    # fixed-point-transfer's companion weight underflows to 0 on the samples: its note reads 0, no row is lost
+    # far past the tolerances: four rows fail and a commutant-symbols partner residual reads inf, yet every row prints
     runs.append(({}, ["suite", "--alpha", "400"]))
+    # the commutant family's exponential weight leaves the double range here; fixed-point-transfer reads only its map
+    runs.append(({}, ["check", "fixed-point-transfer", "--eta", "2", "--alpha", "1e4"]))
     return {" ".join([*(f"{k}={v}" for k, v in env.items()), *argv]): (env, argv) for env, argv in runs}
 
 
@@ -125,6 +129,18 @@ def build() -> str:
     return "{" + build_keys + ', "outputs": {\n' + ",\n".join(lines) + "\n}}\n"
 
 
+def changes(old: dict[str, dict], new: dict[str, dict]) -> dict[str, str]:
+    """Case -> "moved" or "added", in new's order, for each case of new whose exit code, verdicts or sha256
+    differ from old's."""
+    return {name: "moved" if name in old else "added" for name, entry in new.items() if old.get(name) != entry}
+
+
 if __name__ == "__main__":
-    DIGESTS.write_text(build())
-    sys.stdout.write(f"wrote {len(CASES)} digests to {DIGESTS}\n")
+    old = json.loads(DIGESTS.read_text())["outputs"] if DIGESTS.exists() else {}
+    text = build()
+    DIGESTS.write_text(text)
+    changed = changes(old, json.loads(text)["outputs"])
+    for name, kind in changed.items():
+        sys.stdout.write(f"{kind}: {name}\n")
+    moved = sum(kind == "moved" for kind in changed.values())
+    sys.stdout.write(f"{moved} moved, {len(changed) - moved} added; wrote {len(CASES)} digests to {DIGESTS}\n")

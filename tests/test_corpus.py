@@ -27,3 +27,17 @@ def test_output_matches_corpus(name):
     assert (code, corpus.verdicts(name, out)) == (pinned["exit"], pinned["verdicts"])
     if SAME_BUILD:
         assert corpus.digest(out) == pinned["sha256"]
+
+
+def test_changes_names_each_moved_and_added_case():
+    entry = {"exit": 0, "sha256": "aa", "verdicts": ["Pass"]}
+    old = {"same": entry, "digest": entry, "exit": entry, "verdicts": entry, "dropped": entry}
+    new = {
+        "same": dict(entry),
+        "digest": {**entry, "sha256": "bb"},
+        "exit": {**entry, "exit": 1},
+        "verdicts": {**entry, "verdicts": ["Fail"]},
+        "new": entry,
+    }
+    assert corpus.changes(old, new) == {"digest": "moved", "exit": "moved", "verdicts": "moved", "new": "added"}
+    assert corpus.changes(old, old) == {}
