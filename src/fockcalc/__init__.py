@@ -24,7 +24,6 @@ from .operators import (
     AffineMap,
     Boundedness,
     DegenerateMapError,
-    ExpDisplacementWeight,
     ExpLinearWeight,
     LinearFractionalMap,
     OperatorMatrix,

@@ -30,20 +30,17 @@ from .operators import (
     AffineMap,
     Boundedness,
     DegenerateMapError,
-    ExpDisplacementWeight,
     ExpLinearWeight,
     LinearFractionalMap,
     OperatorMatrix,
     UnsupportedMapError,
     WcoSymbol,
-    WcoWeight,
     adjoint_matrix,
     apply_wco,
     assemble_sections,
     boundedness_check,
     commutator_residual,
     hermitian_residual,
-    _exp_weight,
     _finite_copy,
     _set_finite_complex,
 )
@@ -168,12 +165,16 @@ class CommutantParams(_Record):
     @classmethod
     def from_eta_b(cls, eta: complex, b: complex) -> "CommutantParams":
         eta, b, den = _commutant_inputs(eta, b)
+        try:
+            d2 = eta * (abs(b) ** 2 - 1.0) ** 2 / den**2
+        except OverflowError:
+            raise _out_of_range(eta, b) from None
         return cls(
             eta=eta,
             b=b,
             d0=(eta - 1.0) * b / den,
             d1=(eta - 1.0) * b.conjugate() / den,
-            d2=eta * (abs(b) ** 2 - 1.0) ** 2 / den**2,
+            d2=d2,
             d3=(abs(b) ** 2 - eta) / den,
         )
 
@@ -192,12 +193,22 @@ class CommutantParams(_Record):
 # ---------------------------------------------------------------------------
 
 
+def _out_of_range(eta: complex, b: complex) -> ValueError:
+    """The error of a commutant family whose coefficients overflow Python's float arithmetic."""
+    return ValueError(f"the commutant family's coefficients at b={format_complex(b)}, eta={format_complex(eta)} leave float64")
+
+
 def _commutant_inputs(eta, b) -> tuple[complex, complex, complex]:
-    """(eta, b, |b|^2 eta - 1) of the commutant family, rejecting b = 0 and a vanishing denominator."""
+    """(eta, b, |b|^2 eta - 1) of the commutant family, rejecting b = 0, a vanishing denominator and one past float64."""
     eta, b = complex(eta), complex(b)
     if b == 0:
         raise ValueError("the fixed point b must be nonzero for this family")
-    den = abs(b) ** 2 * eta - 1.0
+    try:
+        den = abs(b) ** 2 * eta - 1.0
+    except OverflowError:
+        den = complex(math.inf)
+    if not cmath.isfinite(den):
+        raise _out_of_range(eta, b)
     if abs(den) <= 1e-12:
         raise ValueError(f"|b|^2 * eta too close to 1 (denominator {den})")
     return eta, b, den
@@ -210,7 +221,7 @@ def _commutant_coefficients(eta, b) -> tuple[complex, complex, complex, complex]
 
 
 def _commutant_map(eta, b) -> LinearFractionalMap:
-    """The family map psi of (eta, b), without the weight or the derived coefficients."""
+    """The family map psi of (eta, b), without the derived coefficients."""
     return LinearFractionalMap(*_commutant_coefficients(eta, b))
 
 
@@ -402,7 +413,7 @@ def check_selfadjoint_forward(
 
 
 def check_selfadjoint_reverse(
-    weight: WcoWeight,
+    weight: ExpLinearWeight,
     mp: AffineMap,
     params: FockParams = KERNEL_PARAMS,
     *,
@@ -417,13 +428,10 @@ def check_selfadjoint_reverse(
     """
     if not isinstance(mp, AffineMap):
         raise UnsupportedMapError("the reverse check requires an affine map")
-    c = complex(weight.value(0.0))
-    a0 = mp.b
-    a1 = mp.a
+    c, a0, a1 = weight.c, mp.b, mp.a
     model = exp_linear_coeffs(params.alpha * a0.conjugate(), c, params.order)
-    exp_weight = _exp_weight(weight)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeff_res = float(np.abs(exp_linear_coeffs(exp_weight.w, exp_weight.c, params.order) - model).max())
+        coeff_res = float(np.abs(exp_linear_coeffs(weight.w, c, params.order) - model).max())
     rule = Rule(at_most=tol)
     notes = f"fitted c={format_complex(c)}, a0={format_complex(a0)}, a1={format_complex(a1)}"
     if not math.isfinite(coeff_res):
@@ -554,20 +562,19 @@ def check_eigen_identity(
 
 
 def check_fixed_point_transfer(
-    f_params: SelfAdjointSymbolParams,
+    mp: AffineMap,
     psi,
     samples=None,
     *,
     tol: float = TRANSFER_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
-    """Transfer of the fixed point to a commuting companion map.
+    """Transfer of the fixed point b of the partner map mp to a commuting companion map psi.
 
     Measures |psi(b) - b|.  When the two maps commute pointwise on the
     sample set the transfer is asserted; otherwise the report is purely
     informational (commutation is the hypothesis, not a conclusion).
     """
-    mp = f_params.map()
     b = fixed_point(mp)
     # psi(map(z)) also needs map(z) away from the psi pole
     pts = _sample_points(samples, seed, [psi.pole], mapped_by=mp)
@@ -579,7 +586,7 @@ def check_fixed_point_transfer(
         note, transfer_rule = "maps do not commute pointwise; transfer reported, not asserted", REPORTED
     return CheckReport(
         check_name="fixed-point-transfer",
-        params_echo={**vars(f_params), "b": b, "samples": int(pts.size)},
+        params_echo={"a0": mp.b, "a1": mp.a, "b": b, "samples": int(pts.size)},
         residuals=((0, transfer_res, transfer_rule), (0, commute_res, REPORTED)),
         notes=note,
     )
@@ -590,28 +597,14 @@ def check_fixed_point_transfer(
 # ---------------------------------------------------------------------------
 
 
-def commutant_symbols(
-    eta: complex,
-    b: complex,
-    *,
-    alpha: float = 1.0,
-) -> tuple[LinearFractionalMap, WcoWeight, CommutantParams]:
-    """Construct the commutant candidate (psi, g) attached to (eta, b).
+def commutant_symbols(eta: complex, b: complex) -> tuple[LinearFractionalMap, CommutantParams]:
+    """The commutant map psi attached to (eta, b), with its derived coefficients.
 
     psi is the linear fractional map conjugate to multiplication by eta
-    under the disk involution at b; g is derived from the generating
-    identity g(z) = g(b) * e^{alpha * conj(b) * (z - psi(z))}, which is
-    taken as the definition (the two offset-form printings of g disagree
-    with each other and with this identity in the sign of the d3 term, so
-    the generating identity is the only unambiguous source).
+    under the disk involution at b.
     """
     cp = CommutantParams.from_eta_b(eta, b)
-    psi = _commutant_map(cp.eta, cp.b)
-    if cp.eta == 1.0:
-        weight: WcoWeight = ExpLinearWeight(1.0, 0.0)
-    else:
-        weight = ExpDisplacementWeight(1.0, alpha * cp.b.conjugate(), psi)
-    return psi, weight, cp
+    return _commutant_map(cp.eta, cp.b), cp
 
 
 def check_commutant_symbols(
@@ -620,7 +613,6 @@ def check_commutant_symbols(
     samples=None,
     *,
     tol: float = IDENTITY_TOL,
-    alpha: float = 1.0,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Consistency of the two closed forms of psi and its conjugation.
@@ -629,11 +621,9 @@ def check_commutant_symbols(
     fractional form agree pointwise, that psi(0) = d0, and that psi
     satisfies the disk-involution conjugation identity.  For eta = 1 the
     family must degenerate exactly to the identity map with d0 = d1 = 0 and
-    d2 = 1.  The commutation residual of the generated pair against its
-    self-adjoint partner is reported in the notes, never asserted: the
-    family's two composition orders genuinely differ for eta != 1.
+    d2 = 1.
     """
-    psi, weight, cp = commutant_symbols(eta, b, alpha=alpha)
+    psi, cp = commutant_symbols(eta, b)
     # rational evaluations stay well conditioned a bit away from the poles
     pts = _sample_points(samples, seed, [psi.pole, cp.offset_form_pole(), _h_pole(cp.b)], margin=1e-2)
 
@@ -650,10 +640,7 @@ def check_commutant_symbols(
     residuals = [(0, form_res, rule), (0, psi0_res, rule), (0, conj_res, rule)]
     notes = [
         f"d0={format_complex(cp.d0)}, d1={format_complex(cp.d1)}, "
-        f"d2={format_complex(cp.d2)}, d3={format_complex(cp.d3)}",
-        "g evaluated from the generating displacement identity; note the exact "
-        "expansion z - psi(z) = z + (-d0 - d3 z)/(1 - d1 z), so offset rewritings "
-        "of g with a d0 denominator or a +d3 numerator describe different functions",
+        f"d2={format_complex(cp.d2)}, d3={format_complex(cp.d3)}"
     ]
     if cp.eta == 1.0:
         degeneration = max(
@@ -670,50 +657,12 @@ def check_commutant_symbols(
     if abs(cp.d0) > 1.0:
         notes.append(f"|d0|={abs(cp.d0):.6g} > 1: psi(0) lies outside the unit disk")
 
-    # informational commutation residual against the matched self-adjoint partner
-    f_params = SelfAdjointSymbolParams(1.0, 0.75 * cp.b, 0.25, alpha)
-    comm_res = _pointwise_commutation_residual(f_params, psi, weight)
-    notes.append(f"pointwise commutation residual vs matched self-adjoint partner: {comm_res:.3e} (reported only)")
-
     return CheckReport(
         check_name="commutant-symbols",
         params_echo=dict(vars(cp)),
         residuals=tuple(residuals),
         notes="; ".join(notes),
     )
-
-
-def _pointwise_commutation_residual(
-    f_params: SelfAdjointSymbolParams,
-    psi,
-    g: WcoWeight,
-) -> float:
-    """max over samples of |f g(phi) t(psi(phi)) - g f(psi) t(phi(psi))|.
-
-    t is a fixed exponential test function.  Samples sit on a small circle
-    chosen inside the convergence-friendly region so the displacement
-    weight stays finite.
-    """
-    mp = f_params.map()
-    f = f_params.weight()
-    pole = psi.pole
-    radius = 0.2 if pole is None else min(0.2, 0.5 * abs(pole))
-    pts = radius * np.exp(1j * 2.0 * np.pi * np.arange(8) / 8.0)
-    pts = pts[pole_mask(pts, [pole]) & pole_mask(mp(pts), [pole])]
-    if pts.size == 0:
-        return math.nan
-
-    def test_fn(z):
-        return np.exp(0.5 * np.asarray(z))
-
-    try:
-        # an overflowing weight gives an inf or nan residual, reported as such
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = f.value(pts) * g.value(mp(pts)) * test_fn(psi(mp(pts)))
-            rhs = g.value(pts) * f.value(psi(pts)) * test_fn(mp(psi(pts)))
-    except (OverflowError, ValueError):
-        return math.inf
-    return float(np.abs(lhs - rhs).max())
 
 
 def check_moebius_conjugation(
@@ -1042,7 +991,7 @@ def _kernel_multipliers(offsets: np.ndarray, params: FockParams) -> np.ndarray:
 
 
 def check_normality(
-    weight: WcoWeight,
+    weight: ExpLinearWeight,
     mp: AffineMap,
     orders: tuple[int, ...] = DEFAULT_ORDERS,
     *,
@@ -1066,7 +1015,7 @@ def check_normality(
     """
     criterion = abs(mp.a - 1.0) <= IDENTITY_TOL or abs(mp.b) <= IDENTITY_TOL
     notes = [f"criterion (slope 1 or offset 0): {criterion}"]
-    if not (isinstance(weight, ExpLinearWeight) and weight.w == 0):
+    if weight.w != 0:
         notes.append("non-constant weight: the slope/offset predicate is not expected to govern")
 
     if boundedness_check(mp) is Boundedness.UNBOUNDED:

@@ -158,8 +158,9 @@ def _kernel_section(f) -> FockParams:
 RUN_FLAGS = ("alpha", "orders", "seed")
 RUN = object()
 
-# the flags of the self-adjoint family and their defaults
-_FAMILY = {"c": 1.0, "a0": 0.5, "a1": 0.25, "alpha": RUN}
+# the flags of the map a0 + a1 z, and of the self-adjoint family, and their defaults
+_MAP = {"a0": 0.5, "a1": 0.25}
+_FAMILY = {"c": 1.0, **_MAP, "alpha": RUN}
 
 # check -> its cases, each (flags, runner).  flags maps every check flag the case reads
 # to its default, None where the case requires the flag, and every run flag it reads to
@@ -180,25 +181,23 @@ CHECKERS = {
         )),
     ],
     "fixed-point": [
-        ({"a0": 0.5, "a1": 0.25, "seed": RUN}, lambda f, tol: check_h_conjugation(AffineMap(f.a1, f.a0), seed=f.seed, **tol)),
+        ({**_MAP, "seed": RUN}, lambda f, tol: check_h_conjugation(AffineMap(f.a1, f.a0), seed=f.seed, **tol)),
     ],
     "disk-criterion": [({"draws": 200, "seed": RUN}, lambda f, tol: check_disk_criterion(f.draws, seed=f.seed))],
     "eigen-identity": [
         ({**_FAMILY, "j_max": 5, "seed": RUN}, lambda f, tol: check_eigen_identity(_family(f), f.j_max, seed=f.seed, **tol)),
     ],
     "fixed-point-transfer": [
-        # the companion is the linear map gamma z, or with --eta the commutant map psi
-        ({**_FAMILY, "gamma": 1.0, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
-            _family(f), AffineMap(f.gamma, 0.0), seed=f.seed, **tol
+        # the companion of the partner map a0 + a1 z is the linear map gamma z, or with --eta the commutant map psi
+        ({**_MAP, "gamma": 1.0, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
+            AffineMap(f.a1, f.a0), AffineMap(f.gamma, 0.0), seed=f.seed, **tol
         )),
-        ({**_FAMILY, "eta": None, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
-            _family(f), _commutant_map(f.eta, fixed_point(_family(f).map())), seed=f.seed, **tol
+        ({**_MAP, "eta": None, "seed": RUN}, lambda f, tol: check_fixed_point_transfer(
+            AffineMap(f.a1, f.a0), _commutant_map(f.eta, fixed_point(AffineMap(f.a1, f.a0))), seed=f.seed, **tol
         )),
     ],
     "commutant-symbols": [
-        ({"eta": None, "b": 2.0 / 3.0, "alpha": RUN, "seed": RUN}, lambda f, tol: check_commutant_symbols(
-            f.eta, f.b, alpha=f.alpha, seed=f.seed, **tol
-        )),
+        ({"eta": None, "b": 2.0 / 3.0, "seed": RUN}, lambda f, tol: check_commutant_symbols(f.eta, f.b, seed=f.seed, **tol)),
     ],
     "moebius-conjugation": [
         ({"draws": 50, "seed": RUN}, lambda f, tol: check_moebius_conjugation_battery(f.draws, seed=f.seed, **tol)),
@@ -290,7 +289,7 @@ def suite_grid(alpha: float) -> list[tuple[str, dict]]:
         ("disk-criterion", {}),
         ("eigen-identity", {}),
         ("fixed-point-transfer", {}),
-        ("fixed-point-transfer", {**fixed_at_zero, "gamma": 0.3 + 0.1j}),
+        ("fixed-point-transfer", {"a0": 0.0, "a1": 0.5, "gamma": 0.3 + 0.1j}),
         ("fixed-point-transfer", {"eta": 2.0}),
         *(("commutant-symbols", {"eta": eta, "b": b}) for eta, b in ((1.0, 2.0 / 3.0), (2.0, 2.0 / 3.0), (0.7, 0.5j))),
         ("moebius-conjugation", {}),

@@ -36,14 +36,12 @@ __all__ = [
     "AffineMap",
     "Boundedness",
     "DegenerateMapError",
-    "ExpDisplacementWeight",
     "ExpLinearWeight",
     "LinearFractionalMap",
     "OperatorMatrix",
     "PoleProximityError",
     "UnsupportedMapError",
     "WcoSymbol",
-    "WcoWeight",
     "adjoint_matrix",
     "adjoint_on_kernel",
     "apply_wco",
@@ -186,54 +184,13 @@ class ExpLinearWeight(_Record):
         return out
 
 
-class ExpDisplacementWeight(_Record):
-    """scale * exp(coeff * (z - map(z))); pointwise only.
-
-    This is the weight shape induced by conjugating along a linear
-    fractional map: the exponent contains the displacement z - map(z),
-    which has a pole, so the function is not entire and has no faithful
-    truncated-series form.
-    """
-
-    scale: complex
-    coeff: complex
-    map: MapLike
-
-    def __init__(self, scale: complex, coeff: complex, map: MapLike) -> None:
-        _set_finite_complex(self, scale=scale, coeff=coeff)
-        object.__setattr__(self, "map", map)
-        if self.scale == 0:
-            raise ValueError("weight scale must be nonzero")
-
-    def value(self, z):
-        z_arr = np.asarray(z, dtype=np.complex128)
-        # an overflow is reported below as an OverflowError, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.scale * np.exp(self.coeff * (z_arr - self.map(z_arr)))
-        if not np.isfinite(out).all():
-            raise OverflowError("displacement weight overflowed near the map pole")
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
-
-
-WcoWeight = Union[ExpLinearWeight, ExpDisplacementWeight]
-
-
-def _exp_weight(weight: WcoWeight) -> ExpLinearWeight:
-    """The weight as c * e^{w z}, the only form a series or a section takes."""
-    if not isinstance(weight, ExpLinearWeight):
-        raise UnsupportedMapError("displacement weights are pointwise-only, no series form")
-    return weight
-
-
 class WcoSymbol(_Record):
     """A weight paired with a composition map."""
 
-    weight: WcoWeight
+    weight: ExpLinearWeight
     map: MapLike
 
-    def __init__(self, weight: WcoWeight, map: MapLike) -> None:
+    def __init__(self, weight: ExpLinearWeight, map: MapLike) -> None:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "map", map)
 
@@ -247,8 +204,7 @@ def apply_wco(sym: WcoSymbol, f: TruncatedSeries) -> TruncatedSeries:
     """weight * f(map(z)) as a truncated series; affine maps only."""
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("series path requires an affine map; evaluate the weight and map pointwise instead")
-    weight = _exp_weight(sym.weight)
-    return exp_linear(weight.w, weight.c, f.params) * compose_affine(f, sym.map.a, sym.map.b)
+    return exp_linear(sym.weight.w, sym.weight.c, f.params) * compose_affine(f, sym.map.a, sym.map.b)
 
 
 def adjoint_on_kernel(sym: WcoSymbol, z: complex, params: FockParams) -> TruncatedSeries:
@@ -449,7 +405,7 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     """Finite sections of M symbols in the normalized-monomial basis, as one (M, N+1, N+1) block.
 
     Column n holds the orthonormal coordinates of the image of e_n; column 0
-    is the weight's, c e^{wz}, the only weight with a series form.  As
+    is the weight's, c e^{wz}.  As
     e_n o map = sqrt(alpha / n) (a z + b) (e_{n-1} o map) and
     z e_{m-1} = sqrt(m / alpha) e_m, each column follows from the last:
     E[m, n] = a sqrt(m / n) E[m-1, n-1] + b sqrt(alpha / n) E[m, n-1].
@@ -470,7 +426,6 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
     width = order + 1 if columns is None else columns
     if not 1 <= width <= order + 1:
         raise ValueError(f"columns {width} outside 1..{order + 1}")
-    weights = [_exp_weight(sym.weight) for sym in symbols]
     # block[n, s] is column n of symbol s, so each step is one contiguous block
     block = np.zeros((width, len(maps), order + 1), dtype=np.complex128)
     # the two products of a step, each one row down: prod[0, s, m+1] stays in row m, prod[1, s, m+1] moves to
@@ -486,7 +441,7 @@ def assemble_sections(symbols: Sequence[WcoSymbol], params: FockParams, *, colum
         np.multiply(np.array([mp.a for mp in maps])[:, None], _row_ratio_roots(order, width)[:, None, :], out=coef[:, 1])
         # c e^{wz}: v_0 = c, v_k = v_{k-1} w / sqrt(alpha k), a row per weight of one cumprod; at least three
         # factors, as numpy's cumprod of two rounds apart from the first two of a longer one
-        cw = np.array([(weight.c, weight.w) for weight in weights], dtype=np.complex128).reshape(-1, 2)
+        cw = np.array([(sym.weight.c, sym.weight.w) for sym in symbols], dtype=np.complex128).reshape(-1, 2)
         steps = cw[:, 1:] / np.sqrt(params.alpha * np.arange(1, max(order, 2) + 1))
         block[0] = np.cumprod(np.concatenate((cw[:, :1], steps), axis=1), axis=1)[:, : order + 1]
         # views taken once: indexing a list is cheaper than slicing the array, once per column

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .series import FockParams, TruncatedSeries, _Record, _row_gram
-from .operators import AffineMap, ExpLinearWeight, UnsupportedMapError, WcoSymbol, _exp_weight
+from .operators import AffineMap, ExpLinearWeight, UnsupportedMapError, WcoSymbol
 from .report import CheckReport, Rule
 
 __all__ = [
@@ -217,18 +217,15 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     The scalar 2^{e n} / s_n is applied after the sums: s_n, the product of the
     oracle's own scale steps, is formed as mantissa * 2^shift, and the sum is divided
     by the mantissa and scaled by an exact ldexp by e n - shift, so no intermediate
-    over- or underflows.  The weight must be c e^{wz}, as for a section; a
-    displacement weight raises UnsupportedMapError.  No series composition and no
-    exact norm is used.
+    over- or underflows.  No series composition and no exact norm is used.
     """
     if not isinstance(sym.map, AffineMap):
         raise UnsupportedMapError("matrix entries require an affine map")
     for idx in (n, m):
         if not 0 <= idx <= params.order:
             raise ValueError(f"basis index {idx} outside 0..{params.order}")
-    weight = _exp_weight(sym.weight)
     steps, phase = _scale_steps(params.order, params.alpha), _phase_rows(params, grid, m)
-    weights, exponent, ladder, spare = _symbol_values(weight, sym.map, grid, params.order)
+    weights, exponent, ladder, spare = _symbol_values(sym.weight, sym.map, grid, params.order)
     image = _image(weights, ladder, spare, n)
     radial = np.prod(grid.radial_nodes[:, 0] / steps[:m, None], axis=0)  # r^m / s_m
     total = complex((_point_weights(grid) * radial) @ (image @ phase.conj()))

@@ -7,7 +7,8 @@ machine that produced them.
 
 Regenerate the digests after a change that moves output bytes on purpose, and
 name each moved digest in CHANGES.md; the script prints each case whose exit
-code, verdicts or digest moved against the file it replaces, and the count:
+code, verdicts or digest moved against the file it replaces, each case it
+adds or removes, and the counts:
 
     PYTHONPATH=src python tests/corpus.py
 """
@@ -66,10 +67,10 @@ def _cases() -> dict[str, tuple[dict[str, str], list[str]]]:
         ({}, ["check", "adjoint-factorization", "--map-a", "0.5", "--map-b", "0.25"]),
     ]
     runs += [({}, ["check", *flags]) for flags in OVERFLOWING_CHECKS]
-    # far past the tolerances: four rows fail and a commutant-symbols partner residual reads inf, yet every row prints
+    # far past the tolerances: four rows fail, yet every row prints
     runs.append(({}, ["suite", "--alpha", "400"]))
-    # the commutant family's exponential weight leaves the double range here; fixed-point-transfer reads only its map
-    runs.append(({}, ["check", "fixed-point-transfer", "--eta", "2", "--alpha", "1e4"]))
+    # a fixed point whose family coefficients leave float64: a usage error that names b, with no output
+    runs.append(({}, ["check", "commutant-symbols", "--eta", "2", "--b", "1e100"]))
     return {" ".join([*(f"{k}={v}" for k, v in env.items()), *argv]): (env, argv) for env, argv in runs}
 
 
@@ -93,9 +94,10 @@ def run_case(name: str) -> tuple[int, str]:
 
 
 def verdicts(name: str, out: str) -> list[str]:
-    """The verdicts an output states, in order: one per report, or one per residual row in csv."""
+    """The verdicts an output states, in order: one per report, or one per residual row in csv; none for a
+    section or a usage error."""
     argv = CASES[name][1]
-    if argv[0] == "matrix":
+    if argv[0] == "matrix" or not out:
         return []
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     if fmt == "json":
@@ -131,8 +133,9 @@ def build() -> str:
 
 def changes(old: dict[str, dict], new: dict[str, dict]) -> dict[str, str]:
     """Case -> "moved" or "added", in new's order, for each case of new whose exit code, verdicts or sha256
-    differ from old's."""
-    return {name: "moved" if name in old else "added" for name, entry in new.items() if old.get(name) != entry}
+    differ from old's, then "removed", in old's order, for each case of old that new drops."""
+    changed = {name: "moved" if name in old else "added" for name, entry in new.items() if old.get(name) != entry}
+    return {**changed, **{name: "removed" for name in old if name not in new}}
 
 
 if __name__ == "__main__":
@@ -142,5 +145,5 @@ if __name__ == "__main__":
     changed = changes(old, json.loads(text)["outputs"])
     for name, kind in changed.items():
         sys.stdout.write(f"{kind}: {name}\n")
-    moved = sum(kind == "moved" for kind in changed.values())
-    sys.stdout.write(f"{moved} moved, {len(changed) - moved} added; wrote {len(CASES)} digests to {DIGESTS}\n")
+    counts = [f"{sum(kind == k for kind in changed.values())} {k}" for k in ("moved", "added", "removed")]
+    sys.stdout.write(f"{', '.join(counts)}; wrote {len(CASES)} digests to {DIGESTS}\n")

@@ -109,7 +109,7 @@ def test_criterion_05_eigen_identity():
 
 
 def test_criterion_06_commutant_generator():
-    psi1, _, cp1 = commutant_symbols(1.0, 2.0 / 3.0)
+    psi1, cp1 = commutant_symbols(1.0, 2.0 / 3.0)
     degeneration_exact = (
         cp1.d0 == 0.0
         and cp1.d1 == 0.0
@@ -129,7 +129,7 @@ def test_criterion_06_commutant_generator():
     )
 
     phi = LinearFractionalMap(0.25, 0.5, 0.0, 1.0)
-    psi2, _, _ = commutant_symbols(2.0, 2.0 / 3.0)
+    psi2, _ = commutant_symbols(2.0, 2.0 / 3.0)
     true_oai = complex(phi.compose(psi2)(0.0))
     true_iao = complex(psi2.compose(phi)(0.0))
     variant = _tuple_outer_after_inner_variant(2.0)

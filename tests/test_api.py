@@ -15,7 +15,6 @@ from fockcalc import (
     AffineMap,
     CheckReport,
     CommutantParams,
-    ExpDisplacementWeight,
     ExpLinearWeight,
     FockParams,
     LinearFractionalMap,
@@ -40,7 +39,6 @@ PUBLIC_NAMES = [
     "CheckReport",
     "CommutantParams",
     "DegenerateMapError",
-    "ExpDisplacementWeight",
     "ExpLinearWeight",
     "FockParams",
     "LinearFractionalMap",
@@ -168,7 +166,6 @@ VALUE_RECORDS = {
     "AffineMap": lambda: AffineMap(0.5, 0.25),
     "LinearFractionalMap": lambda: LinearFractionalMap(1.0, 0.5, 0.25, 1.0),
     "ExpLinearWeight": lambda: ExpLinearWeight(1.0, 0.5),
-    "ExpDisplacementWeight": lambda: ExpDisplacementWeight(1.0, 0.5, LinearFractionalMap(1.0, 0.5, 0.25, 1.0)),
     "WcoSymbol": lambda: WcoSymbol(ExpLinearWeight(1.0, 0.5), AffineMap(0.5, 0.25)),
     "SelfAdjointSymbolParams": lambda: SelfAdjointSymbolParams(1.0, 0.5, 0.25),
     "CommutantParams": lambda: CommutantParams.from_eta_b(2.0, 2.0 / 3.0),

@@ -134,8 +134,8 @@ def test_non_finite_alpha_usage_error(capsys, command, value):
 
 @pytest.mark.parametrize(
     "command",
-    [["check", "commutant-symbols", "--eta", "2", "--alpha", "-1"], ["matrix", "--alpha", "nan"]],
-    ids=["commutant-symbols", "matrix"],
+    [["check", "eigen-identity", "--alpha", "-1"], ["matrix", "--alpha", "nan"]],
+    ids=["eigen-identity", "matrix"],
 )
 def test_invalid_alpha_where_read_usage_error(capsys, command):
     code, out, err = run_cli(command, capsys)
@@ -386,8 +386,8 @@ RUN_FLAGS_READ = {
     "fixed-point": {"seed"},
     "disk-criterion": {"seed"},
     "eigen-identity": {"alpha", "seed"},
-    "fixed-point-transfer": {"alpha", "seed"},
-    "commutant-symbols": {"alpha", "seed"},
+    "fixed-point-transfer": {"seed"},
+    "commutant-symbols": {"seed"},
     "moebius-conjugation": {"seed"},
     "counterexample": set(),
     "degenerate-commutant": {"alpha", "orders"},
@@ -436,7 +436,7 @@ DEFAULT_ECHO = {
     "fixed-point": {"a0": "0.5", "a1": "0.25", "b": "0.6666666666666666", "samples": 20},
     "disk-criterion": {"draws": 200, "boundary_points": 1000, "seed": 42},
     "eigen-identity": {**FAMILY_ECHO, "j_max": 5, "b": "0.6666666666666666", "samples": 20},
-    "fixed-point-transfer": {**FAMILY_ECHO, "b": "0.6666666666666666", "samples": 20},
+    "fixed-point-transfer": {"a0": "0.5", "a1": "0.25", "b": "0.6666666666666666", "samples": 20},
     "moebius-conjugation": {"draws": 50, "seed": 42},
     "degenerate-commutant": {**FAMILY_ECHO, "b": "0.6666666666666666", "order": 32},
     "adjoint-factorization": {"map_draws": 20, "seed": 42, "order": 32},
@@ -585,6 +585,23 @@ def test_overflowing_section_is_a_usage_error_without_a_numpy_warning(capsys, co
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["commutant-symbols", "--eta", "2", "--b", "1e100"],
+        ["moebius-conjugation", "--eta", "2", "--b", "1e200"],
+        ["fixed-point-transfer", "--eta", "2", "--a0", "1e200", "--a1", "0.5"],
+    ],
+    ids=lambda command: " ".join(command),
+)
+def test_fixed_point_past_float64_is_a_named_usage_error(capsys, command):
+    # |b|^2 or d2 past float64 raises Python's OverflowError, whose text "(34, 'Numerical result out of range')" names no input
+    code, out, err = run_cli(["check", *command], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the commutant family's coefficients at b=") and err.endswith(" leave float64\n")
+    assert err.count("\n") == 1 and "(34," not in err
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--map-b", "1e300"], ["--map-b", "0.5", "--weight-w", "1e300"], ["--map-b", "0.5", "--alpha", "1e300"]],
     ids=["offset", "weight-exponent", "alpha"],
@@ -604,8 +621,6 @@ def test_overflowing_kernel_fails_its_row_without_a_numpy_warning(capsys, flags)
         # the kernel relation overflows: its residual reads inf and the row fails
         (["eigen-identity", "--alpha", "1e6"], 1),
         (["eigen-identity", "--alpha", "1e300"], 1),
-        (["commutant-symbols", "--eta", "2", "--alpha", "1e6"], 0),
-        (["commutant-symbols", "--eta", "2", "--alpha", "1e300"], 0),
         (["adjoint-factorization", "--alpha", "1e300"], 2),
         (["adjoint-factorization", "--alpha", "1e300", "--map-a", "0.5", "--map-b", "0.25"], 2),
         (["adjoint-factorization", "--map-a", "1e-300", "--map-b", "1e200"], 1),
@@ -754,14 +769,14 @@ def test_matrix_order_170_small_alpha_is_finite(capsys):
 @settings(max_examples=8, deadline=None)
 @example(0.05, [512])
 @example(20.0, [1, 512])
-# past alpha 80 the commutant-symbols partner residual overflows: reported as inf, with no numpy warning
+# the commutant checks read maps only, so no companion weight overflows at alpha 80 or past it
 @example(80.0, [16, 32, 64])
 @example(120.0, [1, 512])
 @example(150.0, [16, 32, 64])
 @example(1500.0, [1, 512])
 # eigen-identity's kernel relation overflows from alpha 1698.93: its row fails with inf, and the suite goes on
 @example(1700.0, [16, 32, 64])
-# fixed-point-transfer reads only the companion map, so no companion weight can overflow and stop the suite
+# fixed-point-transfer and commutant-symbols read no alpha, so no companion weight can overflow and stop the suite
 @example(2110.06, [16, 32, 64])
 @example(3353.0, [16, 32, 64])
 @given(
@@ -774,12 +789,6 @@ def test_suite_reaches_a_verdict_for_every_row(alpha, orders):
         code = main(["suite", "--alpha", repr(alpha), "--orders", ",".join(map(str, orders))])
     assert code in (0, 1)
     assert len(json.loads(out.getvalue())["checks"]) == len(suite_grid(alpha)) == 25
-
-
-def test_overflowing_partner_residual_reads_inf():
-    # a numpy warning here fails the test: the overflow is the weight's own OverflowError
-    report = run_check("commutant-symbols", {"eta": 2.0}, RunConfig(alpha=80.0))
-    assert "partner: inf (reported only)" in report.notes
 
 
 def _suite_json(alpha, seed, orders):

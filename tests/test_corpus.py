@@ -39,5 +39,6 @@ def test_changes_names_each_moved_and_added_case():
         "verdicts": {**entry, "verdicts": ["Fail"]},
         "new": entry,
     }
-    assert corpus.changes(old, new) == {"digest": "moved", "exit": "moved", "verdicts": "moved", "new": "added"}
+    expected = {"digest": "moved", "exit": "moved", "verdicts": "moved", "new": "added", "dropped": "removed"}
+    assert corpus.changes(old, new) == expected
     assert corpus.changes(old, old) == {}

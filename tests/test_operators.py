@@ -12,7 +12,6 @@ from fockcalc import (
     AffineMap,
     Boundedness,
     DegenerateMapError,
-    ExpDisplacementWeight,
     ExpLinearWeight,
     FockParams,
     LinearFractionalMap,
@@ -29,7 +28,6 @@ from fockcalc import (
     assemble_matrix,
     assemble_sections,
     boundedness_check,
-    check_selfadjoint_reverse,
     commutator_residual,
     commutant_symbols,
     exp_linear,
@@ -140,20 +138,16 @@ def test_eval_identity_symbol():
 
 
 def test_eval_commutant_symbol_at_origin():
-    # with multiplier 2 at fixed point 2/3 the map sends 0 to -6, and the
-    # displacement weight evaluates so that the image of e^{z/2} at 0 is e
-    psi, g, _ = commutant_symbols(2.0, 2.0 / 3.0)
+    # with multiplier 2 at fixed point 2/3 the map sends 0 to -6
+    psi, _ = commutant_symbols(2.0, 2.0 / 3.0)
     assert abs(complex(psi(0.0)) - (-6.0)) <= 1e-12
-    f = exp_linear(0.5, 1.0, FockParams(1.0, 60))
-    val = g.value(0.0) * f(psi(0.0))
-    assert abs(val - math.e) <= 1e-9
 
 
 def test_eval_degenerate_multiplier_keeps_identity_map():
-    psi, g, _ = commutant_symbols(1.0, 2.0 / 3.0)
+    psi, _ = commutant_symbols(1.0, 2.0 / 3.0)
     f = _series([1, 1], P8)
     z = 0.3
-    assert abs(g.value(z) * f(psi(z)) - f(z)) <= 1e-15
+    assert abs(f(psi(z)) - f(z)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +349,7 @@ def test_root_table_is_read_only():
 
 
 def test_sections_require_affine_maps():
-    psi, _, _ = commutant_symbols(2.0, 2.0 / 3.0)
+    psi, _ = commutant_symbols(2.0, 2.0 / 3.0)
     with pytest.raises(UnsupportedMapError):
         assemble_sections([CANONICAL, WcoSymbol(ExpLinearWeight(1.0, 0.0), psi)], P8)
 
@@ -432,19 +426,6 @@ def test_product_matrix_consistency():
     lhs = assemble_matrix(_exp_linear_product(s1, s2), params).entries
     rhs = assemble_matrix(s1, params).entries @ assemble_matrix(s2, params).entries
     assert np.max(np.abs((lhs - rhs)[:32, :32])) <= 1e-9
-
-
-def test_displacement_weight_has_no_series_form():
-    # paired with an affine map, so the weight alone is what has no series form
-    _, g, _ = commutant_symbols(2.0, 2.0 / 3.0)
-    sym = WcoSymbol(g, AffineMap(0.5, 0.25))
-    message = "displacement weights are pointwise-only, no series form"
-    with pytest.raises(UnsupportedMapError, match=message):
-        assemble_matrix(sym, P32)
-    with pytest.raises(UnsupportedMapError, match=message):
-        apply_wco(sym, kernel_series(0.5, P32))
-    with pytest.raises(UnsupportedMapError, match=message):
-        check_selfadjoint_reverse(g, sym.map)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +637,10 @@ def test_operator_matrix_validates_shape():
 def test_non_finite_entries_and_weight_values_rejected():
     # nan, inf and -inf in the real part only, in the imaginary part only and in both
     non_finite = [complex(re, im) for v in (math.nan, math.inf, -math.inf) for re, im in ((v, 0.0), (0.0, v), (v, v))]
-    weight = ExpDisplacementWeight(1.2, 0.05 + 0.02j, LinearFractionalMap(1.0, 0.0, 1.0, -30.0))
     for value in non_finite:
         entries = np.eye(9, dtype=np.complex128)
         entries[2, 5] = value
         with pytest.raises(ValueError, match=r"^matrix entries must be finite$"):
             OperatorMatrix(entries, P8)
-        for z in (value, np.array([0.1, value])):
-            with pytest.raises(OverflowError, match=r"^displacement weight overflowed near the map pole$"):
-                weight.value(z)
+        with pytest.raises(ValueError, match=r"^non-finite w "):
+            ExpLinearWeight(1.2, value)

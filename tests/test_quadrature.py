@@ -9,7 +9,6 @@ import pytest
 
 from fockcalc import (
     AffineMap,
-    ExpDisplacementWeight,
     ExpLinearWeight,
     FockParams,
     TruncatedSeries,
@@ -654,16 +653,6 @@ def test_matrix_entry_requires_affine():
     sym = WcoSymbol(ExpLinearWeight(1.0, 0.0), mobius)
     with pytest.raises(UnsupportedMapError):
         quad_matrix_entry(sym, 0, 0, default_grid(P16), P16)
-
-
-def test_matrix_entry_refuses_a_displacement_weight():
-    # a displacement weight has no section for the oracle to check: both refuse it alike
-    weight = ExpDisplacementWeight(1.2, 0.05 + 0.02j, LinearFractionalMap(1.0, 0.0, 1.0, -30.0))
-    sym = WcoSymbol(weight, AffineMap(0.4j, 0.3))
-    with pytest.raises(UnsupportedMapError, match="^displacement weights are pointwise-only, no series form$"):
-        quad_matrix_entry(sym, 0, 0, default_grid(P12), P12)
-    with pytest.raises(UnsupportedMapError, match="^displacement weights are pointwise-only, no series form$"):
-        assemble_matrix(sym, P12)
 
 
 def test_matrix_entry_refuses_a_grid_built_for_another_alpha():
