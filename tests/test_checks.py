@@ -823,20 +823,24 @@ def test_eigen_identity_fails_on_a_wrong_eigenvalue_power(monkeypatch, alpha):
     assert report.residuals[0][1] > checks.EIGEN_TOL
 
 
-def test_fixed_point_transfer_fails_on_a_shifted_fixed_point(monkeypatch):
-    # psi fixes b = 2/3 and commutes with the map, so the transfer is asserted, at b + 1e-6
+@pytest.mark.parametrize("a0", [0.05, 1.0, 8.0, 20.0])
+def test_fixed_point_transfer_fails_on_a_shifted_fixed_point(monkeypatch, a0):
+    # psi fixes b = 4 a0 / 3, inside the disk or far outside it, and commutes with the map a0 + z / 4,
+    # so the transfer is asserted, at b + 1e-6
     monkeypatch.setattr(checks, "fixed_point", lambda mp: fixed_point(mp) + 1e-6)
-    psi = AffineMap(0.3, 0.7 * (2.0 / 3.0))
-    report = check_fixed_point_transfer(AffineMap(0.25, 0.5), psi)
+    psi = AffineMap(0.3, 0.7 * (4.0 * a0 / 3.0))
+    report = check_fixed_point_transfer(AffineMap(0.25, a0), psi)
     assert "transfer asserted" in report.notes
     assert report.verdict is Verdict.FAIL
     assert report.residuals[0][1] > checks.TRANSFER_TOL
 
 
-def test_commutant_symbols_fails_on_a_shifted_offset_form(monkeypatch):
+@pytest.mark.parametrize("eta", [0.05, 1.0, 8.0, 20.0])
+def test_commutant_symbols_fails_on_a_shifted_offset_form(monkeypatch, eta):
+    # at eta = 1 too, where psi degenerates to the identity and its own residual still holds
     honest = checks.CommutantParams.offset_form
     monkeypatch.setattr(checks.CommutantParams, "offset_form", lambda self, z: honest(self, z) + 1e-9)
-    report = check_commutant_symbols(2.0, 2.0 / 3.0)
+    report = check_commutant_symbols(eta, 2.0 / 3.0)
     assert report.verdict is Verdict.FAIL
     assert report.residuals[0][1] > 1e-12
 
