@@ -877,6 +877,8 @@ def check_degenerate_commutant(
     b = fixed_point(f_params.map())
     params = FockParams(f_params.alpha, order)
     g_const = math.exp(-f_params.alpha * abs(b) ** 2 / 2.0)
+    if g_const == 0.0:
+        raise ValueError(f"degenerate-commutant: weight e^(-alpha |b|^2/2) underflows at alpha={f_params.alpha!r}, b={b!r}")
     identity_map = AffineMap(1.0, 0.0)
     sym_g = WcoSymbol(ExpLinearWeight(g_const, 0.0), identity_map)
     # one validated copy of both sections, each a read-only view of it

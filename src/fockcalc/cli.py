@@ -17,6 +17,7 @@ the seed of suite and of every check that reads --seed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import numbers
@@ -246,13 +247,20 @@ def _flag_names(dests) -> str:
     return " and ".join(f"--{dest.replace('_', '-')}" for dest in dests)
 
 
+def _refuse_non_finite(values: dict) -> None:
+    """A non-finite complex flag is a usage error that names the flag, not the field of the record it would fill."""
+    for dest, value in values.items():
+        if not isinstance(value, int) and not cmath.isfinite(value):
+            raise ValueError(f"non-finite {_flag_names([dest])} {complex(value)!r}")
+
+
 def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
     """Run check ``name`` on the flags ``given``; the one path of ``check`` and ``suite``.
 
     The first case of the check that reads every given flag runs, on those flags over its
     defaults, each run flag left RUN taking its value from ``cfg``.  A flag no case reads,
-    flags no one case reads together, a missing required flag and an invalid alpha,
-    order list or seed of the case are usage errors.
+    flags no one case reads together, a missing required flag, an invalid alpha,
+    order list or seed of the case and a non-finite check flag are usage errors.
     """
     cases = CHECKERS[name]
     for flags, run in cases:
@@ -264,6 +272,7 @@ def run_check(name: str, given: dict, cfg: RunConfig) -> CheckReport:
             for dest, validate in (("alpha", validate_alpha), ("orders", _validate_orders), ("seed", _validate_seed)):
                 if dest in filled:
                     validate(filled[dest])
+            _refuse_non_finite({dest: value for dest, value in filled.items() if dest not in RUN_FLAGS})
             tol = {"tol": cfg.tolerance_overrides[name]} if name in cfg.tolerance_overrides else {}
             return run(argparse.Namespace(**filled), tol)
     unread = [dest for dest in given if not any(dest in flags for flags, _ in cases)]
@@ -451,6 +460,7 @@ def cmd_suite(cfg: RunConfig) -> int:
 
 
 def cmd_matrix(args, cfg: RunConfig) -> int:
+    _refuse_non_finite({dest: getattr(args, dest) for dest in ("weight_c", "weight_w", "map_a", "map_b")})
     sym = WcoSymbol(ExpLinearWeight(args.weight_c, args.weight_w), AffineMap(args.map_a, args.map_b))
     if boundedness_check(sym.map) is Boundedness.UNBOUNDED:
         print("warning: Unbounded composition map; finite section emitted anyway", file=sys.stderr)

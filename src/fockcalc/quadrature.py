@@ -12,8 +12,8 @@ carrying the e^{-alpha r^2} r measure factor.
 The rule's sum over grid points is reassociated exactly: scaled powers
 z^k / s_k split into radial and phase tables, and the angular sums of all
 degree pairs form one phase Gram per call, so no series is evaluated pointwise.
-check_oracle_agreement takes all its alphas through the row core in one
-stacked pass.
+The core gives the Gram of the scaled monomials alone, and each caller applies
+its own coefficients; check_oracle_agreement passes all its alphas at once.
 The oracle computes its scale s_k itself and never borrows the exact norms.
 """
 
@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .series import FockParams, TruncatedSeries, _Record, _row_gram
+from .series import FockParams, TruncatedSeries, _Record
 from .operators import AffineMap, ExpLinearWeight, UnsupportedMapError, WcoSymbol
 from .report import CheckReport, Rule
 
@@ -162,25 +162,20 @@ def _phase_gram(params: FockParams, grid: QuadratureGrid) -> np.ndarray:
     return phases @ phases.conj().T
 
 
-def _quad_row_gram(
-    params: Sequence[FockParams], grids: Sequence[QuadratureGrid], coeffs: np.ndarray, phase_gram: np.ndarray
-) -> np.ndarray:
-    """Quadrature Gram matrices of a stack of M row sets: G[s, i, j] is the polar quadrature of <s_i, s_j> for the
-    series whose coefficients are the rows of coeffs[s], under params[s] on grids[s], given the phase Gram Q.
+def _monomial_gram(params: Sequence[FockParams], grids: Sequence[QuadratureGrid], phase_gram: np.ndarray) -> np.ndarray:
+    """Quadrature Gram matrices of the scaled monomials z^k / s_k, k = 0..N: G[s, k, l] is the polar quadrature of
+    <z^k / s_k, z^l / s_l> under params[s] on grids[s], given the phase Gram Q.  A caller scales row and column k by
+    its own coefficient c_k s_k.
 
-    Series i at point (r, a) is sum_k C[i, k] R[k, r] P[k, a] with scaled coefficients
-    C[i, k] = c_ik s_k and radial table R[k, r] = r^k / s_k, so the rule's
-    sum_{r,a} w_r v_i conj(v_j) is C (Q o R W R^T) C^H, with o the entrywise product,
-    W the point weights and Q = P P^H the phase Gram: the same finite sum, reassociated
-    exactly.  Q is A I up to rounding, since the trapezoid rule is exact for
-    trigonometric polynomials of degree below A and degrees differ by at most N < A;
-    it is still computed from the roots, never assumed.  No exact norm is borrowed.
+    z^k / s_k at point (r, a) is R[k, r] P[k, a], with radial table R[k, r] = r^k / s_k, so the rule's sum is
+    G = Q o R W R^T, with o the entrywise product and W the point weights: the same finite sum, reassociated
+    exactly.  Q is A I up to rounding, since the trapezoid rule is exact for trigonometric polynomials of degree
+    below A and degrees differ by at most N < A; it is still computed from the roots.  No exact norm is borrowed.
 
     The M entries share one order, one radial node count and Q's angular count, as the default grids of one
-    order do.  Their radial tables are one (N+1, M, R) running product of the quotients r / (s_k / s_{k-1}),
-    built a degree at a time by one multiply over a contiguous M x R row (the sequential products of a
-    cumprod along the degrees, bit for bit, at a fraction of its cost); the radial Grams, the scaled rows and
-    the Gram matrices are then one stacked product each, entry s the same sums as a stack of one.
+    order do.  Their radial tables are one (N+1, M, R) running product of the quotients r / (s_k / s_{k-1}), a
+    degree at a time over a contiguous M x R row: the sequential products of a cumprod along the degrees, bit for
+    bit, at a fraction of its cost.  Entry s of the stacked product is the same sums as a stack of one.
     """
     steps = _scale_steps(params[0].order, np.array([[p.alpha] for p in params]))
     nodes = np.stack([grid.radial_nodes[:, 0] for grid in grids])
@@ -191,18 +186,16 @@ def _quad_row_gram(
         row *= prev
     radial = radial.transpose(1, 0, 2)
     weights = np.stack([_point_weights(grid) for grid in grids])
-    scaled = coeffs.copy()
-    scaled[..., 1:] *= np.cumprod(steps, axis=1)[:, None, :]
-    gram = (radial * weights[:, None, :]) @ radial.swapaxes(1, 2)
-    return scaled @ (phase_gram * gram) @ scaled.conj().swapaxes(1, 2)
+    return phase_gram * ((radial * weights[:, None, :]) @ radial.swapaxes(1, 2))
 
 
 def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureGrid) -> complex:
-    """Polar quadrature of the weighted inner product of two series: the off-diagonal entry of their quadrature
-    Gram, the row core's stack of one."""
+    """Polar quadrature of the weighted inner product of two series: the off-diagonal entry of C (Q o R W R^T) C^H,
+    the core's Gram between the rows C[i, k] = c_ik s_k of f and g."""
     f._check_same_params(g)
-    rows = np.stack([f.coeffs, g.coeffs])[None]
-    return complex(_quad_row_gram((f.params,), (grid,), rows, _phase_gram(f.params, grid))[0, 0, 1])
+    scaled = np.stack([f.coeffs, g.coeffs])
+    scaled[:, 1:] *= np.cumprod(_scale_steps(f.params.order, f.params.alpha))
+    return complex((scaled @ _monomial_gram((f.params,), (grid,), _phase_gram(f.params, grid))[0] @ scaled.conj().T)[0, 1])
 
 
 def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, params: FockParams) -> complex:
@@ -212,7 +205,7 @@ def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, para
     point, as weight(z) B(z)^n 2^{e n} / s_n with B = map 2^-e, |B| <= 1, from the
     pair's tables (_symbol_values): the weight times the ladder levels B^(2^k) of
     n's set bits (_image).  It is paired with conj(e_m) = r^m / s_m conj(P[m, a]):
-    only row m of the radial table is built, as _quad_row_gram's running product of
+    only row m of the radial table is built, as _monomial_gram's running product of
     the quotients r / (s_k / s_{k-1}), k = 1..m, and only row m of the phase table.
     The scalar 2^{e n} / s_n is applied after the sums: s_n, the product of the
     oracle's own scale steps, is formed as mantissa * 2^shift, and the sum is divided
@@ -305,17 +298,15 @@ def _symbol_values(
 def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckReport:
     """Exact vs quadrature inner products on the full monomial suite.
 
-    The pairs are compared in normalized form, the rows z^k / ||z^k|| of one
-    coefficient matrix, which keeps every target value at 0 or 1.  Raw monomials
-    are not usable here: their diagonal values grow like n!/alpha^n (about 1.4e18
-    at alpha = 0.5, degree 16) and the angular cancellation of off-diagonal
-    pairs is only exact relative to that integrand scale, so no double
-    precision quadrature can reach a fixed absolute tolerance on them.
+    The pairs are compared in normalized form, z^k / ||z^k||, which keeps every target value at 0 or 1.  Raw
+    monomials are not usable here: their diagonal values grow like n!/alpha^n (about 1.4e18 at alpha = 0.5, degree
+    16) and the angular cancellation of off-diagonal pairs is only exact relative to that integrand scale, so no
+    double precision quadrature can reach a fixed absolute tolerance on them.
 
-    The alphas' matrices diag(1 / ||z^k||) form one stack, which goes through the
-    quadrature row core (the oracle's own scale, one phase Gram for the call) and
-    the exact row core (each alpha's monomial norms) once each; each alpha's
-    residual is the largest deviation over the upper triangle of its Gram.
+    z^k / ||z^k|| is the core's z^k / s_k times v_k = (1 / ||z^k||) s_k, so each alpha's quadrature Gram is the
+    core's (all alphas in one stacked pass, one phase Gram) with row and column k scaled by v_k, the left factor
+    first, and its exact Gram is diagonal, ((1 / ||z^k||) ||z^k||)^2: the sums of the dense diagonal products,
+    bit for bit, without their zeros.  Each alpha's residual is the largest deviation over the upper triangle.
     """
     params, norms, grids = [], [], []
     for alpha in alphas:
@@ -324,11 +315,14 @@ def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckR
         norms.append(params[-1].monomial_norms())
         grids.append(default_grid(params[-1]))
     norms = np.stack(norms)
-    basis = np.zeros((len(params), max_degree + 1, max_degree + 1), dtype=np.complex128)
+    scale = 1.0 / norms
+    scale[:, 1:] *= np.cumprod(_scale_steps(max_degree, np.array([[p.alpha] for p in params])), axis=1)
+    gram = _monomial_gram(params, grids, _phase_gram(params[0], grids[0]))
+    gram *= scale[:, :, None]
+    gram *= scale[:, None, :]
     degrees = np.arange(max_degree + 1)
-    basis[:, degrees, degrees] = 1.0 / norms
-    quad = _quad_row_gram(params, grids, basis, _phase_gram(params[0], grids[0]))
-    devs = np.abs(np.triu(quad - _row_gram(norms, basis))).max(axis=(1, 2))
+    gram[:, degrees, degrees] -= (1.0 / norms * norms) ** 2
+    devs = np.abs(np.triu(gram)).max(axis=(1, 2))
     residuals = [(max_degree, dev, Rule(at_most=ORACLE_TOL)) for dev in devs.tolist()]
     return CheckReport(
         check_name="oracle-agreement",

@@ -220,6 +220,25 @@ def test_check_degenerate_parameters_usage_error(capsys):
     assert "eta" in err or "close to 1" in err
 
 
+@pytest.mark.parametrize("command", [["check", "degenerate-commutant"], ["suite"]], ids=" ".join)
+def test_underflowing_constant_weight_names_alpha_and_b(capsys, command):
+    # e^{-alpha |b|^2 / 2} at b = 2/3 is 0 in float64 from alpha 3353.10: the error names the weight, not a scale --c
+    code, out, err = run_cli([*command, "--alpha", "3400"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: degenerate-commutant: weight e^(-alpha |b|^2/2) underflows at alpha=3400.0, b=(0.6666666666666666+0j)\n"
+
+
+def test_smallest_constant_weight_still_passes(capsys):
+    # just below the underflow the weight is the least subnormal, and the section is still that scalar times I
+    code, out, err = run_cli(["check", "degenerate-commutant", "--alpha", "3353.09", "--format", "text"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        "[Pass] degenerate-commutant\n"
+        + "    N=32: residual 0.000e+00\n" * 3
+        + "    notes: constant weight 5e-324; composition classified BoundedUnitary\n"
+    )
+
+
 def test_readme_schema_example_is_the_output_of_the_command_it_names(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme[readme.index("## Report schema"):]
@@ -561,8 +580,8 @@ def test_flag_value_starting_with_minus_reads_as_in_the_equals_form(capsys, comm
     if flag in ("--alphas", "--orders"):
         assert code == 2 and out == "" and f"argument {flag}: {flag[2:]} must be" in err
     elif value == "-inf":
-        # the value reaches the program, which rejects it as the offset of the map
-        assert (code, out, err) == (2, "", "error: non-finite b (-inf+0j)\n")
+        # the value reaches the program, which rejects it by its flag
+        assert (code, out, err) == (2, "", "error: non-finite --a0 (-inf+0j)\n")
     else:
         assert code == 0 and out
 
@@ -650,16 +669,34 @@ def test_overflowing_residual_fails_under_warnings_as_errors(flags):
     assert "non-finite residual" in report["notes"]
 
 
-@pytest.mark.parametrize(
-    "command, message",
-    [(["matrix", "--map-a", "nan"], "a"), (["check", "selfadjoint-forward", "--c", "nan"], "c")],
-    ids=["matrix", "selfadjoint-forward"],
-)
-def test_non_finite_field_usage_error(capsys, command, message):
-    code, out, err = run_cli(command, capsys)
+def _non_finite_cases():
+    """(command ending in the flag to set to nan, id): every complex flag that fills a field of a map or a weight."""
+    maps = ["--map-a", "0.25", "--map-b", "0.5"]
+    yield ["matrix", "--map-a"], "matrix"
+    yield ["check", "selfadjoint-forward", "--c"], "selfadjoint-forward"
+    for flag in ("--map-b", "--weight-c", "--weight-w"):
+        yield ["matrix", flag], f"matrix {flag}"
+    for name, head, flags in (
+        ("fixed-point", [], ("--a0", "--a1")),
+        ("fixed-point-transfer", [], ("--a0", "--a1", "--gamma")),
+        # a later --map-a or --map-b overrides the one before it
+        ("selfadjoint-reverse", maps, ("--map-a", "--map-b", "--weight-c", "--weight-w")),
+        ("adjoint-factorization", [], ("--map-a", "--map-b")),
+        ("normality", [], ("--weight-c", "--weight-w")),
+        ("commutant-symbols", ["--eta", "2"], ("--eta", "--b")),
+        ("moebius-conjugation", ["--eta", "2"], ("--eta", "--b")),
+    ):
+        for flag in flags:
+            yield ["check", name, *head, flag], f"{name} {flag}"
+
+
+@pytest.mark.parametrize("command", [pytest.param(command, id=name) for command, name in _non_finite_cases()])
+def test_non_finite_field_usage_error(capsys, command):
+    # the error names the flag the user gave, not the field of the map or weight it fills
+    code, out, err = run_cli([*command, "nan"], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"error: non-finite {message} (nan+0j)\n"
+    assert err == f"error: non-finite {command[-1]} (nan+0j)\n"
 
 
 def test_matrix_unbounded_warns_but_emits(capsys):

@@ -21,7 +21,7 @@ from fockcalc import (
     quad_inner_product,
     quad_matrix_entry,
 )
-from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _image, _phase_gram, _quad_row_gram, cutoff_radius
+from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _image, _phase_gram, _monomial_gram, cutoff_radius
 from fockcalc.report import CheckReport, Rule
 from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
@@ -44,10 +44,25 @@ def _rows(series):
     return np.stack([s.coeffs for s in series])
 
 
+def _dense_quad_gram(params, grids, coeffs, phase_gram):
+    """Quadrature Gram matrices of a stack of coefficient rows coeffs[s] by the dense formula C (Q o R W R^T) C^H:
+    the coefficient-free core between the rows C[s, i, k] = c_ik s_k, with s_k the oracle's own scale."""
+    steps = np.sqrt(np.arange(1, params[0].order + 1) / np.array([[p.alpha] for p in params]))
+    scaled = coeffs.copy()
+    scaled[..., 1:] *= np.cumprod(steps, axis=1)[:, None, :]
+    return scaled @ _monomial_gram(params, grids, phase_gram) @ scaled.conj().swapaxes(1, 2)
+
+
+def _dense_exact_gram(norms, coeffs):
+    """Exact Gram matrix of the rows of coeffs by the dense formula: one product of the norm-scaled rows."""
+    scaled = coeffs * norms
+    return scaled @ scaled.conj().T
+
+
 def _quad_gram(series, grid):
-    """The quadrature Gram of the series: the row core's stack of one with its own phase Gram, as quad_inner_product runs it."""
+    """The quadrature Gram of the series: the dense formula's stack of one with its own phase Gram, as quad_inner_product runs it."""
     params = series[0].params
-    return _quad_row_gram((params,), (grid,), _rows(series)[None], _phase_gram(params, grid))[0]
+    return _dense_quad_gram((params,), (grid,), _rows(series)[None], _phase_gram(params, grid))[0]
 
 
 def test_total_mass_is_one():
@@ -230,18 +245,19 @@ def test_gram_rejects_mixed_params_and_coarse_grid():
 
 
 def test_pairwise_entry_points_are_their_row_cores():
-    # each pairwise product is entry [0, 1] of its row core on the two stacked rows, bit for bit
+    # each pairwise product is entry [0, 1] of its dense formula on the two stacked rows, bit for bit
     rng = np.random.default_rng(5)
     grid = default_grid(P16)
     for _ in range(5):
         f, g = (TruncatedSeries(rng.normal(size=17) + 1j * rng.normal(size=17), P16) for _ in range(2))
-        assert inner_product(f, g) == complex(fockcalc.series._row_gram(P16.monomial_norms(), _rows([f, g]))[0, 1])
+        assert inner_product(f, g) == complex(_dense_exact_gram(P16.monomial_norms(), _rows([f, g]))[0, 1])
         assert quad_inner_product(f, g, grid) == complex(_quad_gram([f, g], grid)[0, 1])
 
 
-def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
+@pytest.mark.parametrize("max_degree", [12, 64, 250])
+def test_oracle_fails_on_perturbed_exact_norms(monkeypatch, max_degree):
     # the exact side (basis coefficients and Gram) sees ||z^5|| off by 1e-6;
-    # an oracle with its own scale must see the basis drift off unit norm
+    # an oracle with its own scale must see the basis drift off unit norm, at every degree whose arithmetic differs
     honest = FockParams.monomial_norms
 
     def perturbed(self):
@@ -250,22 +266,22 @@ def test_oracle_fails_on_perturbed_exact_norms(monkeypatch):
         return norms
 
     monkeypatch.setattr(FockParams, "monomial_norms", perturbed)
-    report = check_oracle_agreement(12, (1.0,))
+    report = check_oracle_agreement(max_degree, (1.0,))
     assert report.verdict is Verdict.FAIL
     assert report.max_residual > 1e-6
 
 
 def test_oracle_fails_on_a_nan_residual(monkeypatch):
-    # a nan deviation of one alpha of three must fail, not drop out of the worst; the exact side is the row core on the
-    # stacked basis rows, and the nan goes into the middle alpha's Gram only
-    honest = fockcalc.quadrature._row_gram
+    # a nan deviation of one alpha of three must fail, not drop out of the worst; the quadrature side is the core's
+    # stacked pass, and the nan goes into the middle alpha's Gram only
+    honest = fockcalc.quadrature._monomial_gram
 
-    def one_nan(norms, rows):
-        gram = honest(norms, rows)
+    def one_nan(params, grids, phase_gram):
+        gram = honest(params, grids, phase_gram)
         gram[1, 0, 2] = np.nan
         return gram
 
-    monkeypatch.setattr(fockcalc.quadrature, "_row_gram", one_nan)
+    monkeypatch.setattr(fockcalc.quadrature, "_monomial_gram", one_nan)
     report = check_oracle_agreement(4, (0.5, 1.0, 2.0))
     values = [value for _, value in report.residuals]
     assert math.isnan(values[1])
@@ -281,7 +297,7 @@ def _forbid_exact_path(monkeypatch):
 
     monkeypatch.setattr(FockParams, "monomial_norms", forbidden)
     for module in (fockcalc.series, fockcalc.quadrature, fockcalc.operators):
-        for name in ("inner_product", "_row_gram", "compose_affine", "assemble_matrix", "assemble_sections"):
+        for name in ("inner_product", "compose_affine", "assemble_matrix", "assemble_sections"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
 
@@ -310,12 +326,13 @@ def test_quad_matrix_entry_uses_no_exact_path(monkeypatch):
 
 
 def _per_alpha_oracle(max_degree, alphas):
-    """check_oracle_agreement as a loop over alphas of monomial series, each with its own phase Gram, on the row cores."""
+    """check_oracle_agreement as a loop over alphas of monomial series, each with its own phase Gram, by the dense
+    formulas: the dense basis diag(1 / ||z^k||) on both sides."""
     residuals = []
     for alpha in alphas:
         params = FockParams(alpha, max_degree)
         basis = [_monomial(n, params, normalized=True) for n in range(max_degree + 1)]
-        exact = fockcalc.series._row_gram(params.monomial_norms(), _rows(basis))
+        exact = _dense_exact_gram(params.monomial_norms(), _rows(basis))
         dev = float(np.max(np.abs(np.triu(_quad_gram(basis, default_grid(params)) - exact))))
         residuals.append((max_degree, dev, Rule(at_most=ORACLE_TOL)))
     return CheckReport(
@@ -329,7 +346,7 @@ def _per_alpha_oracle(max_degree, alphas):
 @pytest.mark.parametrize("alphas", [(1.0,), (0.5, 1.0, 2.0), (2.0, 0.5, 2.0)])
 @pytest.mark.parametrize("max_degree", [1, 12, 40, 250])
 def test_oracle_agreement_equals_the_per_alpha_series_path(max_degree, alphas):
-    # one coefficient matrix per alpha and one phase Gram per call: the same sums, bit for bit
+    # the scaled diagonal of one stacked pass against the dense basis of each alpha: the same sums, bit for bit
     report = check_oracle_agreement(max_degree, alphas)
     reference = _per_alpha_oracle(max_degree, alphas)
     assert report.to_dict() == reference.to_dict()
@@ -338,23 +355,20 @@ def test_oracle_agreement_equals_the_per_alpha_series_path(max_degree, alphas):
 
 @pytest.mark.parametrize("order", [1, 16, 64])
 def test_stacked_quad_gram_is_each_alphas_cumprod_gram(order):
-    # the row core's stacked pass against each alpha's closed form with its radial table by np.cumprod along the
+    # the core's stacked pass against each alpha's closed form with its radial table by np.cumprod along the
     # degrees: the row loop forms the same sequential products, so every entry keeps its bits
     params = [FockParams(alpha, order) for alpha in (0.5, 1.0, 2.0, 1.0)]
     grids = [default_grid(p) for p in params]
-    rng = np.random.default_rng(7)
-    rows = rng.normal(size=(4, 3, order + 1)) + 1j * rng.normal(size=(4, 3, order + 1))
     q = _phase_gram(params[0], grids[0])
-    stacked = _quad_row_gram(params, grids, rows, q)
+    stacked = _monomial_gram(params, grids, q)
+    assert stacked.shape == (4, order + 1, order + 1)
     for s, (p, grid) in enumerate(zip(params, grids)):
         steps = np.sqrt(np.arange(1, order + 1) / p.alpha)
         radial = np.ones((order + 1, grid.radial_nodes.shape[0]))
         radial[1:] = grid.radial_nodes[:, 0] / steps[:, None]
         radial = np.cumprod(radial, axis=0)
         weights = 2.0 * p.alpha * grid.radial_nodes[:, 1] / grid.angular_count
-        scaled = rows[s].copy()
-        scaled[:, 1:] *= np.cumprod(steps)
-        assert np.array_equal(stacked[s], scaled @ (q * ((radial * weights) @ radial.T)) @ scaled.conj().T)
+        assert np.array_equal(stacked[s], q * ((radial * weights) @ radial.T))
 
 
 def test_oracle_agreement_forms_the_phase_gram_once_per_call(monkeypatch):

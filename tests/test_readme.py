@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+from fockcalc import checks
 from fockcalc.cli import CHECKERS, RUN
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -45,3 +46,21 @@ def test_flags_table_matches_the_registry():
         run_flags = {dest for flags, _ in cases for dest, default in flags.items() if default is RUN}
         assert {flag for flag, _ in FLAG.findall(run_cell)} == run_flags, name
         assert (run_cell == "none") == (not run_flags), name
+
+
+# one name or several joined by "and", then the value they share: "(1e-10)" or "= 1e-10"
+CONSTANT = re.compile(r"((?:`[A-Z_]+`(?: and )?)+)(?: \(([^)]*)\)| = ([0-9][0-9e.+-]*))")
+
+
+def test_named_constants_match_the_checks_module():
+    start = README.index("The `tol` defaults are the named constants")
+    section = README[start : README.index("`check` and `suite` run every check", start)]
+    documented = {}
+    for names, in_parentheses, after_equals in CONSTANT.findall(section):
+        for name in re.findall(r"`([A-Z_]+)`", names):
+            documented[name] = float((in_parentheses or after_equals).rstrip("."))
+    # every constant the section names is given a value, and every value is the module's
+    assert set(re.findall(r"`([A-Z_]+)`", section)) == documented.keys()
+    assert len(documented) == 16
+    for name, value in documented.items():
+        assert getattr(checks, name) == value, name

@@ -16,7 +16,7 @@ from fockcalc import (
     inner_product,
     kernel_series,
 )
-from fockcalc.series import _row_gram, exp_linear_coeffs, kernel_coeffs
+from fockcalc.series import exp_linear_coeffs, kernel_coeffs
 
 P8 = FockParams(1.0, 8)
 P16 = FockParams(1.0, 16)
@@ -224,37 +224,35 @@ def test_inner_product_exponentials():
 def test_gram_holds_every_pairwise_inner_product():
     rng = np.random.default_rng(11)
     series = [poly(rng.normal(size=9) + 1j * rng.normal(size=9)) for _ in range(4)] + [exp_linear(0.5, 1.0, P8)]
-    g = _row_gram(P8.monomial_norms(), np.stack([s.coeffs for s in series]))
-    assert np.array_equal(g, g.conj().T)
+    g = np.array([[inner_product(f, h) for h in series] for f in series])
+    # each pair is its own product, so the Gram is Hermitian up to rounding, not bit for bit
+    np.testing.assert_allclose(g, g.conj().T, rtol=1e-15, atol=0)
     for i, f in enumerate(series):
         for j, h in enumerate(series):
             expected = np.sum(f.coeffs * P8.monomial_norms() ** 2 * np.conj(h.coeffs))
             assert abs(g[i, j] - expected) <= 1e-14 * math.sqrt(abs(g[i, i] * g[j, j]))
-            assert inner_product(f, h) == complex(_row_gram(P8.monomial_norms(), np.stack([f.coeffs, h.coeffs]))[0, 1])
+            # one product of the two norm-scaled rows, whose [0, 1] entry it returns
+            scaled = np.stack([f.coeffs, h.coeffs]) * P8.monomial_norms()
+            assert inner_product(f, h) == complex((scaled @ scaled.conj().T)[0, 1])
 
 
-def test_stacked_gram_is_each_entrys_own_gram():
-    # norms (M, N+1) and rows (M, S, N+1): entry s of the stacked product is the Gram of its own call, bit for bit
-    rng = np.random.default_rng(12)
-    norms = np.stack([FockParams(alpha, 8).monomial_norms() for alpha in (0.5, 1.0, 2.0)])
-    rows = rng.normal(size=(3, 4, 9)) + 1j * rng.normal(size=(3, 4, 9))
-    stacked = _row_gram(norms, rows)
-    assert stacked.shape == (3, 4, 4)
-    for s in range(3):
-        assert np.array_equal(stacked[s], _row_gram(norms[s], rows[s]))
+def _unvalidated(coeffs, params=P8):
+    """A series holding coeffs as given, past the constructor's finiteness test: rows no series would hold."""
+    series = object.__new__(TruncatedSeries)
+    object.__setattr__(series, "coeffs", np.asarray(coeffs, dtype=np.complex128))
+    object.__setattr__(series, "params", params)
+    return series
 
 
 def test_gram_rejects_mixed_params_and_overflow():
     with pytest.raises(ParamsMismatchError, match=r"^series params differ: FockParams\(alpha=1.0, order=8\) vs FockParams\(alpha=1.0, order=16\)$"):
         inner_product(poly([1.0], P8), poly([1.0], P16))
     with pytest.raises(OverflowError):
-        _row_gram(P8.monomial_norms(), np.stack([poly([1e200]).coeffs, poly([1.0]).coeffs]))
-    with pytest.raises(OverflowError):
         inner_product(poly([1e200]), poly([1.0]))
     # the Gram check of rows that no series would hold
     for value in NON_FINITE:
         with pytest.raises(OverflowError, match=r"^inner product overflowed$"):
-            _row_gram(P8.monomial_norms(), np.array([[0.5, value] + [0.0] * 7, [1.0] + [0.0] * 8]))
+            inner_product(_unvalidated([0.5, value] + [0.0] * 7), poly([1.0]))
 
 
 def test_kernel_at_origin_is_one():
