@@ -145,7 +145,7 @@ class SelfAdjointSymbolParams(_Record):
 
 
 class CommutantParams(_Record):
-    """Derived coefficients d0..d3 of the commutant symbol family."""
+    """The commutant family's inputs (eta, b) and the coefficients d0..d3 they determine."""
 
     eta: complex
     b: complex
@@ -154,29 +154,18 @@ class CommutantParams(_Record):
     d2: complex
     d3: complex
 
-    def __init__(self, eta: complex, b: complex, d0: complex, d1: complex, d2: complex, d3: complex) -> None:
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "d3", d3)
-
-    @classmethod
-    def from_eta_b(cls, eta: complex, b: complex) -> "CommutantParams":
+    def __init__(self, eta: complex, b: complex) -> None:
         eta, b, den = _commutant_inputs(eta, b)
         try:
             d2 = eta * (abs(b) ** 2 - 1.0) ** 2 / den**2
         except OverflowError:
             raise _out_of_range(eta, b) from None
-        return cls(
-            eta=eta,
-            b=b,
-            d0=(eta - 1.0) * b / den,
-            d1=(eta - 1.0) * b.conjugate() / den,
-            d2=d2,
-            d3=(abs(b) ** 2 - eta) / den,
-        )
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d0", (eta - 1.0) * b / den)
+        object.__setattr__(self, "d1", (eta - 1.0) * b.conjugate() / den)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "d3", (abs(b) ** 2 - eta) / den)
 
     def offset_form(self, z):
         """psi written as d0 + d2 z / (1 - d1 z)."""
@@ -603,7 +592,7 @@ def commutant_symbols(eta: complex, b: complex) -> tuple[LinearFractionalMap, Co
     psi is the linear fractional map conjugate to multiplication by eta
     under the disk involution at b.
     """
-    cp = CommutantParams.from_eta_b(eta, b)
+    cp = CommutantParams(eta, b)
     return _commutant_map(cp.eta, cp.b), cp
 
 

@@ -7,13 +7,15 @@ The integral (alpha/pi) * int f(z) conj(g(z)) e^{-alpha |z|^2} dA(z) is
 evaluated in polar coordinates: equally spaced trapezoid in the angle
 (exact for trigonometric polynomials of degree below the node count) and
 composite Gauss-Legendre panels in the radius, with the radial weights
-carrying the e^{-alpha r^2} r measure factor.
+carrying the e^{-alpha r^2} r measure factor.  A grid builds its nodes,
+weights and panel layout from the rule's five numbers.
 
 The rule's sum over grid points is reassociated exactly: scaled powers
 z^k / s_k split into radial and phase tables, and the angular sums of all
 degree pairs form one phase Gram per call, so no series is evaluated pointwise.
-The core gives the Gram of the scaled monomials alone, and each caller applies
-its own coefficients; check_oracle_agreement passes all its alphas at once.
+The core gives the Gram of the scaled monomials alone for a stack of
+(params, grid) entries, forming the phase Gram from the first, and each caller
+applies its own coefficients; check_oracle_agreement passes all its alphas at once.
 The oracle computes its scale s_k itself and never borrows the exact norms.
 """
 
@@ -59,13 +61,15 @@ def cutoff_radius(params: FockParams) -> float:
 
 
 class QuadratureGrid(_Record, eq=False):
-    """Polar product grid: radial (node, weight) pairs and angular count.
+    """Polar product grid of a rule: per_panel Gauss-Legendre nodes on each of panels equal radial panels of
+    [0, cutoff], and angular_count equally spaced angles.
 
     Radial weights already include the e^{-alpha r^2} r factor, so an
     integral against the planar Gaussian measure reduces to
     2*alpha * sum_i w_i * (angular mean at r_i).  The panel layout names
     node p K + k as panel_centres[p] + panel_offsets[k], within eps * cutoff:
-    the panels' centres and one shared row of K offsets.
+    the panels' centres and the first panel's K offsets, whose half-width the
+    others share up to rounding.
     """
 
     radial_nodes: np.ndarray
@@ -75,24 +79,20 @@ class QuadratureGrid(_Record, eq=False):
     panel_centres: np.ndarray
     panel_offsets: np.ndarray
 
-    def __init__(
-        self, radial_nodes, angular_count: int, cutoff: float, alpha: float, panel_centres, panel_offsets
-    ) -> None:
-        nodes = np.asarray(radial_nodes, dtype=np.float64)
-        if nodes.ndim != 2 or nodes.shape[1] != 2:
-            raise ValueError("radial_nodes must be an (n, 2) array of (radius, weight)")
-        if (nodes[:, 1] <= 0).any():
-            raise ValueError("radial weights must be positive")
+    def __init__(self, alpha: float, cutoff: float, panels: int, per_panel: int, angular_count: int) -> None:
         if angular_count < 64:
             raise ValueError(f"angular_count must be at least 64, got {angular_count}")
-        centres = np.array(panel_centres, dtype=np.float64)
-        offsets = np.array(panel_offsets, dtype=np.float64)
-        if centres.ndim != 1 or offsets.ndim != 1 or centres.size * offsets.size != nodes.shape[0]:
-            raise ValueError("panel layout must be a row of centres and a row of offsets, one pair per radial node")
-        shift = np.maximum.reduce(np.abs(np.add.outer(centres, offsets).ravel() - nodes[:, 0]), initial=0.0)
-        if not shift <= 2.0**-52 * cutoff:  # eps * cutoff
-            raise ValueError(f"panel layout strays {shift!r} from the radial nodes, more than eps * cutoff")
-        nodes = nodes.copy()
+        base_x, base_w = _legendre(per_panel)
+        edges = np.linspace(0.0, cutoff, panels + 1)
+        # one row per panel: its half-width and midpoint map [-1, 1] onto it
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        r = (mid + half * base_x).ravel()
+        w = (half * base_w).ravel() * np.exp(-alpha * r**2) * r
+        # an oversized cutoff underflows e^{-alpha r^2}
+        if (w <= 0).any():
+            raise ValueError("radial weights must be positive")
+        nodes, centres, offsets = np.column_stack([r, w]), mid[:, 0], half[0] * base_x
         roots = np.exp(1j * (2.0 * np.pi * np.arange(angular_count) / angular_count))
         for arr in (nodes, centres, offsets, roots):
             arr.setflags(write=False)
@@ -115,21 +115,9 @@ def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _build_grid(alpha: float, radius: float, panels: int, per_panel: int, angular: int) -> QuadratureGrid:
-    base_x, base_w = _legendre(per_panel)
-    edges = np.linspace(0.0, radius, panels + 1)
-    # one row per panel: its half-width and midpoint map [-1, 1] onto it
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    r = (mid + half * base_x).ravel()
-    w = (half * base_w).ravel() * np.exp(-alpha * r**2) * r
-    # the panels' half-widths agree to rounding, so the first one's offsets serve every panel
-    return QuadratureGrid(np.column_stack([r, w]), angular, radius, alpha, mid[:, 0], half[0] * base_x)
-
-
 def default_grid(params: FockParams) -> QuadratureGrid:
     """16 radial panels of 16 Gauss-Legendre nodes to the cutoff radius, and 4 (N+1) angles, at least 64."""
-    return _build_grid(params.alpha, cutoff_radius(params), 16, 16, max(64, 4 * (params.order + 1)))
+    return QuadratureGrid(params.alpha, cutoff_radius(params), 16, 16, max(64, 4 * (params.order + 1)))
 
 
 def _point_weights(grid: QuadratureGrid) -> np.ndarray:
@@ -162,10 +150,10 @@ def _phase_gram(params: FockParams, grid: QuadratureGrid) -> np.ndarray:
     return phases @ phases.conj().T
 
 
-def _monomial_gram(params: Sequence[FockParams], grids: Sequence[QuadratureGrid], phase_gram: np.ndarray) -> np.ndarray:
+def _monomial_gram(params: Sequence[FockParams], grids: Sequence[QuadratureGrid]) -> np.ndarray:
     """Quadrature Gram matrices of the scaled monomials z^k / s_k, k = 0..N: G[s, k, l] is the polar quadrature of
-    <z^k / s_k, z^l / s_l> under params[s] on grids[s], given the phase Gram Q.  A caller scales row and column k by
-    its own coefficient c_k s_k.
+    <z^k / s_k, z^l / s_l> under params[s] on grids[s].  A caller scales row and column k by its own coefficient
+    c_k s_k.  The phase Gram Q is formed first, from params[0] and grids[0], so its refusals come before any sum.
 
     z^k / s_k at point (r, a) is R[k, r] P[k, a], with radial table R[k, r] = r^k / s_k, so the rule's sum is
     G = Q o R W R^T, with o the entrywise product and W the point weights: the same finite sum, reassociated
@@ -177,6 +165,7 @@ def _monomial_gram(params: Sequence[FockParams], grids: Sequence[QuadratureGrid]
     degree at a time over a contiguous M x R row: the sequential products of a cumprod along the degrees, bit for
     bit, at a fraction of its cost.  Entry s of the stacked product is the same sums as a stack of one.
     """
+    phase_gram = _phase_gram(params[0], grids[0])
     steps = _scale_steps(params[0].order, np.array([[p.alpha] for p in params]))
     nodes = np.stack([grid.radial_nodes[:, 0] for grid in grids])
     radial = np.empty((params[0].order + 1,) + nodes.shape)
@@ -195,7 +184,7 @@ def quad_inner_product(f: TruncatedSeries, g: TruncatedSeries, grid: QuadratureG
     f._check_same_params(g)
     scaled = np.stack([f.coeffs, g.coeffs])
     scaled[:, 1:] *= np.cumprod(_scale_steps(f.params.order, f.params.alpha))
-    return complex((scaled @ _monomial_gram((f.params,), (grid,), _phase_gram(f.params, grid))[0] @ scaled.conj().T)[0, 1])
+    return complex((scaled @ _monomial_gram((f.params,), (grid,))[0] @ scaled.conj().T)[0, 1])
 
 
 def quad_matrix_entry(sym: WcoSymbol, n: int, m: int, grid: QuadratureGrid, params: FockParams) -> complex:
@@ -317,7 +306,7 @@ def check_oracle_agreement(max_degree: int, alphas: tuple[float, ...]) -> CheckR
     norms = np.stack(norms)
     scale = 1.0 / norms
     scale[:, 1:] *= np.cumprod(_scale_steps(max_degree, np.array([[p.alpha] for p in params])), axis=1)
-    gram = _monomial_gram(params, grids, _phase_gram(params[0], grids[0]))
+    gram = _monomial_gram(params, grids)
     gram *= scale[:, :, None]
     gram *= scale[:, None, :]
     degrees = np.arange(max_degree + 1)

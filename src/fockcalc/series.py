@@ -206,15 +206,18 @@ def compose_affine(p: TruncatedSeries, a: complex, b: complex) -> TruncatedSerie
 
 
 def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """Truncated weighted inner product <f, g> = sum_k (f_k ||z^k||) conj(g_k ||z^k||): the off-diagonal entry of
-    the Gram matrix of f and g, one product of their norm-scaled rows."""
+    """Truncated weighted inner product <f, g> = sum_k (f_k ||z^k||) conj(g_k ||z^k||), as real dot products of the
+    norm-scaled parts: re = fr.gr + fi.gi and im = fi.gr - fr.gi.  Swapping f and g swaps the operands of each dot and
+    the two terms of im, so <g, f> is conj(<f, g>) bit for bit and <f, f> is real."""
     f._check_same_params(g)
+    norms = f.params.monomial_norms()
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.stack([f.coeffs, g.coeffs]) * f.params.monomial_norms()
-        gram = scaled @ scaled.conj().T
-    if not np.isfinite(gram).all():
+        fr, fi, gr, gi = (part * norms for s in (f, g) for part in (s.coeffs.real, s.coeffs.imag))
+        # the 2 x 2 Gram of f and g, squared norms first and last: any entry outside float64 is an overflow
+        gram = (fr @ fr + fi @ fi, fr @ gr + fi @ gi, fi @ gr - fr @ gi, gr @ gr + gi @ gi)
+    if not all(map(math.isfinite, gram)):
         raise OverflowError("inner product overflowed")
-    return complex(gram[0, 1])
+    return complex(gram[1], gram[2])
 
 
 def kernel_coeffs(points, params: FockParams) -> np.ndarray:

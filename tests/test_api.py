@@ -168,7 +168,7 @@ VALUE_RECORDS = {
     "ExpLinearWeight": lambda: ExpLinearWeight(1.0, 0.5),
     "WcoSymbol": lambda: WcoSymbol(ExpLinearWeight(1.0, 0.5), AffineMap(0.5, 0.25)),
     "SelfAdjointSymbolParams": lambda: SelfAdjointSymbolParams(1.0, 0.5, 0.25),
-    "CommutantParams": lambda: CommutantParams.from_eta_b(2.0, 2.0 / 3.0),
+    "CommutantParams": lambda: CommutantParams(2.0, 2.0 / 3.0),
     "RunConfig": lambda: RunConfig(alpha=2.0, tolerance_overrides={"normality": 1e-3}),
 }
 IDENTITY_RECORDS = {
@@ -254,7 +254,7 @@ def test_record_text_is_the_dataclass_repr():
 def test_echoed_records_keep_their_field_order():
     # reports echo vars(params), so this order is part of the report bytes
     assert list(vars(SelfAdjointSymbolParams(1, 0.5, 0.25))) == ["c", "a0", "a1", "alpha"]
-    assert list(vars(CommutantParams.from_eta_b(2.0, 2.0 / 3.0))) == ["eta", "b", "d0", "d1", "d2", "d3"]
+    assert list(vars(CommutantParams(2.0, 2.0 / 3.0))) == ["eta", "b", "d0", "d1", "d2", "d3"]
 
 
 def test_run_config_default_format_is_on_the_class_and_overrides_are_not_shared():

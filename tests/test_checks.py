@@ -847,16 +847,33 @@ def test_commutant_symbols_fails_on_a_shifted_offset_form(monkeypatch, eta):
 
 def test_commutant_symbols_degeneration_must_be_exact(monkeypatch):
     # at eta = 1 a d1 of 1e-300 leaves every closed form within 1e-12, but psi is no longer exactly the identity
-    honest = checks.CommutantParams.from_eta_b.__func__
+    honest = checks.CommutantParams.__init__
 
-    def perturbed(cls, eta, b):
-        return cls(**{**vars(honest(cls, eta, b)), "d1": 1e-300})
+    def perturbed(self, eta, b):
+        honest(self, eta, b)
+        object.__setattr__(self, "d1", 1e-300)
 
-    monkeypatch.setattr(checks.CommutantParams, "from_eta_b", classmethod(perturbed))
+    monkeypatch.setattr(checks.CommutantParams, "__init__", perturbed)
     report = check_commutant_symbols(1.0, 2.0 / 3.0)
     assert all(v <= 1e-12 for _, v in report.residuals[:3])
     assert report.residuals[3] == (0, 1e-300)
     assert report.verdict is Verdict.FAIL
+
+
+def test_commutant_params_agree_with_psi_coefficients():
+    # over the Moebius battery's domain: psi(0) = q / s is d0 and psi(inf) = p / s is d3, as the same Python arithmetic
+    rng = np.random.default_rng(17)
+    checked = 0
+    for radius, angle, re_eta, im_eta in rng.uniform((0.1, 0.0, -2.0, -1.0), (0.9, 2.0 * np.pi, 2.5, 1.0), (200, 4)).tolist():
+        b, eta = radius * cmath.exp(1j * angle), complex(re_eta, im_eta)
+        if abs(abs(b) ** 2 * eta - 1.0) < 0.05 or abs(eta) < 0.05:
+            continue
+        p, q, _, s = checks._commutant_coefficients(eta, b)
+        cp = checks.CommutantParams(eta, b)
+        bits = [(z.real.hex(), z.imag.hex()) for z in (cp.d0, cp.d3, q / s, p / s)]
+        assert bits[:2] == bits[2:] and (cp.eta, cp.b) == (eta, b)
+        checked += 1
+    assert checked > 150
 
 
 def test_moebius_conjugation_fails_on_a_dropped_conjugate(monkeypatch):

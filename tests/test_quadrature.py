@@ -21,7 +21,7 @@ from fockcalc import (
     quad_inner_product,
     quad_matrix_entry,
 )
-from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _build_grid, _image, _phase_gram, _monomial_gram, cutoff_radius
+from fockcalc.quadrature import ORACLE_TOL, QuadratureGrid, _image, _phase_gram, _monomial_gram, cutoff_radius
 from fockcalc.report import CheckReport, Rule
 from fockcalc.series import ParamsMismatchError
 from fockcalc.operators import LinearFractionalMap, UnsupportedMapError
@@ -44,13 +44,13 @@ def _rows(series):
     return np.stack([s.coeffs for s in series])
 
 
-def _dense_quad_gram(params, grids, coeffs, phase_gram):
+def _dense_quad_gram(params, grids, coeffs):
     """Quadrature Gram matrices of a stack of coefficient rows coeffs[s] by the dense formula C (Q o R W R^T) C^H:
     the coefficient-free core between the rows C[s, i, k] = c_ik s_k, with s_k the oracle's own scale."""
     steps = np.sqrt(np.arange(1, params[0].order + 1) / np.array([[p.alpha] for p in params]))
     scaled = coeffs.copy()
     scaled[..., 1:] *= np.cumprod(steps, axis=1)[:, None, :]
-    return scaled @ _monomial_gram(params, grids, phase_gram) @ scaled.conj().swapaxes(1, 2)
+    return scaled @ _monomial_gram(params, grids) @ scaled.conj().swapaxes(1, 2)
 
 
 def _dense_exact_gram(norms, coeffs):
@@ -60,9 +60,8 @@ def _dense_exact_gram(norms, coeffs):
 
 
 def _quad_gram(series, grid):
-    """The quadrature Gram of the series: the dense formula's stack of one with its own phase Gram, as quad_inner_product runs it."""
-    params = series[0].params
-    return _dense_quad_gram((params,), (grid,), _rows(series)[None], _phase_gram(params, grid))[0]
+    """The quadrature Gram of the series: the dense formula's stack of one, as quad_inner_product runs it."""
+    return _dense_quad_gram((series[0].params,), (grid,), _rows(series)[None])[0]
 
 
 def test_total_mass_is_one():
@@ -88,7 +87,7 @@ def test_cubed_monomial_norm():
 
 def test_grid_too_coarse_rejected():
     params = FockParams(1.0, 40)
-    grid = _build_grid(1.0, cutoff_radius(params), 8, 8, 64)  # 64 <= 2 * 40
+    grid = QuadratureGrid(1.0, cutoff_radius(params), 8, 8, 64)  # 64 <= 2 * 40
     z = _monomial(1, params)
     with pytest.raises(ValueError, match="too coarse"):
         quad_inner_product(z, z, grid)
@@ -112,32 +111,28 @@ def test_grid_equals_panel_loop(alpha, order):
     # the default grid has 16 panels of 16 nodes
     grid = default_grid(FockParams(alpha, order))
     assert np.array_equal(grid.radial_nodes, _panel_loop_nodes(alpha, grid.cutoff, 16, 16))
-    refined = _build_grid(alpha, grid.cutoff, 32, 16, grid.angular_count)
+    refined = QuadratureGrid(alpha, grid.cutoff, 32, 16, grid.angular_count)
     assert np.array_equal(refined.radial_nodes, _panel_loop_nodes(alpha, grid.cutoff, 32, 16))
 
 
 def test_grid_validation():
+    # at alpha 1 a cutoff of 40 underflows e^{-alpha r^2} on the outer nodes
     with pytest.raises(ValueError, match="positive"):
-        QuadratureGrid(np.array([[1.0, -1.0]]), 64, 5.0, 1.0, [1.0], [0.0])
+        QuadratureGrid(1.0, 40.0, 16, 16, 64)
     with pytest.raises(ValueError, match="at least 64"):
-        QuadratureGrid(np.array([[1.0, 1.0]]), 32, 5.0, 1.0, [1.0], [0.0])
+        QuadratureGrid(1.0, 5.0, 16, 16, 32)
 
 
-def test_grid_refuses_a_layout_that_strays_from_its_nodes():
-    grid = default_grid(P16)
-    args = (grid.radial_nodes, grid.angular_count, grid.cutoff, grid.alpha)
-    centres, offsets = grid.panel_centres, grid.panel_offsets
-    assert (centres.shape, offsets.shape) == ((16,), (16,))
-    # any split whose outer sum is on the nodes is a layout: here one centre at 0 and the nodes as offsets
-    QuadratureGrid(*args, [0.0], grid.radial_nodes[:, 0])
-    # 4 eps * cutoff off: at least 2.5 eps * cutoff after the layout's own eps * cutoff and the sum's rounding
-    with pytest.raises(ValueError, match="strays"):
-        QuadratureGrid(*args, centres, offsets + 4 * np.finfo(float).eps * grid.cutoff)
-    with pytest.raises(ValueError, match="strays"):
-        QuadratureGrid(*args, centres[::-1], offsets)
-    for bad in ((centres[1:], offsets), (np.add.outer(centres, offsets), [0.0]), (centres, offsets[:, None])):
-        with pytest.raises(ValueError, match="one pair per radial node"):
-            QuadratureGrid(*args, *bad)
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 2.0, 20.0])
+@pytest.mark.parametrize("order", [1, 16, 32, 250])
+def test_grid_layout_lands_on_its_nodes(alpha, order):
+    # _symbol_values factors the weight at node p K + k through centre_p + offset_k: each sum is within eps * cutoff
+    default = default_grid(FockParams(alpha, order))
+    refined = QuadratureGrid(alpha, default.cutoff, 32, 16, default.angular_count)
+    for grid, panels in ((default, 16), (refined, 32)):
+        assert (grid.panel_centres.shape, grid.panel_offsets.shape) == ((panels,), (16,))
+        shift = np.abs(np.add.outer(grid.panel_centres, grid.panel_offsets).ravel() - grid.radial_nodes[:, 0])
+        assert shift.max() <= np.finfo(float).eps * grid.cutoff
 
 
 def test_oracle_agreement_suite():
@@ -181,7 +176,7 @@ def _assert_matches_pairwise_rule(series, grid):
 def test_gram_matches_pairwise_rule_on_short_grid():
     # 3 panels of 11 nodes: 33 radial nodes; a short radius keeps the
     # outermost nodes' weight far from negligible
-    grid = _build_grid(1.0, 2.0, 3, 11, 64)
+    grid = QuadratureGrid(1.0, 2.0, 3, 11, 64)
     series = _mixed_series(P16)
     gram = _assert_matches_pairwise_rule(series, grid)
     assert abs(quad_inner_product(series[1], series[4], grid) - gram[1, 4]) <= 1e-14 * abs(gram[4, 4])
@@ -190,7 +185,7 @@ def test_gram_matches_pairwise_rule_on_short_grid():
 def test_gram_matches_pairwise_rule_at_large_order():
     # 101 degrees on 33 x 201 points: the radial Gram R W R^T is 101 x 101
     params = FockParams(2.0, 100)
-    _assert_matches_pairwise_rule(_mixed_series(params), _build_grid(2.0, 2.0, 3, 11, 201))
+    _assert_matches_pairwise_rule(_mixed_series(params), QuadratureGrid(2.0, 2.0, 3, 11, 201))
 
 
 @pytest.mark.parametrize("order", [16, 40, 200])
@@ -208,7 +203,7 @@ def test_phase_gram_is_scaled_identity(order):
     eps = np.finfo(float).eps
     params = FockParams(1.0, order)
     for count in (max(64, 2 * order + 1), 4 * (order + 1)):
-        grid = _build_grid(params.alpha, cutoff_radius(params), 16, 16, count)
+        grid = QuadratureGrid(params.alpha, cutoff_radius(params), 16, 16, count)
         q = _phase_gram(params, grid)
         assert np.max(np.abs(np.diag(q) - count)) <= 4 * np.spacing(float(count))
         assert np.max(np.abs(q - np.diag(np.diag(q)))) <= 4 * count * eps
@@ -219,7 +214,7 @@ def test_gram_matches_pairwise_rule_at_smallest_angular_count(alpha, order):
     # 2N+1 angles, the fewest the oracle accepts: each off-diagonal sum of
     # the phase Gram cancels over the fewest roots of unity
     params = FockParams(alpha, order)
-    _assert_matches_pairwise_rule(_mixed_series(params), _build_grid(alpha, cutoff_radius(params), 16, 16, 2 * order + 1))
+    _assert_matches_pairwise_rule(_mixed_series(params), QuadratureGrid(alpha, cutoff_radius(params), 16, 16, 2 * order + 1))
 
 
 def test_inner_product_refuses_a_grid_built_for_another_alpha():
@@ -234,7 +229,7 @@ def test_gram_rejects_mixed_params_and_coarse_grid():
     with pytest.raises(ParamsMismatchError, match=r"^series params differ: "):
         quad_inner_product(_monomial(1, P16, normalized=True), _monomial(1, other, normalized=True), default_grid(P16))
     params = FockParams(1.0, 40)
-    grid = _build_grid(1.0, cutoff_radius(params), 8, 8, 64)
+    grid = QuadratureGrid(1.0, cutoff_radius(params), 8, 8, 64)
     with pytest.raises(ValueError, match="too coarse"):
         quad_inner_product(_monomial(0, params), _monomial(2, params), grid)
     with pytest.raises(ValueError, match="too coarse"):
@@ -245,12 +240,14 @@ def test_gram_rejects_mixed_params_and_coarse_grid():
 
 
 def test_pairwise_entry_points_are_their_row_cores():
-    # each pairwise product is entry [0, 1] of its dense formula on the two stacked rows, bit for bit
+    # the quadrature pair is entry [0, 1] of its dense formula on the two stacked rows, bit for bit, and the exact pair
+    # its four real dot products of the norm-scaled parts
     rng = np.random.default_rng(5)
     grid = default_grid(P16)
     for _ in range(5):
         f, g = (TruncatedSeries(rng.normal(size=17) + 1j * rng.normal(size=17), P16) for _ in range(2))
-        assert inner_product(f, g) == complex(_dense_exact_gram(P16.monomial_norms(), _rows([f, g]))[0, 1])
+        fr, fi, gr, gi = (part * P16.monomial_norms() for s in (f, g) for part in (s.coeffs.real, s.coeffs.imag))
+        assert inner_product(f, g) == complex(fr @ gr + fi @ gi, fi @ gr - fr @ gi)
         assert quad_inner_product(f, g, grid) == complex(_quad_gram([f, g], grid)[0, 1])
 
 
@@ -276,8 +273,8 @@ def test_oracle_fails_on_a_nan_residual(monkeypatch):
     # stacked pass, and the nan goes into the middle alpha's Gram only
     honest = fockcalc.quadrature._monomial_gram
 
-    def one_nan(params, grids, phase_gram):
-        gram = honest(params, grids, phase_gram)
+    def one_nan(params, grids):
+        gram = honest(params, grids)
         gram[1, 0, 2] = np.nan
         return gram
 
@@ -360,7 +357,7 @@ def test_stacked_quad_gram_is_each_alphas_cumprod_gram(order):
     params = [FockParams(alpha, order) for alpha in (0.5, 1.0, 2.0, 1.0)]
     grids = [default_grid(p) for p in params]
     q = _phase_gram(params[0], grids[0])
-    stacked = _monomial_gram(params, grids, q)
+    stacked = _monomial_gram(params, grids)
     assert stacked.shape == (4, order + 1, order + 1)
     for s, (p, grid) in enumerate(zip(params, grids)):
         steps = np.sqrt(np.arange(1, order + 1) / p.alpha)
@@ -452,7 +449,7 @@ def test_oracle_agreement_degree_forty():
 def test_refinement_never_increases_error():
     params = FockParams(1.0, 12)
     basis = [_monomial(n, params) for n in range(13)]
-    norm = [math.sqrt(inner_product(b, b).real) for b in basis]
+    norm = [math.sqrt(abs(inner_product(b, b))) for b in basis]
 
     def suite_error(grid):
         worst = 0.0
@@ -464,7 +461,7 @@ def test_refinement_never_increases_error():
         return worst
 
     # 1, 2, 4, 8 and 16 panels of 8 nodes
-    errors = [suite_error(_build_grid(1.0, cutoff_radius(params), 2**k, 8, 64)) for k in range(5)]
+    errors = [suite_error(QuadratureGrid(1.0, cutoff_radius(params), 2**k, 8, 64)) for k in range(5)]
     assert all(nxt <= prev for prev, nxt in zip(errors, errors[1:])), errors
     assert errors[0] > 1e-3 and errors[-1] <= 1e-7
 

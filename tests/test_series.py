@@ -225,15 +225,16 @@ def test_gram_holds_every_pairwise_inner_product():
     rng = np.random.default_rng(11)
     series = [poly(rng.normal(size=9) + 1j * rng.normal(size=9)) for _ in range(4)] + [exp_linear(0.5, 1.0, P8)]
     g = np.array([[inner_product(f, h) for h in series] for f in series])
-    # each pair is its own product, so the Gram is Hermitian up to rounding, not bit for bit
-    np.testing.assert_allclose(g, g.conj().T, rtol=1e-15, atol=0)
+    # each pair swapped swaps the operands of its real dot products, so the Gram is Hermitian bit for bit
+    assert np.array_equal(g, g.conj().T)
+    assert np.all(np.diag(g).imag == 0.0)
     for i, f in enumerate(series):
         for j, h in enumerate(series):
             expected = np.sum(f.coeffs * P8.monomial_norms() ** 2 * np.conj(h.coeffs))
             assert abs(g[i, j] - expected) <= 1e-14 * math.sqrt(abs(g[i, i] * g[j, j]))
-            # one product of the two norm-scaled rows, whose [0, 1] entry it returns
-            scaled = np.stack([f.coeffs, h.coeffs]) * P8.monomial_norms()
-            assert inner_product(f, h) == complex((scaled @ scaled.conj().T)[0, 1])
+            # four real dot products of the norm-scaled parts: re = fr.hr + fi.hi, im = fi.hr - fr.hi
+            fr, fi, hr, hi = (part * P8.monomial_norms() for s in (f, h) for part in (s.coeffs.real, s.coeffs.imag))
+            assert inner_product(f, h) == complex(fr @ hr + fi @ hi, fi @ hr - fr @ hi)
 
 
 def _unvalidated(coeffs, params=P8):
